@@ -10,8 +10,8 @@
    a second-order-accurate discrete eigenvalue.
 
 3. Maximum principle: the clamped polyharmonic problem with a non-negative
-   load has a strictly positive solution, certified with exact Sturm
-   sequences for polynomial loads.
+   load has a strictly positive solution, certified exactly (Bernstein
+   certificate with Sturm fallback) for polynomial loads.
 """
 
 from sobolev1d import (

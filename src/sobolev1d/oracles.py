@@ -16,8 +16,9 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   signs.  Exercises the sign-definiteness claim from arbitrary starts.
 
 * ``max_principle_check`` -- the positivity of the clamped polyharmonic
-  problem with non-negative load, checked exactly (Sturm certificates) for
-  polynomial loads at any order, or on a grid for orders 1 and 2.
+  problem with non-negative load, checked exactly (Bernstein certificate
+  with Sturm fallback) for polynomial loads at any order, or on a grid for
+  orders 1 and 2.
 """
 
 from __future__ import annotations
@@ -405,10 +406,10 @@ def max_principle_check(
 ) -> OracleReport:
     """Assert strict interior positivity of the clamped 2k-order problem.
 
-    Polynomial-type loads of any order are solved exactly and certified with
-    Sturm sequences; orders 1 and 2 additionally admit the grid route for
-    any evaluable load (``route="grid"`` forces it).  Raises
-    :class:`PositivityViolatedError` on failure.
+    Polynomial-type loads of any order are solved exactly and certified
+    (Bernstein certificate with Sturm fallback); orders 1 and 2 additionally
+    admit the grid route for any evaluable load (``route="grid"`` forces it).
+    Raises :class:`PositivityViolatedError` on failure.
     """
     if route not in ("auto", "exact", "grid"):
         raise ValueError(f"unknown route {route!r}")

@@ -5,7 +5,9 @@ stripped; the zero polynomial is the empty tuple.  All coefficients of one
 polynomial share a scalar mode (exact Fraction or float), and binary
 operations require both operands to be in the same mode.  In exact mode every
 operation here is exact, including evaluation at rational points, definite
-integration and the Sturm-sequence positivity certificates.
+integration and the positivity certificates: a Bernstein certificate with
+Sturm fallback for strict positivity, and Sturm sequences for the
+non-negativity of weights.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval.  Continuity is deliberately not an invariant:
@@ -16,7 +18,7 @@ checks C^m smoothness where a caller needs it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial, lcm
 from typing import Callable, Iterable, Sequence
 
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce, mode_of
@@ -166,15 +168,6 @@ def constant(value: Scalar, mode: str | None = None) -> Polynomial:
     return Polynomial([value], mode)
 
 
-def binomial_power(a: Scalar, n: int, mode: str = EXACT) -> Polynomial:
-    """Expansion of (x + a)**n."""
-    p = Polynomial([1], mode)
-    factor = Polynomial([a, 1], mode)
-    for _ in range(n):
-        p = p * factor
-    return p
-
-
 def bridge_poly(k: int, mode: str = EXACT) -> Polynomial:
     """x**k (1-x)**k, the lowest-degree polynomial clamped to order k."""
     p = monomial(k, 1, mode)
@@ -253,12 +246,19 @@ def count_roots_half_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
 def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     """Divide out (x - c)**m where m is the multiplicity of the root c."""
     m = 0
-    factor = Polynomial([-c, 1], EXACT)
-    while not p.is_zero() and p(c) == 0:
-        p, rem = poly_divmod(p, factor)
-        assert rem.is_zero()
+    coeffs = list(p.coeffs)
+    while coeffs:
+        # synthetic division by (x - c): the quotient and p(c) in one pass
+        quotient = coeffs[1:]
+        acc = coeffs[-1]
+        for i in range(len(coeffs) - 2, -1, -1):
+            quotient[i] = acc
+            acc = coeffs[i] + c * acc if c else coeffs[i]
+        if acc != 0:
+            break
+        coeffs = quotient
         m += 1
-    return p, m
+    return Polynomial(coeffs, EXACT) if m else p, m
 
 
 def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
@@ -344,6 +344,85 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
         if q(x) < 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Bernstein certificates (exact mode only)
+# ---------------------------------------------------------------------------
+
+# Boxes one piece may examine before its certificate falls back to Sturm.
+# A touching zero at an irrational point (x^2 - 1/2)^2 never certifies by
+# subdivision, so the budget bounds the work and Sturm settles the rest.
+BERNSTEIN_MAX_BOXES = 64
+
+
+def _taylor_shift(c: list[int], s: int) -> None:
+    """Turn the coefficients of p(x) into those of p(x + s), in place."""
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+
+
+def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[int]:
+    """Bernstein coefficients of p on [lo, hi], times one positive constant.
+
+    The scaling keeps them integers and leaves their signs and de Casteljau
+    subdivision intact.  The first and last equal p(lo) and p(hi) times that
+    constant.
+    """
+    n = p.degree
+    if n < 0:
+        return [0]
+    den = lcm(*(c.denominator for c in p.coeffs))
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    # d^n p(y / d) in y, then y = a + (b - a) t: d^n p(lo + (hi - lo) t)
+    c = [
+        coef.numerator * (den // coef.denominator) * d ** (n - i)
+        for i, coef in enumerate(p.coeffs)
+    ]
+    _taylor_shift(c, a)
+    w = b - a
+    c = [ci * w**i for i, ci in enumerate(c)]
+    # sum_i c_i t^i (1 + t)^(n - i) carries the coefficients binom(n, j) beta_j
+    c.reverse()
+    _taylor_shift(c, 1)
+    c.reverse()
+    return [cj * factorial(j) * factorial(n - j) for j, cj in enumerate(c)]
+
+
+def _de_casteljau_halves(beta: list[int]) -> tuple[list[int], list[int]]:
+    """Bernstein coefficients of both halves, all scaled by 2^deg."""
+    n = len(beta) - 1
+    left, right = [beta[0] << n], [beta[-1] << n]
+    row = beta
+    for r in range(1, n + 1):
+        row = [x + y for x, y in zip(row, row[1:])]
+        left.append(row[0] << (n - r))
+        right.append(row[-1] << (n - r))
+    right.reverse()
+    return left, right
+
+
+def bernstein_positive(beta: list[int]) -> bool | None:
+    """Positivity on the closed interval from Bernstein coefficients ``beta``.
+
+    All coefficients > 0 certify a box (convex hull property); a box whose
+    first or last coefficient, a value of the polynomial, is <= 0 refutes
+    it; anything else is halved.  Returns None when BERNSTEIN_MAX_BOXES
+    boxes leave the question open.
+    """
+    boxes = [beta]
+    for _ in range(BERNSTEIN_MAX_BOXES):
+        beta = boxes.pop()
+        if beta[0] <= 0 or beta[-1] <= 0:
+            return False
+        if any(c <= 0 for c in beta):
+            boxes.extend(_de_casteljau_halves(beta))
+        if not boxes:
+            return True
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +586,19 @@ def pp_equal(f: PiecewisePolynomial, g: PiecewisePolynomial) -> bool:
 
 
 def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
-    """Sturm-certified u > 0 on (0, 1) for an exact piecewise polynomial."""
+    """Certified u > 0 on (0, 1) for an exact piecewise polynomial.
+
+    Bernstein certificate with Sturm fallback: each piece, with its endpoint
+    roots divided out, is tested in Bernstein form under de Casteljau
+    subdivision; a piece that exhausts the box budget is settled by
+    :func:`is_positive_on_open`.
+    """
     if pp.mode != EXACT:
         raise ModeMismatchError("positivity certificate requires exact mode")
     for i, ((a, b), p) in enumerate(
         zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces)
     ):
-        if not is_positive_on_open(p, a, b):
+        if not _piece_positive(p, a, b):
             return False
         # interior breakpoints must carry strictly positive values
         if i > 0 and p(a) <= 0:
@@ -523,13 +608,51 @@ def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
     return True
 
 
+def _piece_positive(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Same answer as is_positive_on_open(p, lo, hi), Bernstein first."""
+    q, _ = strip_root(p, lo)
+    q, m_hi = strip_root(q, hi)
+    # (x - hi)^m has sign (-1)^m on (lo, hi); the stripped q is non-zero at
+    # both ends, so q * (-1)^m > 0 on the open interval iff on the closed one
+    beta = bernstein_coefficients(q, lo, hi)
+    if m_hi % 2:
+        beta = [-c for c in beta]
+    verdict = bernstein_positive(beta)
+    if verdict is None:
+        return is_positive_on_open(p, lo, hi)
+    return verdict
+
+
 def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:
-    """Float minimum over the interior grid points i/n, 0 < i < n."""
+    """Float minimum over the interior grid points i/n, 0 < i < n.
+
+    Each piece scans its own run of indices with its coefficients converted
+    to float once.  The runs are cut exactly where piece_index switches
+    pieces, and Horner runs in eval_float's order, so every sample equals
+    pp.eval_float(i / n) bit for bit.
+    """
     best = float("inf")
-    for i in range(1, n):
-        best = min(best, pp.eval_float(i / n))
+    starts = [1] + [_first_grid_index(t, n) for t in pp.breakpoints[1:-1]] + [n]
+    for p, start, stop in zip(pp.pieces, starts, starts[1:]):
+        if start >= stop:
+            continue  # no grid point: never convert, as eval_float would not
+        coeffs = [float(c) for c in reversed(p.coeffs)]
+        for i in range(start, stop):
+            x = i / n
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * x + c
+            if acc < best:
+                best = acc
     return best
 
 
-def factorial_fraction(n: int) -> Fraction:
-    return Fraction(factorial(n))
+def _first_grid_index(t: Scalar, n: int) -> int:
+    """Smallest i with i / n >= t as floats: where t's piece starts on the grid."""
+    i = ceil(Fraction(t) * n)
+    # i / n rounds, and rounding is monotone in i; step to the float boundary
+    while i > 1 and (i - 1) / n >= t:
+        i -= 1
+    while i < n and i / n < t:
+        i += 1
+    return i

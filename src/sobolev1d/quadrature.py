@@ -68,6 +68,12 @@ def _cell(f, a, b):
     return fine, abs(fine - coarse)
 
 
+# Innermost graded cell when the tail-sized one underflows to 0, as it does
+# at endpoint 0 for alpha >= ~0.96.  Its Gauss nodes stay above 1e-303, where
+# t^(-alpha) <= 1e303 is finite for every alpha < 1.
+_MIN_CELL = 1e-300
+
+
 def _graded_cuts(a: float, b: float, alpha: float, tol: float, from_left: bool) -> list[float]:
     # innermost cell sized so the singular tail integral is far below tol,
     # but never below what the float grid near the endpoint can resolve
@@ -76,6 +82,8 @@ def _graded_cuts(a: float, b: float, alpha: float, tol: float, from_left: bool) 
     endpoint = a if from_left else b
     resolvable = 1e-12 * abs(endpoint)
     delta = min((b - a) / 4.0, max(target ** (1.0 / (1.0 - alpha)), resolvable))
+    if delta <= 0.0:
+        delta = _MIN_CELL
     cuts = []
     h = delta
     while h < (b - a) / 2.0:

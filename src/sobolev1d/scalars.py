@@ -48,14 +48,6 @@ def coerce(value, mode: str) -> Scalar:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def common_mode(*values) -> str:
-    """Mode shared by all values; raises ModeMismatchError if mixed."""
-    modes = {mode_of(v) for v in values}
-    if len(modes) > 1:
-        raise ModeMismatchError(f"mixed scalar modes {sorted(modes)}")
-    return modes.pop()
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal or rational literal into an exact Fraction.
 
@@ -75,7 +67,3 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def to_float(value: Scalar) -> float:
-    return float(value)

@@ -31,7 +31,7 @@ from .polynomials import (
     from_polynomial,
     is_nonnegative_on,
 )
-from .scalars import EXACT, Scalar, format_rational, parse_rational
+from .scalars import EXACT, Scalar, coerce, format_rational, parse_rational
 
 
 class WeightSyntaxError(ValueError):
@@ -267,14 +267,20 @@ def moments(rho: Weight, k: int) -> MomentVector:
             values.append(sign * beta_product(rho.alpha, k + m))
     else:
         pp = as_piecewise(rho)
-        one_minus_t = Polynomial([1, -1], pp.mode)
-        poly_part = Polynomial([1], pp.mode)
-        for _ in range(k):
-            poly_part = poly_part * one_minus_t
-        for m in range(k):
-            total = pp.map_pieces(lambda p: p * poly_part).integrate01()
-            values.append(sign * total if pp.mode == EXACT else float(sign) * total)
-            poly_part = poly_part * one_minus_t
+        totals = [coerce(0, pp.mode)] * k
+        for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
+            # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
+            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
+            d = p.compose_affine(-1, 1).coeffs
+            lo, hi = 1 - b, 1 - a
+            lo_pow, hi_pow = lo**k, hi**k
+            for m in range(k):
+                lo_e, hi_e = lo_pow, hi_pow
+                for i, c in enumerate(d):
+                    lo_e, hi_e = lo_e * lo, hi_e * hi
+                    totals[m] += c * (hi_e - lo_e) / (k + m + i + 1)
+                lo_pow, hi_pow = lo_pow * lo, hi_pow * hi
+        values = [sign * t if pp.mode == EXACT else float(sign) * t for t in totals]
     return MomentVector(k, tuple(values))
 
 

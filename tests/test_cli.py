@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,27 @@ def test_config_file_unknown_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOBOLEV_CONFIG", str(cfg))
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "poly:1")
     assert code == 2
+
+
+def test_strong_power_weight_terminates_in_bounded_memory():
+    # x^(-97/100) once sent the graded quadrature mesh into an endless loop
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SOBOLEV_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sobolev1d.cli", "constant", "--k", "2", "--weight", "pow:97/100"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # exact value of the generalized-polynomial pipeline at alpha = 97/100
+    assert json.loads(proc.stdout)["mu_float"] == pytest.approx(115.7707266786, rel=1e-9)

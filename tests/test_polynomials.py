@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,8 @@ import pytest
 from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
+    bernstein_coefficients,
+    bernstein_positive,
     bridge_poly,
     from_polynomial,
     is_nonnegative_on,
@@ -15,6 +18,7 @@ from sobolev1d.polynomials import (
     pp_min_on_grid,
     pp_mul,
     pp_positive_on_open01,
+    strip_root,
 )
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
 
@@ -192,3 +196,175 @@ def test_pp_positivity_certificate():
     tent = tent_derivative().antiderivative()
     assert pp_positive_on_open01(tent)
     assert not pp_positive_on_open01(tent.scale(-1))
+
+
+# -- Bernstein certificate and grid scan -----------------------------------
+
+
+def power(p, m):
+    out = ONE
+    for _ in range(m):
+        out = out * p
+    return out
+
+
+def sturm_reference(pp):
+    """pp_positive_on_open01 as a per-piece Sturm test, for comparison."""
+    cuts = pp.breakpoints
+    for i, ((a, b), p) in enumerate(zip(zip(cuts, cuts[1:]), pp.pieces)):
+        if not is_positive_on_open(p, a, b):
+            return False
+        if (i > 0 and p(a) <= 0) or (b != 1 and p(b) <= 0):
+            return False
+    return True
+
+
+def random_certificate_input(rng):
+    """Random exact piece and its shape: endpoint roots times a factor."""
+    p = Polynomial([F(rng.randint(1, 9), rng.randint(1, 5))])
+    for _ in range(rng.randint(0, 3)):
+        # positive on [0, 1]: 1 + c x with c > -1
+        p = p * Polynomial([1, F(rng.randint(-4, 9), 5)])
+    r = F(rng.randint(1, 11), 12)
+    shape = rng.choice(["plain", "double", "dip", "dip-below", "sign-change"])
+    if shape == "double":
+        p = p * Polynomial([r * r, -2 * r, 1])
+    elif shape == "dip":
+        p = p * Polynomial([r * r + F(1, 10**9), -2 * r, 1])
+    elif shape == "dip-below":
+        p = p * Polynomial([r * r - F(1, 10**9), -2 * r, 1])
+    elif shape == "sign-change":
+        p = p * Polynomial([-r, 1])
+    p = p * power(X, rng.randint(0, 6)) * power(Polynomial([1, -1]), rng.randint(0, 6))
+    return p.scale(rng.choice([1, -1, 1, 1])), shape
+
+
+def test_certificate_matches_sturm_on_random_pieces(monkeypatch):
+    from sobolev1d import polynomials
+
+    calls = []
+    sturm = polynomials.sturm_chain
+    monkeypatch.setattr(polynomials, "sturm_chain", lambda r: calls.append(r) or sturm(r))
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(150):
+        p, shape = random_certificate_input(rng)
+        pp = from_polynomial(p)
+        expected = sturm_reference(pp)
+        calls.clear()
+        assert pp_positive_on_open01(pp) == expected, p
+        verdicts.add(expected)
+        if shape in ("plain", "sign-change"):
+            # simple roots and clear margins are settled by Bernstein alone
+            assert not calls, p
+    assert verdicts == {True, False}
+
+
+def test_certificate_matches_sturm_on_random_multipiece():
+    rng = random.Random(8675309)
+    verdicts = set()
+    for _ in range(60):
+        cuts = sorted({F(0), F(1), *(F(rng.randint(1, 15), 16) for _ in range(3))})
+        pieces = [random_certificate_input(rng)[0] for _ in cuts[1:]]
+        if rng.random() < 0.3:
+            # a piece vanishing at an interior breakpoint
+            t = cuts[rng.randrange(1, len(cuts) - 1)] if len(cuts) > 2 else F(1, 2)
+            j = rng.randrange(len(pieces))
+            pieces[j] = pieces[j] * power(Polynomial([-t, 1]), 2)
+        pp = PiecewisePolynomial(cuts, pieces)
+        expected = sturm_reference(pp)
+        assert pp_positive_on_open01(pp) == expected, pp.pieces
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_certificate_endpoint_roots_of_every_multiplicity():
+    for m0 in range(1, 7):
+        for m1 in range(1, 7):
+            p = power(X, m0) * power(Polynomial([1, -1]), m1) * Polynomial([2, 1])
+            assert pp_positive_on_open01(from_polynomial(p))
+            assert not pp_positive_on_open01(from_polynomial(p.scale(-1)))
+            # (x - 1)^m1 instead of (1 - x)^m1 flips the sign for odd m1
+            q = power(X, m0) * power(Polynomial([-1, 1]), m1)
+            assert pp_positive_on_open01(from_polynomial(q)) == (m1 % 2 == 0)
+
+
+def test_certificate_breakpoint_value_must_be_positive():
+    bump = Polynomial([0, 6, -6])
+    zero_at_half = bump * power(Polynomial([-F(1, 2), 1]), 2)
+    pp = PiecewisePolynomial([F(0), F(1, 2), F(1)], [bump, zero_at_half])
+    assert not pp_positive_on_open01(pp)
+    assert sturm_reference(pp) is False
+    # a vanishing piece is not positive either
+    flat = PiecewisePolynomial([F(0), F(1, 2), F(1)], [bump, Polynomial([])])
+    assert not pp_positive_on_open01(flat)
+    assert sturm_reference(flat) is False
+
+
+def test_certificate_irrational_touching_zero_falls_back_to_sturm(monkeypatch):
+    from sobolev1d import polynomials
+
+    # (x^2 - 1/2)^2 touches zero at 1/sqrt(2): no box count certifies it
+    touch = power(Polynomial([-F(1, 2), 0, 1]), 2)
+    p = X * power(Polynomial([1, -1]), 2) * touch
+    q, _ = strip_root(p, F(0))
+    q, m_hi = strip_root(q, F(1))
+    assert q == touch and m_hi == 2
+    assert bernstein_positive(bernstein_coefficients(q, F(0), F(1))) is None
+    calls = []
+    sturm = polynomials.sturm_chain
+    monkeypatch.setattr(polynomials, "sturm_chain", lambda r: calls.append(r) or sturm(r))
+    assert pp_positive_on_open01(from_polynomial(p)) is False
+    assert calls
+    # lifted off zero by 1/1000 it certifies without Sturm
+    calls.clear()
+    lifted = X * Polynomial([1, -1]) * (touch + Polynomial([F(1, 1000)]))
+    assert pp_positive_on_open01(from_polynomial(lifted))
+    assert not calls
+
+
+def test_bernstein_coefficients_end_values_and_subdivision():
+    p = Polynomial([F(3, 7), -2, F(5, 3), 1])
+    lo, hi = F(1, 5), F(7, 9)
+    beta = bernstein_coefficients(p, lo, hi)
+    scale = beta[0] / p(lo)
+    assert scale > 0 and beta[-1] == scale * p(hi)
+    # Bernstein form on [lo, hi] reproduces p at interior points
+    n = p.degree
+    for t in (F(1, 3), F(1, 2), F(4, 5)):
+        x = lo + (hi - lo) * t
+        value = sum(
+            F(c) * math.comb(n, j) * t**j * (1 - t) ** (n - j) for j, c in enumerate(beta)
+        )
+        assert value / scale == p(x)
+
+
+def test_grid_scan_matches_per_point_evaluation():
+    rng = random.Random(4096)
+    cuts = [F(0), F(1, 3), F(3, 8), F(1, 2), F(1)]
+    for _ in range(3):
+        pieces = [
+            Polynomial(
+                [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(41, 48))]
+            )
+            for _ in cuts[1:]
+        ]
+        exact = PiecewisePolynomial(cuts, pieces)
+        for pp in (exact, exact.to_float()):
+            # n = 24 puts grid points on all three breakpoints, 4096 on two
+            for n in (24, 96, 99, 4096):
+                expected = min(pp.eval_float(i / n) for i in range(1, n))
+                assert pp_min_on_grid(pp, n).hex() == expected.hex()
+
+
+def test_grid_scan_assigns_breakpoint_samples_to_the_right_piece():
+    # each piece but the last falls steeply to -1 at its right end, so a
+    # grid sample on or next to a breakpoint decides the minimum
+    # fl(1/5) > 1/5 and fl(1/3) < 1/3, so float breakpoints test both ways
+    cuts = [F(0), F(1, 5), F(1, 3), F(3, 8), F(1, 2), F(1)]
+    pieces = [Polynomial([-1 + 1000 * t, -1000]) for t in cuts[1:-1]] + [ONE]
+    exact = PiecewisePolynomial(cuts, pieces)
+    for pp in (exact, exact.to_float()):
+        for n in (24, 99, 120, 1000, 4095, 4096):
+            expected = min(pp.eval_float(i / n) for i in range(1, n))
+            assert pp_min_on_grid(pp, n).hex() == expected.hex()

@@ -46,6 +46,13 @@ def test_matches_exact_polynomial_integrals_to_degree_40():
         assert abs(res.value - exact) <= 1e-12
 
 
+def test_strong_declared_singularity_at_zero():
+    # the tail-sized first cell underflows for alpha >= 0.96; the mesh must
+    # still start from a positive cell instead of looping forever
+    res = quad_numeric(lambda x: x ** (2 - 0.97), 0.0, 1.0, tol=1e-12, singular_left=0.97)
+    assert abs(res.value - 1 / (3 - 0.97)) <= 1e-12
+
+
 def test_undeclared_singularity_raises():
     with pytest.raises(QuadratureNonConvergence):
         quad_numeric(lambda x: x**-0.9, 0.0, 1.0, tol=1e-12, max_intervals=40)

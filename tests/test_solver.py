@@ -483,3 +483,21 @@ def test_float_mode_on_exact_weight_agrees():
         exact = solve(ProblemSpec(k, parse_weight(text)))
         floaty = solve(ProblemSpec(k, parse_weight(text), FLOAT))
         assert abs(float(exact.mu) - floaty.mu) / float(exact.mu) < 1e-12
+
+
+def test_extremizers_certify_without_sturm_fallback(monkeypatch):
+    from sobolev1d import polynomials
+
+    weights = [
+        (parse_weight("poly:1 + x^2"), 8),
+        (parse_weight("pw:[0,1/3]=1+x;[1/3,1]=2-x"), 6),
+        (parse_weight("chi:1/4,3/4"), 6),
+        (parse_weight("dirac:1/3"), 4),
+    ]
+
+    def no_sturm(p):
+        raise AssertionError("certificate fell back to Sturm")
+
+    monkeypatch.setattr(polynomials, "sturm_chain", no_sturm)
+    for rho, k in weights:
+        assert solve(ProblemSpec(k=k, rho=rho)).diagnostics.positivity_certified is True

@@ -17,6 +17,7 @@ from sobolev1d.weights import (
     UnsupportedWeightError,
     WeightDomainError,
     WeightSyntaxError,
+    as_piecewise,
     beta_product,
     eval_weight,
     format_weight,
@@ -222,6 +223,26 @@ def test_indicator_moments_converge_to_dirac():
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert min(orders) >= 1.0
+
+
+def test_moments_match_direct_product_integrals():
+    # reference: multiply each piece by (1-t)^(k+m) and integrate exactly
+    rng = random.Random(1018)
+    texts = ["poly:1 + x^2", "chi:1/4,3/4", "chi:0,1/3", "pw:[0,1/3]=1+x;[1/3,1]=2-x"]
+    for _ in range(3):
+        a, b = sorted(rng.sample(range(1, 12), 2))
+        texts.append(f"pw:[0,{a}/12]={rng.randint(1, 5)}*x^2;[{a}/12,{b}/12]=0;[{b}/12,1]=1+x")
+    for text in texts:
+        pp = as_piecewise(parse_weight(text))
+        for k in (1, 2, 5, 12):
+            expected = []
+            for m in range(k):
+                factor = Polynomial([1])
+                for _ in range(k + m):
+                    factor = factor * Polynomial([1, -1])
+                total = pp.map_pieces(lambda p: p * factor).integrate01()
+                expected.append((-1) ** (k + 1) * total)
+            assert moments(parse_weight(text), k).values == tuple(expected)
 
 
 def test_moments_reject_hardy():
