@@ -7,8 +7,11 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   constant becomes the norm of the linear functional p -> integral p rho over
   trial spaces spanned by x^k (1-x)^k x^i.  With G the stiffness Gram matrix
   of k-th derivatives and r the load vector, the squared bound is r^T G^-1 r,
-  non-decreasing in the trial degree.  An incremental LDL^T factorization
-  yields the whole monotone history for the price of one solve.
+  non-decreasing in the trial degree.  Integration by parts turns each Gram
+  entry into k + 1 Beta integrals, and the load vector is a signed binomial
+  sum of monomial moments of rho, computed once per call.  An incremental
+  LDL^T factorization of the lower triangle yields the whole monotone
+  history for the price of one solve.
 
 * ``sign_iteration`` -- Picard iteration on the finite-difference analogue
   of the nonlinear eigenproblem (-1)^k u^(2k) = mu rho sign(u): freeze the
@@ -26,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Optional
+from math import comb, factorial, perm
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,13 +38,11 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     bridge_poly,
-    from_polynomial,
     monomial,
-    pp_mul,
     pp_positive_on_open01,
 )
 from .quadrature import quad_numeric
-from .scalars import EXACT
+from .scalars import EXACT, coerce
 from .solver import ProblemSpec, gaussian_solve
 from .weights import (
     DiracWeight,
@@ -98,80 +99,89 @@ class OracleReport:
 # ---------------------------------------------------------------------------
 
 
-def _beta_int(m: int, n: int) -> Fraction:
-    """integral over (0,1) of x^m (1-x)^n = m! n! / (m+n+1)!."""
-    return Fraction(factorial(m) * factorial(n), factorial(m + n + 1))
-
-
 def gram_entry(k: int, i: int, j: int) -> Fraction:
     """integral of d^k[x^(k+i)(1-x)^k] * d^k[x^(k+j)(1-x)^k], in closed form.
 
-    Expand each k-th derivative by the product rule; every resulting term is
-    a Beta integral with exact factorial value.
+    Integrating by parts k times moves every derivative onto the first
+    factor; the boundary terms vanish because both basis functions have
+    zero derivatives of order < k at 0 and 1.  With
+    phi_i = sum_m (-1)^m C(k, m) x^(k+i+m), each term of phi_i^(2k) times
+    phi_j is a Beta integral:
+
+        G_ij = (-1)^k sum_{m = max(0, k-i)}^{k} (-1)^m C(k, m)
+               (k+i+m)! / (i+m-k)! * k! (i+j+m)! / (i+j+m+k+1)!
+
+    The k + 1 terms are summed over a common integer denominator and reduced
+    once, so an entry builds a single Fraction.
     """
-    total = Fraction(0)
-    for a in range(k + 1):
-        if a > k + i:
-            continue
-        ca = (
-            Fraction(comb(k, a))
-            * Fraction(factorial(k + i), factorial(k + i - a))
-            * Fraction(factorial(k), factorial(a)) * (-1) ** (k - a)
-        )
-        for b in range(k + 1):
-            if b > k + j:
-                continue
-            cb = (
-                Fraction(comb(k, b))
-                * Fraction(factorial(k + j), factorial(k + j - b))
-                * Fraction(factorial(k), factorial(b)) * (-1) ** (k - b)
-            )
-            total += ca * cb * _beta_int(2 * k + i + j - a - b, a + b)
-    return total
+    num, den = 0, 1
+    for m in range(max(0, k - i), k + 1):
+        a = comb(k, m) * perm(k + i + m, 2 * k)
+        b = (k + 1) * comb(i + j + m + k + 1, k + 1)
+        num = num * b + (a if (k + m) % 2 == 0 else -a) * den
+        den *= b
+    return Fraction(num, den)
 
 
-def _basis_poly(k: int, i: int) -> Polynomial:
-    return bridge_poly(k) * monomial(i)
+def _monomial_moments(rho: Weight, lo: int, hi: int) -> list:
+    """Exact M_n = integral of x^n rho over (0, 1) for n = lo..hi, as a list
+    indexed by n - lo."""
+    if isinstance(rho, (PowerWeight, HardyWeight)):
+        alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
+        # integral of x^(n - alpha) = 1/(n + 1 - alpha), finite for n >= k >= alpha
+        return [1 / (n + 1 - alpha) for n in range(lo, hi + 1)]
+    if not isinstance(rho, (PolyWeight, PiecewiseWeight, IndicatorWeight)):
+        raise UnsupportedWeightError(f"no load vector for {rho.kind}")
+    pp = as_piecewise(rho)
+    out = [coerce(0, pp.mode)] * (hi - lo + 1)
+    for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
+        # q[j] = (b^j - a^j) / j, the integral of x^(j-1) over the piece
+        pa = pb = coerce(1, pp.mode)
+        q = [None]
+        for j in range(1, hi + len(p.coeffs) + 1):
+            pa, pb = pa * a, pb * b
+            q.append((pb - pa) / j)
+        for e, c in enumerate(p.coeffs):
+            if c:
+                for n in range(lo, hi + 1):
+                    out[n - lo] += c * q[n + e + 1]
+    return out
 
 
 def load_vector(rho: Weight, k: int, degree: int, mode: str) -> list:
     """r_i = integral of x^k (1-x)^k x^i rho, exact where the weight allows.
 
-    Exact values exist for every supported kind (point masses by sifting,
-    power and boundary weights through monomial moments); float mode keeps
-    the quadrature route for the non-polynomial kinds as an independent path.
+    Expanding the basis function gives r_i = sum_m (-1)^m C(k, m) M_(k+i+m)
+    with the monomial moments M_n = integral x^n rho, computed once for
+    k <= n <= 2k + degree: piece by piece for piecewise-polynomial weights
+    and as 1/(n + 1 - alpha) for power and boundary weights.  Point masses
+    sift, r_i = a^(k+i) (1-a)^k.  Float mode keeps the quadrature route for
+    power and boundary weights as an independent path.
     """
-    out = []
-    for i in range(degree + 1):
-        phi = _basis_poly(k, i)
-        if isinstance(rho, DiracWeight):
-            out.append(phi(rho.a))
-        elif isinstance(rho, (PolyWeight, PiecewiseWeight, IndicatorWeight)):
-            pp = as_piecewise(rho)
-            out.append(pp_mul(from_polynomial(phi), pp).integrate01())
-        elif isinstance(rho, (PowerWeight, HardyWeight)):
-            alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
-            if mode == EXACT:
-                # integral of x^(n - alpha) = 1/(n + 1 - alpha); n >= k >= alpha
-                val = Fraction(0)
-                for n, c in enumerate(phi.coeffs):
-                    if c:
-                        val += c / (n + 1 - alpha)
-                out.append(val)
-            else:
-                af = float(alpha)
-                out.append(
-                    quad_numeric(
-                        lambda x: phi.eval_float(x) * x ** (-af),
-                        0.0,
-                        1.0,
-                        tol=1e-13,
-                        singular_left=af if af > 0 else None,
-                    ).value
-                )
-        else:
-            raise UnsupportedWeightError(f"no load vector for {rho.kind}")
-    return out
+    if isinstance(rho, DiracWeight):
+        a = rho.a
+        return [a ** (k + i) * (1 - a) ** k for i in range(degree + 1)]
+    if isinstance(rho, (PowerWeight, HardyWeight)) and mode != EXACT:
+        af = float(rho.alpha if isinstance(rho, PowerWeight) else rho.order)
+        out = []
+        for i in range(degree + 1):
+            phi = bridge_poly(k) * monomial(i)
+            out.append(
+                quad_numeric(
+                    lambda x: phi.eval_float(x) * x ** (-af),
+                    0.0,
+                    1.0,
+                    tol=1e-13,
+                    singular_left=af if af > 0 else None,
+                ).value
+            )
+        return out
+    moments = _monomial_moments(rho, k, 2 * k + degree)
+    signed = [comb(k, m) if m % 2 == 0 else -comb(k, m) for m in range(k + 1)]
+    return [
+        sum(c * moments[i + m] for m, c in enumerate(signed))
+        for i in range(degree + 1)
+    ]
 
 
 def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
@@ -183,7 +193,8 @@ def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
     """
     k, N = spec.k, cfg.degree
     exact = cfg.mode == EXACT
-    G = [[gram_entry(k, i, j) for j in range(N + 1)] for i in range(N + 1)]
+    # the factorization below reads only the lower triangle j <= i
+    G = [[gram_entry(k, i, j) for j in range(i + 1)] for i in range(N + 1)]
     r = load_vector(spec.rho, k, N, cfg.mode)
     if not exact:
         G = [[float(x) for x in row] for row in G]
@@ -297,38 +308,20 @@ def _kth_difference_energy(k: int, u: np.ndarray, h: float) -> float:
     return float(np.sum(d2 * d2 * wts))
 
 
-def sign_iteration(
-    spec: ProblemSpec,
-    n: int = 199,
-    max_iter: int = 60,
-    tol: float = 0.0,
-    initial_signs: Optional[np.ndarray] = None,
-    seed: Optional[int] = None,
-) -> OracleReport:
-    """Picard iteration on the discrete nonlinear eigenproblem.
+class _PicardRun(NamedTuple):
+    history: list
+    converged: bool
+    mu_h: float
+    u: np.ndarray
+    sign_definite: bool
 
-    Freezes a sign pattern, solves the clamped 2k-order problem with load
-    rho * signs, renormalizes to unit discrete weighted mass, and updates the
-    signs from the solution; stops when the pattern repeats.  Non-convergence
-    is reported, not raised (it is evidence about sign stability).
-    """
-    k = spec.k
-    h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
-    A = _fd_operator(k, n)
-    rho_vec = _weight_on_grid(spec.rho, x, h)
-    if initial_signs is not None:
-        signs = np.where(np.asarray(initial_signs) >= 0, 1.0, -1.0)
-    elif seed is not None:
-        rng = np.random.default_rng(seed)
-        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    else:
-        signs = np.ones(n)
 
+def _picard(k, A, rho_vec, h, signs, max_iter, tol) -> _PicardRun:
+    """One Picard run from the sign pattern ``signs``."""
     history = []
     converged = False
     mu_h = float("nan")
-    u = np.zeros(n)
+    u = np.zeros(len(signs))
     prev_mu = None
     for it in range(max_iter):
         u = np.linalg.solve(A, rho_vec * signs)
@@ -346,19 +339,65 @@ def sign_iteration(
             break
         prev_mu = mu_h
         signs = new_signs
+    return _PicardRun(history, converged, mu_h, u, bool(np.all(signs == signs[0])))
 
-    sign_definite = bool(np.all(signs == signs[0]))
+
+def sign_iteration(
+    spec: ProblemSpec,
+    n: int = 199,
+    max_iter: int = 60,
+    tol: float = 0.0,
+    initial_signs: Optional[np.ndarray] = None,
+    seed: Optional[int] = None,
+) -> OracleReport:
+    """Picard iteration on the discrete nonlinear eigenproblem.
+
+    Freezes a sign pattern, solves the clamped 2k-order problem with load
+    rho * signs, renormalizes to unit discrete weighted mass, and updates the
+    signs from the solution; stops when the pattern repeats.  Non-convergence
+    is reported, not raised (it is evidence about sign stability).
+
+    A non-constant start can end on a sign-changing critical point that is
+    not a minimizer (a two-lobe pattern with several times the energy).  The
+    loop then runs once more from the constant pattern and the run with the
+    lower final mu_h is reported; ``details`` keeps the first run's outcome
+    (``start_sign_definite``, ``start_mu_h``, ``restarted``).  A sign-changing
+    run with the lower energy is still reported as sign-indefinite.
+    """
+    k = spec.k
+    h = 1.0 / (n + 1)
+    x = np.arange(1, n + 1) * h
+    A = _fd_operator(k, n)
+    rho_vec = _weight_on_grid(spec.rho, x, h)
+    if initial_signs is not None:
+        signs = np.where(np.asarray(initial_signs) >= 0, 1.0, -1.0)
+    elif seed is not None:
+        rng = np.random.default_rng(seed)
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    else:
+        signs = np.ones(n)
+
+    run = start = _picard(k, A, rho_vec, h, signs, max_iter, tol)
+    restarted = not start.sign_definite and not np.all(signs == signs[0])
+    if restarted:
+        again = _picard(k, A, rho_vec, h, np.ones(n), max_iter, tol)
+        if not start.mu_h < again.mu_h:
+            run = again
+    mu_h = run.mu_h
     return OracleReport(
         method="sign_iteration",
         lambda_estimate=1.0 / math.sqrt(mu_h) if mu_h > 0 else None,
-        history=history,
-        sign_definite=sign_definite,
+        history=run.history,
+        sign_definite=run.sign_definite,
         details={
             "grid": n,
             "mu_h": mu_h,
-            "iterations": len(history),
-            "converged": converged,
-            "solution": u,
+            "iterations": len(run.history),
+            "converged": run.converged,
+            "solution": run.u,
+            "restarted": restarted,
+            "start_sign_definite": start.sign_definite,
+            "start_mu_h": start.mu_h,
         },
     )
 

@@ -5,21 +5,31 @@ import numpy as np
 import pytest
 
 from conftest import random_fraction
+from sobolev1d import oracles
 from sobolev1d.oracles import (
     GalerkinConfig,
     IllConditionedError,
     galerkin_lambda,
     gram_entry,
+    load_vector,
     max_principle_check,
     sign_iteration,
 )
-from sobolev1d.polynomials import Polynomial, bridge_poly, kth_derivative, monomial
-from sobolev1d.scalars import FLOAT
+from sobolev1d.polynomials import (
+    Polynomial,
+    bridge_poly,
+    from_polynomial,
+    kth_derivative,
+    monomial,
+    pp_mul,
+)
+from sobolev1d.scalars import EXACT, FLOAT
 from sobolev1d.solver import ProblemSpec, solve
 from sobolev1d.weights import (
     DiracWeight,
     PolyWeight,
     UnsupportedWeightError,
+    as_piecewise,
     parse_weight,
 )
 
@@ -28,13 +38,61 @@ from sobolev1d.weights import (
 
 
 def test_gram_closed_form_matches_direct_integration():
-    for k in (1, 2, 3):
-        for i in range(4):
-            for j in range(4):
-                pi = kth_derivative(bridge_poly(k) * monomial(i), k)
-                pj = kth_derivative(bridge_poly(k) * monomial(j), k)
-                direct = (pi * pj).integrate(F(0), F(1))
+    # i, j run on both sides of k, where the lower limit max(0, k - i) of the
+    # integration-by-parts sum switches
+    for k in (1, 2, 3, 6, 12):
+        degrees = sorted({0, 1, 2, 3, k - 1, k, k + 1, 14})
+        derivs = {i: kth_derivative(bridge_poly(k) * monomial(i), k) for i in degrees}
+        for i in degrees:
+            for j in degrees:
+                direct = (derivs[i] * derivs[j]).integrate(F(0), F(1))
                 assert gram_entry(k, i, j) == direct
+
+
+def test_load_vector_matches_direct_integration():
+    weights = [
+        "poly:1 + 1/3*x + 2/3*x^2",
+        "pw:[0,1/3]=x^2;[1/3,2/3]=1/5;[2/3,1]=1-x",
+        "chi:1/4,3/4",
+        "dirac:2/7",
+        "pow:1/2",
+        "hardy:1",
+    ]
+    for dsl in weights:
+        rho = parse_weight(dsl)
+        for k in (1, 2, 3, 6):
+            for N in (0, 3, 9):
+                expected = []
+                for i in range(N + 1):
+                    phi = bridge_poly(k) * monomial(i)
+                    if isinstance(rho, DiracWeight):
+                        expected.append(phi(rho.a))
+                    elif rho.kind in ("pow", "hardy"):
+                        alpha = rho.alpha if rho.kind == "pow" else F(rho.order)
+                        expected.append(
+                            sum(c / (n + 1 - alpha) for n, c in enumerate(phi.coeffs) if c)
+                        )
+                    else:
+                        pp = as_piecewise(rho)
+                        expected.append(pp_mul(from_polynomial(phi), pp).integrate01())
+                got = load_vector(rho, k, N, EXACT)
+                assert got == expected, (dsl, k, N)
+                assert all(isinstance(v, F) for v in got)
+
+
+def test_galerkin_assembles_lower_triangle_once(monkeypatch):
+    calls = []
+
+    def counting(k, i, j):
+        calls.append((i, j))
+        return gram_entry(k, i, j)
+
+    monkeypatch.setattr(oracles, "gram_entry", counting)
+    for N in (0, 5, 12):
+        calls.clear()
+        galerkin_lambda(ProblemSpec(2, parse_weight("chi:1/4,3/4")), GalerkinConfig(N))
+        assert len(calls) == (N + 1) * (N + 2) // 2
+        assert sorted(calls) == [(i, j) for i in range(N + 1) for j in range(i + 1)]
 
 
 def test_galerkin_uniform_k1_degree0_exact():
@@ -187,6 +245,39 @@ def test_sign_iteration_dirac():
     assert abs(report.details["mu_h"] - 4.0) <= 4.0 * 0.02
     report = sign_iteration(ProblemSpec(2, DiracWeight(F(1, 2))), n=199)
     assert abs(report.details["mu_h"] - 192.0) <= 192.0 * 0.02
+
+
+def test_sign_iteration_restarts_from_a_non_minimizing_critical_point():
+    # this random start ends on a two-lobe fixed point with mu_h = 25.32,
+    # about 4 mu; the constant start reaches the minimizer, mu_h = 6.3674
+    # against the exact mu = 6.3672
+    spec = ProblemSpec(1, parse_weight("poly:1 + 1/3*x + 2/3*x^2"))
+    report = sign_iteration(spec, n=199, seed=236029492)
+    assert report.details["restarted"]
+    assert not report.details["start_sign_definite"]
+    assert report.details["start_mu_h"] == pytest.approx(25.3247, rel=1e-4)
+    assert report.sign_definite
+    assert report.details["mu_h"] == pytest.approx(6.3674, rel=1e-4)
+    constant = sign_iteration(spec, n=199)
+    assert report.details["mu_h"] == constant.details["mu_h"]
+    # a sign-definite run from a constant start is never restarted
+    assert not constant.details["restarted"]
+
+
+def test_sign_iteration_keeps_a_lower_energy_sign_changing_run(monkeypatch):
+    # a sign-changing fixed point below the constant start's energy would be
+    # evidence against sign-definiteness, so it must not be replaced
+    runs = iter([(3.0, False), (5.0, True)])
+
+    def fake_picard(k, A, rho_vec, h, signs, max_iter, tol):
+        mu_h, sign_definite = next(runs)
+        return oracles._PicardRun([(0, mu_h)], True, mu_h, np.zeros(len(signs)), sign_definite)
+
+    monkeypatch.setattr(oracles, "_picard", fake_picard)
+    report = sign_iteration(ProblemSpec(1, parse_weight("poly:1")), n=49, seed=1)
+    assert report.details["restarted"]
+    assert not report.sign_definite
+    assert report.details["mu_h"] == 3.0
 
 
 def test_sign_iteration_rejects_high_order():
