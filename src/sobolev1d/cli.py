@@ -13,7 +13,9 @@ floating point.  Exit codes: 0 success, 2 input error, 3 solver error,
 
 A config file named by the SOBOLEV_CONFIG environment variable may supply
 ``key=value`` defaults for mode, samples, galerkin_degree and grid; explicit
-flags win over the file, the file wins over built-in defaults.
+flags win over the file, the file wins over built-in defaults.  Wherever
+they come from, ``samples`` must lie in 2..100000 and ``grid`` in 9..100000;
+a value outside exits with code 2.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .weights import (
 
 _DEFAULTS = {"mode": None, "samples": 201, "galerkin_degree": 16, "grid": 199}
 _CONFIG_KEYS = set(_DEFAULTS)
+# upper bound on minimizer samples and finite-difference grid nodes, which
+# keeps every run's time and memory bounded
+MAX_POINTS = 100_000
 
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
@@ -131,10 +136,14 @@ def _merge_config(args) -> dict:
             cfg[key] = flag
     if cfg["samples"] < 2:
         raise ValueError("samples must be >= 2")
+    if cfg["samples"] > MAX_POINTS:
+        raise ValueError(f"samples must be <= {MAX_POINTS}")
     if cfg["galerkin_degree"] < 0:
         raise ValueError("galerkin degree must be >= 0")
     if cfg["grid"] < 9:
         raise ValueError("grid must be >= 9")
+    if cfg["grid"] > MAX_POINTS:
+        raise ValueError(f"grid must be <= {MAX_POINTS}")
     return cfg
 
 

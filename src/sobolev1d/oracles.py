@@ -22,6 +22,13 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   problem with non-negative load, checked exactly (Bernstein certificate
   with Sturm fallback) for polynomial loads at any order, or on a grid for
   orders 1 and 2.
+
+Both grid routes share one linear solver.  The clamped stencils for orders 1
+and 2 are symmetric positive definite band matrices of half-bandwidth 1 or
+2, so a banded LDL^T factorization, held in plain lists, costs O(n) time and
+memory; a sign iteration factors once and reuses the factor for every Picard
+step.  Only a seeded random start pattern imports numpy (for its random
+stream), so importing this module does not.
 """
 
 from __future__ import annotations
@@ -30,9 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 from .polynomials import (
     PiecewisePolynomial,
@@ -251,95 +256,130 @@ def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
 # ---------------------------------------------------------------------------
 
 
-def _fd_operator(k: int, n: int) -> np.ndarray:
-    """Dense (-1)^k D^(2k) with clamped closures on n interior nodes."""
-    h = 1.0 / (n + 1)
-    A = np.zeros((n, n))
+class _BandedLDL(NamedTuple):
+    """LDL^T of an integer clamped stencil: pivots ``d`` and the sub-diagonals
+    ``l1[i] = L[i][i-1]``, ``l2[i] = L[i][i-2]`` of the unit lower factor,
+    padded with two zeros; ``scale`` = h^(2k) restores the grid spacing."""
+
+    d: list
+    l1: list
+    l2: list
+    scale: float
+
+
+def _fd_factor(k: int, n: int) -> _BandedLDL:
+    """Factor (-1)^k D^(2k) with clamped closures on n interior nodes.
+
+    The stencils are [-1, 2, -1]/h^2 for k = 1 and [1, -4, 6, -4, 1]/h^4 for
+    k = 2, where eliminating the ghosts via the reflected clamped condition
+    u'(0) = u'(1) = 0 puts 7 in the two corner diagonal entries.  Both
+    matrices are symmetric positive definite with half-bandwidth k, so the
+    factorization needs no pivoting and fills in nothing outside the band.
+    """
     if k == 1:
-        for i in range(n):
-            A[i, i] = 2.0
-            if i > 0:
-                A[i, i - 1] = -1.0
-            if i < n - 1:
-                A[i, i + 1] = -1.0
-        return A / h**2
-    if k == 2:
-        for i in range(n):
-            A[i, i] = 6.0
-            if i > 0:
-                A[i, i - 1] = -4.0
-            if i < n - 1:
-                A[i, i + 1] = -4.0
-            if i > 1:
-                A[i, i - 2] = 1.0
-            if i < n - 2:
-                A[i, i + 2] = 1.0
-        # eliminate ghosts via the reflected clamped condition u'(0)=u'(1)=0
-        A[0, 0] = 7.0
-        A[n - 1, n - 1] = 7.0
-        return A / h**4
-    raise ValueError("finite-difference stencils cover k = 1 and 2 only")
+        diag, off1, off2 = [2.0] * n, -1.0, 0.0
+    elif k == 2:
+        diag, off1, off2 = [6.0] * n, -4.0, 1.0
+        diag[0] = diag[-1] = 7.0
+    else:
+        raise ValueError("finite-difference stencils cover k = 1 and 2 only")
+    d, l1, l2 = [], [], []
+    # pivots and first sub-diagonal of the two previous rows; rows before
+    # the first couple to nothing, so any non-zero pivot stands in for them
+    d1 = d2 = 1.0
+    e1 = 0.0
+    for i in range(n):
+        m2 = (off2 if i >= 2 else 0.0) / d2
+        m1 = ((off1 if i >= 1 else 0.0) - m2 * e1 * d2) / d1
+        di = diag[i] - m1 * m1 * d1 - m2 * m2 * d2
+        d.append(di)
+        l1.append(m1)
+        l2.append(m2)
+        d2, d1, e1 = d1, di, m1
+    return _BandedLDL(d, l1 + [0.0, 0.0], l2 + [0.0, 0.0], (1.0 / (n + 1)) ** (2 * k))
 
 
-def _weight_on_grid(rho: Weight, x: np.ndarray, h: float) -> np.ndarray:
+def _band_solve(factor: _BandedLDL, rhs: Sequence[float]) -> list:
+    """Solve (-1)^k D^(2k) u = rhs by forward, diagonal and back substitution."""
+    d, l1, l2, scale = factor
+    z = []
+    z1 = z2 = 0.0
+    for i, r in enumerate(rhs):
+        zi = scale * r - l1[i] * z1 - l2[i] * z2
+        z.append(zi)
+        z2, z1 = z1, zi
+    u = [0.0] * len(z)
+    u1 = u2 = 0.0
+    for i in range(len(z) - 1, -1, -1):
+        ui = z[i] / d[i] - l1[i + 1] * u1 - l2[i + 2] * u2
+        u[i] = ui
+        u2, u1 = u1, ui
+    return u
+
+
+def _weight_on_grid(rho: Weight, x: list, h: float) -> list:
     if isinstance(rho, DiracWeight):
         # nearest-node sifting with linear interpolation correction
         a = float(rho.a)
-        vals = np.zeros_like(x)
-        j = int(np.floor(a / h)) - 1  # index into interior nodes x[j] = (j+1) h
+        vals = [0.0] * len(x)
+        j = math.floor(a / h) - 1  # index into interior nodes x[j] = (j+1) h
         theta = (a - (j + 1) * h) / h
         if 0 <= j < len(x):
             vals[j] = (1.0 - theta) / h
         if 0 <= j + 1 < len(x):
             vals[j + 1] = theta / h
         return vals
-    return np.array([eval_weight(rho, xi) for xi in x])
+    return [eval_weight(rho, xi) for xi in x]
 
 
-def _kth_difference_energy(k: int, u: np.ndarray, h: float) -> float:
-    full = np.concatenate([[0.0], u, [0.0]])
+def _kth_difference_energy(k: int, u: list, h: float) -> float:
+    full = [0.0, *u, 0.0]
     if k == 1:
-        d = np.diff(full) / h  # midpoint values of u'
-        return float(np.sum(d * d) * h)
-    ext = np.concatenate([[full[1]], full, [full[-2]]])  # clamped ghost reflection
-    d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
-    wts = np.full(len(d2), h)
-    wts[0] = wts[-1] = h / 2.0  # trapezoid ends
-    return float(np.sum(d2 * d2 * wts))
+        d = [(b - a) / h for a, b in zip(full, full[1:])]  # midpoint values of u'
+        return math.fsum(v * v for v in d) * h
+    ext = [full[1], *full, full[-2]]  # clamped ghost reflection
+    h2 = h * h
+    d2 = [(c - 2.0 * b + a) / h2 for a, b, c in zip(ext, ext[1:], ext[2:])]
+    terms = [v * v * h for v in d2]
+    terms[0] *= 0.5  # trapezoid ends
+    terms[-1] *= 0.5
+    return math.fsum(terms)
 
 
 class _PicardRun(NamedTuple):
     history: list
     converged: bool
     mu_h: float
-    u: np.ndarray
+    u: list
     sign_definite: bool
 
 
 def _picard(k, A, rho_vec, h, signs, max_iter, tol) -> _PicardRun:
-    """One Picard run from the sign pattern ``signs``."""
+    """One Picard run from the sign pattern ``signs``; ``A`` is the factor
+    from :func:`_fd_factor`, shared by every step."""
     history = []
     converged = False
     mu_h = float("nan")
-    u = np.zeros(len(signs))
+    u = [0.0] * len(signs)
     prev_mu = None
     for it in range(max_iter):
-        u = np.linalg.solve(A, rho_vec * signs)
-        mass = float(np.sum(np.abs(u) * rho_vec) * h)  # trapezoid: ends vanish
+        u = _band_solve(A, [r * s for r, s in zip(rho_vec, signs)])
+        # trapezoid: ends vanish
+        mass = math.fsum(abs(v) * r for v, r in zip(u, rho_vec)) * h
         if mass <= 0:
             raise ZeroDivisionError("discrete weighted mass vanished")
-        u = u / mass
+        u = [v / mass for v in u]
         mu_h = _kth_difference_energy(k, u, h)
         history.append((it, mu_h))
-        new_signs = np.where(u >= 0, 1.0, -1.0)
-        if np.array_equal(new_signs, signs):
+        new_signs = [1.0 if v >= 0 else -1.0 for v in u]
+        if new_signs == signs:
             converged = True
             break
         if tol > 0 and prev_mu is not None and abs(mu_h - prev_mu) <= tol * abs(mu_h):
             break
         prev_mu = mu_h
         signs = new_signs
-    return _PicardRun(history, converged, mu_h, u, bool(np.all(signs == signs[0])))
+    return _PicardRun(history, converged, mu_h, u, len(set(signs)) == 1)
 
 
 def sign_iteration(
@@ -347,7 +387,7 @@ def sign_iteration(
     n: int = 199,
     max_iter: int = 60,
     tol: float = 0.0,
-    initial_signs: Optional[np.ndarray] = None,
+    initial_signs: Optional[Sequence[float]] = None,
     seed: Optional[int] = None,
 ) -> OracleReport:
     """Picard iteration on the discrete nonlinear eigenproblem.
@@ -355,7 +395,8 @@ def sign_iteration(
     Freezes a sign pattern, solves the clamped 2k-order problem with load
     rho * signs, renormalizes to unit discrete weighted mass, and updates the
     signs from the solution; stops when the pattern repeats.  Non-convergence
-    is reported, not raised (it is evidence about sign stability).
+    is reported, not raised (it is evidence about sign stability).  The
+    banded operator is factored once per call, so each step costs O(n).
 
     A non-constant start can end on a sign-changing critical point that is
     not a minimizer (a two-lobe pattern with several times the energy).  The
@@ -363,24 +404,29 @@ def sign_iteration(
     lower final mu_h is reported; ``details`` keeps the first run's outcome
     (``start_sign_definite``, ``start_mu_h``, ``restarted``).  A sign-changing
     run with the lower energy is still reported as sign-indefinite.
+
+    ``seed`` draws the start pattern from ``numpy.random.default_rng(seed)``;
+    it is the only input that loads numpy.  ``details["solution"]`` is the
+    final grid solution as a list of floats.
     """
     k = spec.k
     h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
-    A = _fd_operator(k, n)
-    rho_vec = _weight_on_grid(spec.rho, x, h)
+    A = _fd_factor(k, n)
+    rho_vec = _weight_on_grid(spec.rho, [(i + 1) * h for i in range(n)], h)
     if initial_signs is not None:
-        signs = np.where(np.asarray(initial_signs) >= 0, 1.0, -1.0)
+        signs = [1.0 if s >= 0 else -1.0 for s in initial_signs]
     elif seed is not None:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
-        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        signs = [1.0 if r < 0.5 else -1.0 for r in rng.random(n).tolist()]
     else:
-        signs = np.ones(n)
+        signs = [1.0] * n
 
     run = start = _picard(k, A, rho_vec, h, signs, max_iter, tol)
-    restarted = not start.sign_definite and not np.all(signs == signs[0])
+    restarted = not start.sign_definite and len(set(signs)) > 1
     if restarted:
-        again = _picard(k, A, rho_vec, h, np.ones(n), max_iter, tol)
+        again = _picard(k, A, rho_vec, h, [1.0] * n, max_iter, tol)
         if not start.mu_h < again.mu_h:
             run = again
     mu_h = run.mu_h
@@ -477,15 +523,13 @@ def max_principle_check(
             "polynomial load"
         )
     h = 1.0 / (n + 1)
-    x = np.arange(1, n + 1) * h
-    A = _fd_operator(k, n)
-    rhs = _weight_on_grid(f, x, h)
-    w = np.linalg.solve(A, rhs)
-    i_min = int(np.argmin(w))
-    if w[i_min] <= 0:
-        raise PositivityViolatedError(float(x[i_min]), float(w[i_min]))
+    x = [(i + 1) * h for i in range(n)]
+    w = _band_solve(_fd_factor(k, n), _weight_on_grid(f, x, h))
+    w_min, i_min = min(zip(w, range(n)))
+    if w_min <= 0:
+        raise PositivityViolatedError(x[i_min], w_min)
     return OracleReport(
         method="max_principle",
         sign_definite=True,
-        details={"route": "grid", "order": k, "grid": n, "min_value": float(w[i_min])},
+        details={"route": "grid", "order": k, "grid": n, "min_value": w_min},
     )

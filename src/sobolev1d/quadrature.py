@@ -20,12 +20,22 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-_N, _W = np.polynomial.legendre.leggauss(15)
-_NODES = [float(x) for x in _N]
-_WEIGHTS = [float(w) for w in _W]
-del _N, _W
+# 15-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(15)
+_NODES = [
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+]
+_WEIGHTS = [
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+]
 
 
 class QuadratureNonConvergence(ArithmeticError):

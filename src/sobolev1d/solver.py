@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
@@ -163,8 +164,13 @@ class ExtremalSolution:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def build_matrix(k: int) -> tuple:
-    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact integers."""
+    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact integers.
+
+    Built and structure-checked once per k; the tuple is immutable, so every
+    solve of that order shares it.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = []

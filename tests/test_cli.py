@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from sobolev1d.cli import main
+from sobolev1d.cli import MAX_POINTS, main
 
 
 def run(capsys, *argv):
@@ -286,3 +287,93 @@ def test_strong_power_weight_terminates_in_bounded_memory():
     assert proc.returncode == 0, proc.stderr
     # exact value of the generalized-polynomial pipeline at alpha = 97/100
     assert json.loads(proc.stdout)["mu_float"] == pytest.approx(115.7707266786, rel=1e-9)
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SOBOLEV_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_under_memory_cap(*argv):
+    """``python -m sobolev1d.cli ARGV`` in a child capped at 2 GiB of address
+    space and 60 s."""
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sobolev1d.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+
+
+def test_verify_fine_grid_terminates_in_bounded_memory():
+    # a dense operator on this grid would take 3.2 GB; the banded one is O(n)
+    proc = _cli_under_memory_cap(
+        "verify", "--k", "2", "--weight", "poly:1", "--grid", "20000"
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "agree"
+    assert doc["sign_iteration"]["grid"] == 20000
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("verify", "--grid"), ("minimizer", "--samples")]
+)
+def test_point_counts_above_the_cap_exit_2(command, flag):
+    proc = _cli_under_memory_cap(
+        command, "--k", "1", "--weight", "poly:1", flag, str(MAX_POINTS + 1)
+    )
+    assert proc.returncode == 2
+    assert f"must be <= {MAX_POINTS}" in proc.stderr
+
+
+def test_config_file_point_counts_are_capped(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sobolev.conf"
+    monkeypatch.setenv("SOBOLEV_CONFIG", str(cfg))
+    for key, command in (("grid", "verify"), ("samples", "minimizer")):
+        cfg.write_text(f"{key}={MAX_POINTS + 1}\n")
+        code, out, err = run(capsys, command, "--k", "1", "--weight", "poly:1")
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be <= {MAX_POINTS}" in err
+
+
+def test_numpy_stays_off_the_import_path():
+    # numpy is loaded only for a seeded sign-iteration start, which the CLI
+    # never asks for
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import sobolev1d, sobolev1d.cli
+        assert "numpy" not in sys.modules, "import"
+        for argv in (
+            ["constant", "--k", "2", "--weight", "chi:1/4,3/4"],
+            ["minimizer", "--k", "1", "--weight", "pw:[0,1/2]=1;[1/2,1]=x"],
+            ["sweep", "--k", "1", "--param", "indicator",
+             "--start", "1/8", "--stop", "1/4", "--step", "1/8"],
+            ["verify", "--k", "2", "--weight", "poly:1 + x"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = sobolev1d.cli.main(argv)
+            assert code == 0, (argv, code)
+            assert "numpy" not in sys.modules, argv
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

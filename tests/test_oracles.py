@@ -285,6 +285,49 @@ def test_sign_iteration_rejects_high_order():
         sign_iteration(ProblemSpec(3, parse_weight("poly:1")), n=49)
 
 
+def _dense_stencil(k, n):
+    """h^(2k) times the clamped finite-difference operator, as a dense
+    matrix: [-1, 2, -1] for k = 1; [1, -4, 6, -4, 1] with 7 in both corners
+    for k = 2."""
+    row = [2.0, -1.0] if k == 1 else [6.0, -4.0, 1.0]
+    B = np.zeros((n, n))
+    for i in range(n):
+        for off, v in enumerate(row):
+            if i + off < n:
+                B[i, i + off] = B[i + off, i] = v
+    if k == 2:
+        B[0, 0] = B[-1, -1] = 7.0
+    return B
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 49, 199])
+def test_banded_solve_matches_dense_reference(k, n):
+    # small n make the two corner rows overlap
+    B = _dense_stencil(k, n)
+    factor = oracles._fd_factor(k, n)
+    L = np.eye(n)
+    for i in range(1, n):
+        L[i, i - 1] = factor.l1[i]
+        if i >= 2:
+            L[i, i - 2] = factor.l2[i]
+    assert np.max(np.abs(L @ np.diag(factor.d) @ L.T - B)) <= 1e-12 * np.max(B)
+    A = B * (n + 1) ** (2 * k)
+    rng = random.Random(97 * n + k)
+    for lo in (0.5, -1.0):  # a positive load and a sign-changing one
+        rhs = [rng.uniform(lo, 1.5) for _ in range(n)]
+        u = np.array(oracles._band_solve(factor, rhs))
+        ref = np.linalg.solve(A, np.array(rhs))
+        scale = np.max(np.abs(ref))
+        # normwise backward error against the dense operator
+        residual = np.max(np.abs(A @ u - rhs))
+        assert residual <= 1e-12 * np.max(np.abs(A)) * scale
+        # both solves are backward stable, so they differ by at most about
+        # cond * eps, which exceeds 1e-12 for k = 2 from n = 49 on
+        tol = max(1e-12, np.linalg.cond(B) * np.finfo(float).eps)
+        assert np.max(np.abs(u - ref)) <= tol * scale
+
+
 # -- maximum principle -------------------------------------------------------
 
 

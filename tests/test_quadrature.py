@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from sobolev1d import quadrature
 from sobolev1d.polynomials import Polynomial
 from sobolev1d.quadrature import QuadratureNonConvergence, quad_numeric
 
@@ -61,3 +63,9 @@ def test_undeclared_singularity_raises():
 def test_bad_interval():
     with pytest.raises(ValueError):
         quad_numeric(lambda x: x, 1.0, 0.0)
+
+
+def test_gauss_table_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert [x.hex() for x in quadrature._NODES] == [float(x).hex() for x in nodes]
+    assert [w.hex() for w in quadrature._WEIGHTS] == [float(w).hex() for w in weights]
