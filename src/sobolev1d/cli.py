@@ -34,6 +34,7 @@ from .oracles import (
     max_principle_check,
     sign_iteration,
 )
+from .polynomials import pp_grid_values_exact
 from .quadrature import QuadratureNonConvergence
 from .scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
 from .solver import ProblemSpec, SolverError, solve
@@ -212,20 +213,18 @@ def cmd_minimizer(args) -> int:
     solution = solve(spec)
     n = cfg["samples"]
 
-    def sample(which, i):
+    def column(rep, eval_float):
         # exact representations are evaluated at the exact rational sample
-        # point, so boundary rows print as exact zeros
-        rep = solution.u if which == "u" else solution.u_k
+        # points, so boundary rows print as exact zeros
         if getattr(rep, "mode", None) == EXACT:
-            return float(rep(Fraction(i, n - 1)))
-        x = i / (n - 1)
-        return solution.eval_u(x) if which == "u" else solution.eval_u_k(x)
+            return pp_grid_values_exact(rep, n - 1)
+        return [eval_float(i / (n - 1)) for i in range(n)]
 
+    u = column(solution.u, solution.eval_u)
+    u_k = column(solution.u_k, solution.eval_u_k)
     lines = ["x,u,u_k"]
     for i in range(n):
-        lines.append(
-            f"{_fmt(i / (n - 1))},{_fmt(sample('u', i))},{_fmt(sample('u_k', i))}"
-        )
+        lines.append(f"{_fmt(i / (n - 1))},{_fmt(u[i])},{_fmt(u_k[i])}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -7,10 +7,13 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   constant becomes the norm of the linear functional p -> integral p rho over
   trial spaces spanned by x^k (1-x)^k x^i.  With G the stiffness Gram matrix
   of k-th derivatives and r the load vector, the squared bound is r^T G^-1 r,
-  non-decreasing in the trial degree.  Integration by parts turns each Gram
-  entry into k + 1 Beta integrals, and the load vector is a signed binomial
-  sum of monomial moments of rho, computed once per call.  An incremental
-  LDL^T factorization of the lower triangle yields the whole monotone
+  non-decreasing in the trial degree.  Exact mode spans the same spaces by
+  k-fold antiderivatives of shifted Legendre polynomials, whose Gram matrix
+  is diagonal (Shen's Legendre-Galerkin basis): the bound is a plain sum of
+  squared loads, built from the monomial moments of rho in integer
+  arithmetic, with no factorization.  Float mode keeps the monomial basis:
+  integration by parts turns each Gram entry into k + 1 Beta integrals, and
+  an incremental LDL^T of the lower triangle yields the whole monotone
   history for the price of one solve.
 
 * ``sign_iteration`` -- Picard iteration on the finite-difference analogue
@@ -47,7 +50,7 @@ from .polynomials import (
     pp_positive_on_open01,
 )
 from .quadrature import quad_numeric
-from .scalars import EXACT, coerce
+from .scalars import EXACT, FLOAT, coerce
 from .solver import ProblemSpec, gaussian_solve
 from .weights import (
     DiracWeight,
@@ -130,7 +133,9 @@ def gram_entry(k: int, i: int, j: int) -> Fraction:
 
 def _monomial_moments(rho: Weight, lo: int, hi: int) -> list:
     """Exact M_n = integral of x^n rho over (0, 1) for n = lo..hi, as a list
-    indexed by n - lo."""
+    indexed by n - lo; a point mass at a gives a^n."""
+    if isinstance(rho, DiracWeight):
+        return [rho.a**n for n in range(lo, hi + 1)]
     if isinstance(rho, (PowerWeight, HardyWeight)):
         alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
         # integral of x^(n - alpha) = 1/(n + 1 - alpha), finite for n >= k >= alpha
@@ -189,28 +194,58 @@ def load_vector(rho: Weight, k: int, degree: int, mode: str) -> list:
     ]
 
 
-def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
-    """Monotone lower bounds on the squared sharp constant by trial degree.
+def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
+    """Exact Lambda_n^2 for n = 0..N in the Legendre-antiderivative basis.
 
-    The partial sums of the LDL^T-transformed load give the value on every
-    nested trial space at once, so the recorded history is monotone by
-    construction; in exact mode each entry is an exact rational.
+    phi_m, the k-fold antiderivative from 0 of the shifted Legendre
+    polynomial P_m(x) = sum_j (-1)^(m+j) C(m, j) C(m+j, j) x^j, lies in
+    H^k_0 for m >= k, and phi_k .. phi_(k+n) span x^k (1-x)^k P_n.  Their
+    k-th derivatives are orthogonal with squared norms 1/(2m+1), so
+
+        Lambda_n^2 = sum_{m=k}^{k+n} (2m+1) r_m^2,
+        r_m = integral phi_m rho
+            = sum_j (-1)^(m+j) C(m, j) C(m+j, j) j!/(j+k)! M_(j+k).
+
+    With the moments over one integer denominator D, S_m = D (m+k)! r_m is
+    an integer, and P_n = D^2 ((2k+n)!)^2 Lambda_n^2 obeys the integer
+    recurrence P_n = (m+k)^2 P_(n-1) + (2m+1) S_m^2 with m = k + n.  Each
+    history entry is one correctly rounded int / int division, equal to the
+    float of the reduced Fraction; only the last value is reduced.
     """
-    k, N = spec.k, cfg.degree
-    exact = cfg.mode == EXACT
-    # the factorization below reads only the lower triangle j <= i
-    G = [[gram_entry(k, i, j) for j in range(i + 1)] for i in range(N + 1)]
-    r = load_vector(spec.rho, k, N, cfg.mode)
-    if not exact:
-        G = [[float(x) for x in row] for row in G]
-        r = [float(x) for x in r]
+    moments = [coerce(v, EXACT) for v in _monomial_moments(rho, k, 2 * k + N)]
+    den = math.lcm(*(v.denominator for v in moments))
+    a = [v.numerator * (den // v.denominator) for v in moments]  # a[j] = D M_(j+k)
+    history = []
+    p = 0
+    scale = (den * factorial(2 * k - 1)) ** 2  # D^2 ((2k+n-1)!)^2 before step n
+    for m in range(k, k + N + 1):
+        # c = (-1)^(m+j) C(m, j) C(m+j, j) j! (m+k)!/(j+k)!, stepped in j
+        c = (-1) ** m * perm(m + k, m)
+        s = c * a[0]
+        for j in range(m):
+            c = -c * (m - j) * (m + j + 1) // ((j + 1) * (j + k + 1))
+            s += c * a[j + 1]
+        p = p * (m + k) ** 2 + (2 * m + 1) * s * s
+        scale *= (m + k) ** 2
+        history.append(p / scale)
+    return history, Fraction(p, scale)
 
-    # incremental LDL^T: lambda_n^2 = sum_{m <= n} w_m^2 / d_m with w = L^-1 r
+
+def _monomial_ldl_history(rho: Weight, k: int, N: int) -> tuple:
+    """Float Lambda_n^2 for n = 0..N from the monomial-basis Gram matrix.
+
+    The incremental LDL^T gives lambda_n^2 = sum_{m <= n} w_m^2 / d_m with
+    w = L^-1 r.  The monomial Gram matrix is severely ill-conditioned, so a
+    pivot that is not positive and finite raises IllConditionedError.
+    """
+    # the factorization below reads only the lower triangle j <= i
+    G = [[float(gram_entry(k, i, j)) for j in range(i + 1)] for i in range(N + 1)]
+    r = [float(x) for x in load_vector(rho, k, N, FLOAT)]
     L = [[None] * (N + 1) for _ in range(N + 1)]
     d = [None] * (N + 1)
     w = [None] * (N + 1)
     history = []
-    partial = Fraction(0) if exact else 0.0
+    partial = 0.0
     for i in range(N + 1):
         for j in range(i):
             s = G[i][j]
@@ -221,10 +256,7 @@ def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
         for m in range(i):
             s -= L[i][m] ** 2 * d[m]
         d[i] = s
-        if exact:
-            if d[i] <= 0:
-                raise ArithmeticError("Gram matrix is not positive definite")
-        elif not (d[i] > 0) or not math.isfinite(d[i]):
+        if not (d[i] > 0) or not math.isfinite(d[i]):
             raise IllConditionedError(
                 f"float LDL pivot {d[i]!r} at degree {i}; lower the degree "
                 f"or use exact mode"
@@ -234,13 +266,29 @@ def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
             s -= L[i][m] * w[m]
         w[i] = s
         partial += w[i] ** 2 / d[i]
-        history.append((i, partial))
+        history.append(partial)
+    return history, partial
 
-    lam_sq = history[-1][1]
-    report = OracleReport(
+
+def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
+    """Monotone lower bounds on the squared sharp constant by trial degree.
+
+    Both modes give the value on every nested trial space
+    x^k (1-x)^k x^i, i <= n, at once, so the recorded history is monotone
+    by construction.  Exact mode sums the diagonal Legendre-antiderivative
+    form in integers and reports an exact rational; float mode factors the
+    monomial-basis Gram matrix.
+    """
+    k, N = spec.k, cfg.degree
+    exact = cfg.mode == EXACT
+    if exact:
+        history, lam_sq = _legendre_history(spec.rho, k, N)
+    else:
+        history, lam_sq = _monomial_ldl_history(spec.rho, k, N)
+    return OracleReport(
         method="galerkin",
         lambda_estimate=math.sqrt(float(lam_sq)),
-        history=[(n, float(v)) for n, v in history],
+        history=list(enumerate(history)),
         details={
             "degree": N,
             "lambda_sq": float(lam_sq),
@@ -248,7 +296,6 @@ def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
             "mode": cfg.mode,
         },
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

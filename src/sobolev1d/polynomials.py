@@ -624,20 +624,11 @@ def _piece_positive(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 
 
 def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:
-    """Float minimum over the interior grid points i/n, 0 < i < n.
-
-    Each piece scans its own run of indices with its coefficients converted
-    to float once.  The runs are cut exactly where piece_index switches
-    pieces, and Horner runs in eval_float's order, so every sample equals
-    pp.eval_float(i / n) bit for bit.
-    """
+    """Float minimum over the interior grid points i/n, 0 < i < n; each
+    sample equals pp.eval_float(i / n) bit for bit (see _grid_runs)."""
     best = float("inf")
-    starts = [1] + [_first_grid_index(t, n) for t in pp.breakpoints[1:-1]] + [n]
-    for p, start, stop in zip(pp.pieces, starts, starts[1:]):
-        if start >= stop:
-            continue  # no grid point: never convert, as eval_float would not
-        coeffs = [float(c) for c in reversed(p.coeffs)]
-        for i in range(start, stop):
+    for coeffs, indices in _grid_runs(pp, n, 1, n):
+        for i in indices:
             x = i / n
             acc = 0.0
             for c in coeffs:
@@ -645,6 +636,68 @@ def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:
             if acc < best:
                 best = acc
     return best
+
+
+def pp_grid_values(pp: PiecewisePolynomial, n: int) -> list:
+    """[pp.eval_float(i / n) for i in range(n + 1)], bit for bit (see
+    _grid_runs)."""
+    out = []
+    for coeffs, indices in _grid_runs(pp, n, 0, n + 1):
+        for i in indices:
+            x = i / n
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * x + c
+            out.append(acc)
+    return out
+
+
+def _grid_runs(pp: PiecewisePolynomial, n: int, start: int, stop: int):
+    """Per piece, its float coefficients in Horner order and the indices
+    start <= i < stop whose point i/n it owns.
+
+    The runs are cut exactly where piece_index switches pieces, and each
+    piece's coefficients are converted once, so Horner over them reproduces
+    eval_float(i / n) bit for bit.
+    """
+    cuts = [_first_grid_index(t, n) for t in pp.breakpoints[1:-1]]
+    for p, lo, hi in zip(pp.pieces, [start, *cuts], [*cuts, stop]):
+        lo, hi = max(lo, start), min(hi, stop)
+        if lo < hi:  # no grid point: never convert, as eval_float would not
+            yield [float(c) for c in reversed(p.coeffs)], range(lo, hi)
+
+
+def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
+    """[float(pp(Fraction(i, n))) for i in range(n + 1)] in integer arithmetic.
+
+    Each piece takes the indices whose exact point i/n lies in it, as
+    piece_index decides.  With its coefficients over one denominator D, a
+    degree-d piece is sum_j a_j i^j n^(d-j) / (D n^d) at i/n: an integer
+    Horner sum over one integer denominator.  int / int is correctly
+    rounded, so every value equals the float of the exact rational.
+    """
+    if pp.mode != EXACT:
+        raise ModeMismatchError("exact grid values need exact pieces")
+    out = []
+    # first index of each later piece: the smallest i with i/n >= t
+    cuts = [ceil(t * n) for t in pp.breakpoints[1:-1]]
+    for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, n + 1]):
+        if lo >= hi:
+            continue
+        d = max(p.degree, 0)
+        den = lcm(*(c.denominator for c in p.coeffs))
+        scaled = [
+            c.numerator * (den // c.denominator) * n ** (d - j)
+            for j, c in enumerate(p.coeffs)
+        ]
+        den *= n**d
+        scaled.reverse()
+        for i in range(lo, hi):
+            acc = 0
+            for c in scaled:
+                acc = acc * i + c
+            out.append(acc / den)
+    return out
 
 
 def _first_grid_index(t: Scalar, n: int) -> int:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from sobolev1d.cli import MAX_POINTS, main
+from sobolev1d.cli import MAX_POINTS, _fmt, main
+from sobolev1d.solver import ProblemSpec, solve
+from sobolev1d.weights import parse_weight
 
 
 def run(capsys, *argv):
@@ -93,6 +95,24 @@ def test_minimizer_boundary_rows_always_zero(capsys):
         rows = out.strip().split("\n")[1:]
         assert float(rows[0].split(",")[1]) == 0.0
         assert float(rows[-1].split(",")[1]) == 0.0
+
+
+def test_minimizer_csv_matches_fraction_evaluation(capsys):
+    # every exact sample must print as float() of the Fraction value at
+    # the exact point i/(n-1); 120 samples put points on 1/4, 3/4 and 1/3
+    weights = ("dirac:1/3", "chi:1/4,3/4", "pw:[0,1/3]=x^2;[1/3,2/3]=1/5;[2/3,1]=1-x")
+    for weight in weights:
+        for k in (1, 3, 6):
+            solution = solve(ProblemSpec(k, parse_weight(weight)))
+            for n in (2, 120, 121):
+                lines = ["x,u,u_k"]
+                for i in range(n):
+                    x = F(i, n - 1)
+                    u, u_k = float(solution.u(x)), float(solution.u_k(x))
+                    lines.append(f"{_fmt(i / (n - 1))},{_fmt(u)},{_fmt(u_k)}")
+                argv = ["minimizer", "--k", str(k), "--weight", weight]
+                _, out, _ = run(capsys, *argv, "--samples", str(n))
+                assert out == "\n".join(lines) + "\n", (weight, k, n)
 
 
 def test_verify_uniform_k2(capsys):

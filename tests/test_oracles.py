@@ -90,9 +90,77 @@ def test_galerkin_assembles_lower_triangle_once(monkeypatch):
     monkeypatch.setattr(oracles, "gram_entry", counting)
     for N in (0, 5, 12):
         calls.clear()
-        galerkin_lambda(ProblemSpec(2, parse_weight("chi:1/4,3/4")), GalerkinConfig(N))
+        galerkin_lambda(
+            ProblemSpec(2, parse_weight("chi:1/4,3/4")), GalerkinConfig(N, FLOAT)
+        )
         assert len(calls) == (N + 1) * (N + 2) // 2
         assert sorted(calls) == [(i, j) for i in range(N + 1) for j in range(i + 1)]
+
+
+def _ldl_reference_history(rho, k, N):
+    """Exact Lambda_n^2, n = 0..N, by an LDL^T of the monomial-basis Gram
+    matrix: the trial spaces x^k (1-x)^k x^i in their original basis."""
+    G = [[gram_entry(k, i, j) for j in range(N + 1)] for i in range(N + 1)]
+    r = load_vector(rho, k, N, EXACT)
+    L = [[F(0)] * (N + 1) for _ in range(N + 1)]
+    d, w, out = [], [], []
+    total = F(0)
+    for i in range(N + 1):
+        for j in range(i):
+            s = G[i][j] - sum(L[i][m] * L[j][m] * d[m] for m in range(j))
+            L[i][j] = s / d[j]
+        d.append(G[i][i] - sum(L[i][m] ** 2 * d[m] for m in range(i)))
+        w.append(r[i] - sum(L[i][m] * w[m] for m in range(i)))
+        total += w[i] ** 2 / d[i]
+        out.append(total)
+    return out
+
+
+def _seeded_weights(rng):
+    def c():
+        return F(rng.randint(1, 9), rng.randint(1, 6))
+
+    a, b = sorted(F(v, 12) for v in rng.sample(range(1, 12), 2))
+    return [
+        f"poly:{c()} + {c()}*x + {c()}*x^2",
+        f"pw:[0,{a}]={c()}*x^2;[{a},{b}]={c()};[{b},1]={c()} + {c()}*x",
+        f"chi:{a},{b}",
+        f"dirac:{F(rng.randint(1, 12), 13)}",
+        f"pow:{F(rng.randint(1, 9), 10)}",
+        "hardy:1",
+    ]
+
+
+def test_galerkin_exact_matches_monomial_ldl_history():
+    # the Legendre-antiderivative basis spans the same nested trial spaces,
+    # so every history entry and the exact value match the LDL^T route
+    rng = random.Random(6006)
+    degrees = (0, 1, 4, 12, 20, 24)
+    for k in (1, 2, 3, 6, 12):
+        for dsl in _seeded_weights(rng):
+            rho = parse_weight(dsl)
+            mode = FLOAT if rho.kind in ("pow", "hardy") else EXACT
+            reference = _ldl_reference_history(rho, k, max(degrees))
+            for N in degrees:
+                report = galerkin_lambda(ProblemSpec(k, rho, mode), GalerkinConfig(N))
+                assert report.details["lambda_sq_exact"] == reference[N], (dsl, k, N)
+                assert type(report.details["lambda_sq_exact"]) is F
+                assert report.history == [
+                    (n, float(v)) for n, v in enumerate(reference[: N + 1])
+                ], (dsl, k, N)
+
+
+def test_galerkin_exact_builds_no_gram_matrix(monkeypatch):
+    def refuse(k, i, j):
+        raise AssertionError("exact Galerkin assembled a Gram entry")
+
+    monkeypatch.setattr(oracles, "gram_entry", refuse)
+    for dsl in ("poly:1 + x", "chi:1/4,3/4", "dirac:1/3", "pow:1/2"):
+        rho = parse_weight(dsl)
+        mode = FLOAT if rho.kind == "pow" else EXACT
+        for k in (1, 3):
+            report = galerkin_lambda(ProblemSpec(k, rho, mode), GalerkinConfig(12))
+            assert report.details["lambda_sq_exact"] > 0
 
 
 def test_galerkin_uniform_k1_degree0_exact():

@@ -15,6 +15,8 @@ from sobolev1d.polynomials import (
     is_positive_on_open,
     kfold_antiderivative,
     pp_equal,
+    pp_grid_values,
+    pp_grid_values_exact,
     pp_min_on_grid,
     pp_mul,
     pp_positive_on_open01,
@@ -355,6 +357,8 @@ def test_grid_scan_matches_per_point_evaluation():
             for n in (24, 96, 99, 4096):
                 expected = min(pp.eval_float(i / n) for i in range(1, n))
                 assert pp_min_on_grid(pp, n).hex() == expected.hex()
+                values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
+                assert [v.hex() for v in pp_grid_values(pp, n)] == values
 
 
 def test_grid_scan_assigns_breakpoint_samples_to_the_right_piece():
@@ -368,3 +372,30 @@ def test_grid_scan_assigns_breakpoint_samples_to_the_right_piece():
         for n in (24, 99, 120, 1000, 4095, 4096):
             expected = min(pp.eval_float(i / n) for i in range(1, n))
             assert pp_min_on_grid(pp, n).hex() == expected.hex()
+            values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
+            assert [v.hex() for v in pp_grid_values(pp, n)] == values
+
+
+def test_exact_grid_values_match_fraction_evaluation():
+    # integer Horner over one denominator must round exactly as float() of
+    # the Fraction value; n = 24 and 120 put grid points on every breakpoint
+    rng = random.Random(2401)
+    cuts = [F(0), F(1, 8), F(1, 3), F(3, 8), F(1, 2), F(1)]
+    for _ in range(4):
+        pieces = []
+        for _ in cuts[1:]:
+            degree = rng.randint(0, 13)
+            coeffs = [
+                F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+                for _ in range(degree + 1)
+            ]
+            pieces.append(Polynomial(coeffs))
+        pp = PiecewisePolynomial(cuts, pieces)
+        for n in (1, 2, 7, 24, 99, 120):
+            expected = [float(pp(F(i, n))) for i in range(n + 1)]
+            got = pp_grid_values_exact(pp, n)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+    zero_piece = PiecewisePolynomial([F(0), F(1, 3), F(1)], [Polynomial([]), ONE])
+    assert pp_grid_values_exact(zero_piece, 6) == [0.0, 0.0] + [1.0] * 5
+    with pytest.raises(ModeMismatchError):
+        pp_grid_values_exact(pp.to_float(), 4)

@@ -30,6 +30,7 @@ from sobolev1d.solver import (
     build_matrix,
     closed_form,
     compute_mu,
+    gaussian_solve,
     solve,
     solve_seeds,
 )
@@ -37,6 +38,7 @@ from sobolev1d.weights import (
     DiracWeight,
     HardyWeight,
     IndicatorWeight,
+    MomentVector,
     UnsupportedWeightError,
     as_piecewise,
     iterated_integral,
@@ -102,6 +104,31 @@ def test_seeds_satisfy_system_exactly():
         for m in range(k):
             assert sum(A[m][j] * s.values[j] for j in range(k)) == b.values[m]
         del q
+
+
+def test_difference_solve_matches_gaussian_elimination():
+    # exact b takes the O(k^2) difference solve.  A is invertible, so an
+    # exact zero residual pins the solution; the dense elimination on the
+    # same matrix is the reference where it stays cheap
+    rng = random.Random(4040)
+    for k in range(1, 41):
+        A = build_matrix(k)
+        b = [random_fraction(rng, den_max=40) for _ in range(k)]
+        s = solve_seeds(LinearSystem(A, MomentVector(k, tuple(b)))).values
+        assert all(type(v) is F for v in s)
+        assert [sum(a * v for a, v in zip(row, s)) for row in A] == b, k
+        if k <= 16:
+            assert list(s) == gaussian_solve(A, b), k
+
+
+def test_solve_seeds_float_and_foreign_systems_use_elimination():
+    b = MomentVector(3, (0.25, -1.5, 2.0))
+    A = tuple(tuple(float(x) for x in row) for row in build_matrix(3))
+    assert solve_seeds(LinearSystem(A, b)).values == tuple(gaussian_solve(A, b.values))
+    # an exact matrix other than A(k) is solved as given
+    M = ((F(2), F(0)), (F(1), F(1)))
+    s = solve_seeds(LinearSystem(M, MomentVector(2, (F(1), F(1)))))
+    assert s.values == (F(1, 2), F(1, 2))
 
 
 # -- u^(k)/mu assembly -------------------------------------------------------
@@ -301,6 +328,22 @@ def test_dirac_candidate_profile_k1_matches_pipeline():
         normalized = candidate.scale(1 / candidate(a))
         assert pp_equal(s.u, normalized)
         assert s.diagnostics.pointload_candidate_deviation == 0.0
+
+
+def test_pointload_deviation_is_the_513_point_maximum():
+    # the per-piece grid walk must reproduce the point-by-point maximum bit
+    # for bit, in both modes
+    for a in (F(1, 3), F(1, 2), F(2, 7)):
+        for k in (1, 2, 3, 6):
+            # float solves fail their boundary-residual check from k = 5
+            for mode in (EXACT, FLOAT) if k <= 3 else (EXACT,):
+                spec = ProblemSpec(k, DiracWeight(a), mode)
+                s = solve(spec)
+                ref = closed_form(spec)
+                expected = max(
+                    abs(s.eval_u(i / 512) - ref.eval_u(i / 512)) for i in range(513)
+                )
+                assert s.diagnostics.pointload_candidate_deviation.hex() == expected.hex()
 
 
 def test_dirac_candidate_profile_k2_is_defective():
