@@ -13,9 +13,13 @@ floating point.  Exit codes: 0 success, 2 input error, 3 solver error,
 
 A config file named by the SOBOLEV_CONFIG environment variable may supply
 ``key=value`` defaults for mode, samples, galerkin_degree and grid; explicit
-flags win over the file, the file wins over built-in defaults.  Wherever
-they come from, ``samples`` must lie in 2..100000 and ``grid`` in 9..100000;
-a value outside exits with code 2.
+flags win over the file, the file wins over built-in defaults.
+
+Every input is capped so that a run ends in bounded time and memory; a value
+outside its range exits with code 2.  ``--k`` lies in 1..60,
+``galerkin_degree`` in 0..512, ``samples`` in 2..100000, ``grid`` in
+9..100000, a sweep has at most 1000 rows, and a weight polynomial's degree
+and every ``^`` exponent are at most 256 (``weights.MAX_DEGREE``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .oracles import (
     sign_iteration,
 )
 from .polynomials import pp_grid_values_exact
-from .quadrature import QuadratureNonConvergence
 from .scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
 from .solver import ProblemSpec, SolverError, solve
 from .weights import (
@@ -52,9 +55,12 @@ from .weights import (
 
 _DEFAULTS = {"mode": None, "samples": 201, "galerkin_degree": 16, "grid": 199}
 _CONFIG_KEYS = set(_DEFAULTS)
-# upper bound on minimizer samples and finite-difference grid nodes, which
-# keeps every run's time and memory bounded
-MAX_POINTS = 100_000
+# caps that keep every run's time and memory bounded, each set from a
+# measured time budget (README); with all at their caps, verify took 10 s
+MAX_POINTS = 100_000  # minimizer samples and finite-difference grid nodes
+MAX_K = 60  # float(mu) overflows for poly:1 from k = 75
+MAX_GALERKIN_DEGREE = 512
+MAX_SWEEP_ROWS = 1000
 
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
@@ -139,8 +145,12 @@ def _merge_config(args) -> dict:
         raise ValueError("samples must be >= 2")
     if cfg["samples"] > MAX_POINTS:
         raise ValueError(f"samples must be <= {MAX_POINTS}")
+    if args.k > MAX_K:
+        raise ValueError(f"k must be <= {MAX_K}")
     if cfg["galerkin_degree"] < 0:
         raise ValueError("galerkin degree must be >= 0")
+    if cfg["galerkin_degree"] > MAX_GALERKIN_DEGREE:
+        raise ValueError(f"galerkin degree must be <= {MAX_GALERKIN_DEGREE}")
     if cfg["grid"] < 9:
         raise ValueError("grid must be >= 9")
     if cfg["grid"] > MAX_POINTS:
@@ -300,14 +310,10 @@ def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
     if step <= 0:
         raise ValueError("step must be positive")
     lo, hi = (start, stop) if start <= stop else (stop, start)
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    if not out:
-        raise ValueError("empty sweep range")
-    return out
+    rows = (hi - lo) // step + 1
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep has {rows} rows, at most {MAX_SWEEP_ROWS}")
+    return [lo + i * step for i in range(rows)]
 
 
 def cmd_sweep(args) -> int:
@@ -359,7 +365,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (
         SolverError,
-        QuadratureNonConvergence,
         IllConditionedError,
         PositivityViolatedError,
         ArithmeticError,

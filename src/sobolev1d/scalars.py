@@ -1,10 +1,10 @@
-"""Dual-mode scalars: exact rationals or IEEE doubles.
+"""Scalar modes: exact rationals or IEEE doubles.
 
-Every quantity in the library lives in one of two arithmetic modes.  Exact
-mode uses :class:`fractions.Fraction` (arbitrary-precision, automatically
-reduced, positive denominator), float mode uses plain ``float``.  The mode is
-a property of a computation, not of an individual operand: binary operations
-between objects of different modes are rejected rather than silently coerced.
+Exact mode uses :class:`fractions.Fraction` (arbitrary-precision, reduced,
+positive denominator); every solve computes in it.  Float mode uses plain
+``float``: a solve's output format and the arithmetic of the numerical
+oracles.  Binary operations between objects of different modes are rejected
+rather than silently coerced.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ The downstream pipeline touches a weight in exactly two ways: through its
 shifted moments b_m = (-1)^(k+1) * integral of (1-t)^(k+m) rho(t) dt, and
 through the iterated integral I(x) = integral_0^x (x-t)^(k-1)/(k-1)! rho(t) dt.
 Both are exact rationals for polynomial, piecewise-polynomial, normalized
-indicator and point-mass weights.  Power weights x^(-alpha) with alpha < 1
-get exact moments through the Beta product formula but a non-polynomial
-iterated integral, so they are served as closed-form power-law callbacks and
-solved numerically.  The weight 1/x (supported for order 1 only) is not
-integrable at 0 and bypasses this machinery entirely; like the point mass it
-is flagged as sitting outside the L^1 hypothesis of the main theorem.
+indicator and point-mass weights.  Power weights x^(-alpha) with rational
+alpha < 1 get exact moments through the Beta product formula and the exact
+power-law iterated integral c x^(k-alpha), so they are solved exactly too;
+only the pointwise values of that term are irrational.  The weight 1/x
+(supported for order 1 only) is not integrable at 0 and bypasses this
+machinery entirely; like the point mass it is flagged as sitting outside the
+L^1 hypothesis of the main theorem.
 
 Weights come from a small text DSL, e.g. ``poly:1 - 2*x + x^2``,
 ``chi:1/4,3/4``, ``dirac:0.3``, ``pow:1/2``, ``hardy:1``.  Decimal literals
@@ -31,7 +32,7 @@ from .polynomials import (
     from_polynomial,
     is_nonnegative_on,
 )
-from .scalars import EXACT, Scalar, coerce, format_rational, parse_rational
+from .scalars import EXACT, Scalar, format_rational, parse_rational
 
 
 class WeightSyntaxError(ValueError):
@@ -61,7 +62,7 @@ class PolyWeight:
 
     kind = "poly"
     outside_theorem_scope = False
-    exact_capable = True
+    exact_capable = property(lambda self: self.poly.mode == EXACT)  # float coefficients
 
     def __post_init__(self):
         if self.poly.mode == EXACT:
@@ -84,7 +85,7 @@ class PiecewiseWeight:
 
     kind = "pw"
     outside_theorem_scope = False
-    exact_capable = True
+    exact_capable = property(lambda self: self.pp.mode == EXACT)
 
     def __post_init__(self):
         for (a, b), p in zip(
@@ -168,7 +169,7 @@ class PowerWeight:
 
     kind = "pow"
     outside_theorem_scope = False
-    exact_capable = False  # exact moments, but no piecewise-polynomial pipeline
+    exact_capable = False  # exact pipeline, but u is no piecewise polynomial
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -220,9 +221,6 @@ class MomentVector:
         if len(self.values) != self.k:
             raise ValueError("moment vector length must equal k")
 
-    def to_float(self) -> "MomentVector":
-        return MomentVector(self.k, tuple(float(v) for v in self.values))
-
 
 def beta_product(alpha: Fraction, n: int) -> Fraction:
     """B(1 - alpha, n + 1) = n! / prod_{i=1..n+1} (i - alpha), exact."""
@@ -267,7 +265,7 @@ def moments(rho: Weight, k: int) -> MomentVector:
             values.append(sign * beta_product(rho.alpha, k + m))
     else:
         pp = as_piecewise(rho)
-        totals = [coerce(0, pp.mode)] * k
+        totals = [Fraction(0)] * k
         for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
             # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
             # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
@@ -280,7 +278,7 @@ def moments(rho: Weight, k: int) -> MomentVector:
                     lo_e, hi_e = lo_e * lo, hi_e * hi
                     totals[m] += c * (hi_e - lo_e) / (k + m + i + 1)
                 lo_pow, hi_pow = lo_pow * lo, hi_pow * hi
-        values = [sign * t if pp.mode == EXACT else float(sign) * t for t in totals]
+        values = [sign * t for t in totals]
     return MomentVector(k, tuple(values))
 
 
@@ -393,6 +391,9 @@ def scale_weight(rho: Weight, c: Fraction) -> Weight:
 # ---------------------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+|/\d+)?")
+# cap on a DSL polynomial's degree and on any ^ exponent, checked before
+# multiplying out: poly:(1+x)^256 solves in ~3.5 s at k = 60
+MAX_DEGREE = 256
 
 
 def _tokenize_poly(text: str, base: int):
@@ -448,11 +449,17 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
             node = node + rhs if op == "+" else node - rhs
         return node
 
+    def check_degree(degree: int, position: int):
+        if degree > MAX_DEGREE:
+            raise WeightSyntaxError(f"degree {degree} exceeds {MAX_DEGREE}", position)
+
     def parse_term() -> Polynomial:
         node = parse_power()
         while peek()[0] == "*":
-            take()
-            node = node * parse_power()
+            position = take()[2]
+            rhs = parse_power()
+            check_degree(node.degree + rhs.degree, position)
+            node = node * rhs
         return node
 
     def parse_power() -> Polynomial:
@@ -461,8 +468,11 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
             take()
             tok = take("num")
             exp = tok[1]
-            if exp.denominator != 1 or exp < 0:
-                raise WeightSyntaxError("exponent must be a non-negative integer", tok[2])
+            if exp.denominator != 1 or not 0 <= exp <= MAX_DEGREE:
+                raise WeightSyntaxError(
+                    f"exponent must be an integer in 0..{MAX_DEGREE}", tok[2]
+                )
+            check_degree(node.degree * int(exp), tok[2])
             result = Polynomial([1], EXACT)
             for _ in range(int(exp)):
                 result = result * node

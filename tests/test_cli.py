@@ -9,9 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from sobolev1d.cli import MAX_POINTS, _fmt, main
+from sobolev1d.cli import (
+    MAX_GALERKIN_DEGREE,
+    MAX_K,
+    MAX_POINTS,
+    MAX_SWEEP_ROWS,
+    _fmt,
+    _sweep_values,
+    main,
+)
 from sobolev1d.solver import ProblemSpec, solve
-from sobolev1d.weights import parse_weight
+from sobolev1d.weights import MAX_DEGREE, parse_weight
 
 
 def run(capsys, *argv):
@@ -355,6 +363,57 @@ def test_point_counts_above_the_cap_exit_2(command, flag):
     )
     assert proc.returncode == 2
     assert f"must be <= {MAX_POINTS}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("constant", "--k", str(MAX_K + 1), "--weight", "poly:1 + x"), f"k must be <= {MAX_K}"),
+        (("constant", "--k", "2", "--weight", f"poly:x^{MAX_DEGREE + 1}"), f"0..{MAX_DEGREE}"),
+        (("constant", "--k", "2", "--weight", "poly:x^5000"), f"0..{MAX_DEGREE}"),
+        (
+            ("constant", "--k", "2", "--weight", f"poly:1 + x^{MAX_DEGREE}*x"),
+            f"degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}",
+        ),
+        (
+            ("verify", "--k", "1", "--weight", "poly:1",
+             "--galerkin-degree", str(MAX_GALERKIN_DEGREE + 1)),
+            f"galerkin degree must be <= {MAX_GALERKIN_DEGREE}",
+        ),
+        (
+            ("sweep", "--k", "1", "--param", "dirac", "--start", "1/4000",
+             "--stop", f"{MAX_SWEEP_ROWS + 1}/4000", "--step", "1/4000"),
+            f"sweep has {MAX_SWEEP_ROWS + 1} rows",
+        ),
+        (
+            ("sweep", "--k", "1", "--param", "dirac", "--start", "1/1000000",
+             "--stop", "999999/1000000", "--step", "1/1000000"),
+            f"at most {MAX_SWEEP_ROWS}",
+        ),
+    ],
+)
+def test_inputs_above_their_cap_exit_2(argv, message):
+    # each check runs before any work that grows with the input
+    proc = _cli_under_memory_cap(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+def test_inputs_at_their_cap_run(capsys):
+    code, out, _ = run(capsys, "constant", "--k", str(MAX_K), "--weight", "poly:1")
+    assert code == 0 and math.isfinite(json.loads(out)["mu_float"])
+    code, _, _ = run(capsys, "constant", "--k", "1", "--weight", f"poly:1 + x^{MAX_DEGREE}")
+    assert code == 0
+    assert len(_sweep_values(F(1, 4000), F(MAX_SWEEP_ROWS, 4000), F(1, 4000))) == MAX_SWEEP_ROWS
+
+
+def test_config_file_galerkin_degree_is_capped(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sobolev.conf"
+    cfg.write_text(f"galerkin_degree={MAX_GALERKIN_DEGREE + 1}\n")
+    monkeypatch.setenv("SOBOLEV_CONFIG", str(cfg))
+    code, out, err = run(capsys, "verify", "--k", "1", "--weight", "poly:1")
+    assert (code, out) == (2, "")
+    assert f"galerkin degree must be <= {MAX_GALERKIN_DEGREE}" in err
 
 
 def test_config_file_point_counts_are_capped(tmp_path, capsys, monkeypatch):

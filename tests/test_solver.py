@@ -14,6 +14,7 @@ from sobolev1d.closed_forms import (
     uniform_mu,
 )
 from sobolev1d.polynomials import (
+    PiecewisePolynomial,
     Polynomial,
     from_polynomial,
     kth_derivative,
@@ -39,6 +40,9 @@ from sobolev1d.weights import (
     HardyWeight,
     IndicatorWeight,
     MomentVector,
+    PiecewiseWeight,
+    PolyWeight,
+    PowerWeight,
     UnsupportedWeightError,
     as_piecewise,
     iterated_integral,
@@ -335,8 +339,7 @@ def test_pointload_deviation_is_the_513_point_maximum():
     # for bit, in both modes
     for a in (F(1, 3), F(1, 2), F(2, 7)):
         for k in (1, 2, 3, 6):
-            # float solves fail their boundary-residual check from k = 5
-            for mode in (EXACT, FLOAT) if k <= 3 else (EXACT,):
+            for mode in (EXACT, FLOAT):
                 spec = ProblemSpec(k, DiracWeight(a), mode)
                 s = solve(spec)
                 ref = closed_form(spec)
@@ -526,6 +529,79 @@ def test_float_mode_on_exact_weight_agrees():
         exact = solve(ProblemSpec(k, parse_weight(text)))
         floaty = solve(ProblemSpec(k, parse_weight(text), FLOAT))
         assert abs(float(exact.mu) - floaty.mu) / float(exact.mu) < 1e-12
+
+
+def test_float_mode_rounds_the_exact_solution():
+    # float mode runs the exact pipeline and rounds at output, so mu is the
+    # float of the exact rational, bit for bit, at every order
+    for text in ("poly:1 + x", "pw:[0,1/2]=1;[1/2,1]=x", "chi:1/4,3/4", "dirac:1/3"):
+        for k in (6, 12, 24):
+            exact = solve(ProblemSpec(k, parse_weight(text)))
+            floaty = solve(ProblemSpec(k, parse_weight(text), FLOAT))
+            assert floaty.mu == float(exact.mu), (text, k)
+            assert floaty.mu_exact is None
+            assert floaty.u == exact.u.to_float() and floaty.u_k == exact.u_k.to_float()
+            d = floaty.diagnostics
+            assert d.positivity_certified is True
+            assert d.boundary_residual == 0.0 and d.normalization_residual == 0.0
+
+
+def _power_weight_mu(k, alpha):
+    """Exact mu for x^(-alpha) by Hilbert projection, independent of solve.
+
+    v = u^(k)/mu is (-1)^k (I - P I) for the iterated integral
+    I = c x^(k-alpha), c = 1/prod_{i<=k} (i - alpha), and the L^2 projection
+    P onto polynomials of degree < k; 1/mu = integral of v^2.
+    """
+    c = F(1)
+    for i in range(1, k + 1):
+        c /= i - alpha
+    e = k - alpha
+    r = [c / (i + e + 1) for i in range(k)]
+    coeffs = frac_solve([[F(1, i + j + 1) for j in range(k)] for i in range(k)], r)
+    return 1 / (c * c / (2 * e + 1) - sum(x * y for x, y in zip(r, coeffs)))
+
+
+def test_power_weight_mu_is_the_rounded_exact_value():
+    assert _power_weight_mu(3, F(1, 2)) == F(1440747, 32)
+    assert _power_weight_mu(3, F(9, 10)) == F(54622906533, 2500000)
+    for alpha in (F(0), F(1, 3), F(1, 2), F(9, 10), F(97, 100)):
+        for k in (1, 2, 3, 6, 12, 24):
+            s = solve(ProblemSpec(k, PowerWeight(alpha), FLOAT))
+            assert s.mu == float(_power_weight_mu(k, alpha)), (alpha, k)
+            assert s.mu_exact is None
+
+
+def test_power_weight_residuals_are_exact_zeros():
+    for alpha in (F(1, 2), F(97, 100)):
+        for k in (1, 6, 24):
+            d = solve(ProblemSpec(k, PowerWeight(alpha), FLOAT)).diagnostics
+            assert d.boundary_residual == 0.0
+            assert d.normalization_residual == 0.0
+            assert d.positivity_certified is None  # no certificate for x^(k-alpha)
+
+
+def test_power_weight_solve_runs_no_quadrature(monkeypatch):
+    from sobolev1d import quadrature, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path called quad_numeric")
+
+    monkeypatch.setattr(quadrature, "quad_numeric", refuse)
+    monkeypatch.setattr(solver, "quad_numeric", refuse)
+    s = solve(ProblemSpec(2, parse_weight("pow:1/2"), FLOAT))
+    assert s.mu == float(_power_weight_mu(2, F(1, 2)))
+
+
+def test_problem_spec_rejects_float_coefficient_weights():
+    weights = (
+        PolyWeight(Polynomial([1.0, -0.5])),
+        PiecewiseWeight(PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)),
+    )
+    for rho in weights:
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(ModeMismatchError):
+                ProblemSpec(1, rho, mode)
 
 
 def test_extremizers_certify_without_sturm_fallback(monkeypatch):
