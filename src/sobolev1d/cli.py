@@ -254,8 +254,10 @@ def cmd_verify(args) -> int:
         degree = max(degree, rho.poly.degree + spec.k)
     gal = galerkin_lambda(spec, GalerkinConfig(degree, EXACT))
     gal_sq = gal.details["lambda_sq"]
-    gap = 1.0 / mu - gal_sq
-    rel_gap = gap * mu
+    # exact gaps; in float mode mu_q is the exact value of the rounded mu
+    mu_q, lam_sq = Fraction(solution.mu), gal.details["lambda_sq_exact"]
+    gap = float(1 / mu_q - lam_sq)
+    rel_gap = float(1 - mu_q * lam_sq)
     gal_ok = rel_gap >= -1e-10  # a valid lower bound never overshoots
     if isinstance(rho, PolyWeight):
         gal_ok = gal_ok and abs(rel_gap) <= 1e-8  # minimizer lies in the span

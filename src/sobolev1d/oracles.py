@@ -11,10 +11,10 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   k-fold antiderivatives of shifted Legendre polynomials, whose Gram matrix
   is diagonal (Shen's Legendre-Galerkin basis): the bound is a plain sum of
   squared loads, built from the monomial moments of rho in integer
-  arithmetic, with no factorization.  Float mode keeps the monomial basis:
-  integration by parts turns each Gram entry into k + 1 Beta integrals, and
-  an incremental LDL^T of the lower triangle yields the whole monotone
-  history for the price of one solve.
+  arithmetic, with no factorization.  Float mode keeps the monomial basis
+  and rounds the same exact loads: integration by parts turns each Gram
+  entry into k + 1 Beta integrals, and an incremental LDL^T of the lower
+  triangle yields the whole monotone history for the price of one solve.
 
 * ``sign_iteration`` -- Picard iteration on the finite-difference analogue
   of the nonlinear eigenproblem (-1)^k u^(2k) = mu rho sign(u): freeze the
@@ -42,14 +42,9 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import NamedTuple, Optional, Sequence
 
-from .polynomials import (
-    PiecewisePolynomial,
-    Polynomial,
-    bridge_poly,
-    monomial,
-    pp_positive_on_open01,
-)
-from .quadrature import quad_numeric
+from .polynomials import PiecewisePolynomial, Polynomial, pp_positive_on_open01
+# uncalled, but perfbench/tracing.py patches this name to count quadrature
+from .quadrature import quad_numeric  # noqa: F401
 from .scalars import EXACT, FLOAT, coerce
 from .solver import ProblemSpec, gaussian_solve
 from .weights import (
@@ -159,39 +154,21 @@ def _monomial_moments(rho: Weight, lo: int, hi: int) -> list:
 
 
 def load_vector(rho: Weight, k: int, degree: int, mode: str) -> list:
-    """r_i = integral of x^k (1-x)^k x^i rho, exact where the weight allows.
+    """r_i = integral of x^k (1-x)^k x^i rho, exact for every weight kind.
 
     Expanding the basis function gives r_i = sum_m (-1)^m C(k, m) M_(k+i+m)
     with the monomial moments M_n = integral x^n rho, computed once for
-    k <= n <= 2k + degree: piece by piece for piecewise-polynomial weights
-    and as 1/(n + 1 - alpha) for power and boundary weights.  Point masses
-    sift, r_i = a^(k+i) (1-a)^k.  Float mode keeps the quadrature route for
-    power and boundary weights as an independent path.
+    k <= n <= 2k + degree: piece by piece for piecewise-polynomial weights,
+    as a^n for a point mass at a and as 1/(n + 1 - alpha) for power and
+    boundary weights.  Float mode rounds the exact loads.
     """
-    if isinstance(rho, DiracWeight):
-        a = rho.a
-        return [a ** (k + i) * (1 - a) ** k for i in range(degree + 1)]
-    if isinstance(rho, (PowerWeight, HardyWeight)) and mode != EXACT:
-        af = float(rho.alpha if isinstance(rho, PowerWeight) else rho.order)
-        out = []
-        for i in range(degree + 1):
-            phi = bridge_poly(k) * monomial(i)
-            out.append(
-                quad_numeric(
-                    lambda x: phi.eval_float(x) * x ** (-af),
-                    0.0,
-                    1.0,
-                    tol=1e-13,
-                    singular_left=af if af > 0 else None,
-                ).value
-            )
-        return out
     moments = _monomial_moments(rho, k, 2 * k + degree)
     signed = [comb(k, m) if m % 2 == 0 else -comb(k, m) for m in range(k + 1)]
-    return [
+    loads = [
         sum(c * moments[i + m] for m, c in enumerate(signed))
         for i in range(degree + 1)
     ]
+    return loads if mode == EXACT else [float(r) for r in loads]
 
 
 def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
@@ -240,7 +217,7 @@ def _monomial_ldl_history(rho: Weight, k: int, N: int) -> tuple:
     """
     # the factorization below reads only the lower triangle j <= i
     G = [[float(gram_entry(k, i, j)) for j in range(i + 1)] for i in range(N + 1)]
-    r = [float(x) for x in load_vector(rho, k, N, FLOAT)]
+    r = load_vector(rho, k, N, FLOAT)
     L = [[None] * (N + 1) for _ in range(N + 1)]
     d = [None] * (N + 1)
     w = [None] * (N + 1)
@@ -322,27 +299,32 @@ def _fd_factor(k: int, n: int) -> _BandedLDL:
     u'(0) = u'(1) = 0 puts 7 in the two corner diagonal entries.  Both
     matrices are symmetric positive definite with half-bandwidth k, so the
     factorization needs no pivoting and fills in nothing outside the band.
+
+    Pivot d_i is the ratio of the leading minors of orders i + 1 and i:
+    i + 2 for k = 1, and (i+2)(i+3)(i^2+5i+7)/6 for k = 2 until the last
+    corner adds 1 to the last pivot.  The multipliers have closed forms
+    too, so every entry is one correctly rounded int / int division and no
+    rounding error accumulates down the band.
     """
+    rows = range(n)
     if k == 1:
-        diag, off1, off2 = [2.0] * n, -1.0, 0.0
+        d = [(i + 2) / (i + 1) for i in rows]
+        l1 = [-i / (i + 1) for i in rows]
+        l2 = [0.0] * n
     elif k == 2:
-        diag, off1, off2 = [6.0] * n, -4.0, 1.0
-        diag[0] = diag[-1] = 7.0
+        d = []
+        for i in rows:
+            num, den = (i + 3) * (i * i + 5 * i + 7), (i + 1) * (i * i + 3 * i + 3)
+            if i == n - 1 and n >= 2:
+                num += den  # the last corner is 7, one more than the interior 6
+            d.append(num / den)
+        l1 = [-2 * i * (i + 1) / (i * i + 3 * i + 3) for i in rows]
+        l2 = [
+            (i - 1) * (i * i - i + 1) / ((i + 1) * (i * i + i + 1)) if i else 0.0
+            for i in rows
+        ]
     else:
         raise ValueError("finite-difference stencils cover k = 1 and 2 only")
-    d, l1, l2 = [], [], []
-    # pivots and first sub-diagonal of the two previous rows; rows before
-    # the first couple to nothing, so any non-zero pivot stands in for them
-    d1 = d2 = 1.0
-    e1 = 0.0
-    for i in range(n):
-        m2 = (off2 if i >= 2 else 0.0) / d2
-        m1 = ((off1 if i >= 1 else 0.0) - m2 * e1 * d2) / d1
-        di = diag[i] - m1 * m1 * d1 - m2 * m2 * d2
-        d.append(di)
-        l1.append(m1)
-        l2.append(m2)
-        d2, d1, e1 = d1, di, m1
     return _BandedLDL(d, l1 + [0.0, 0.0], l2 + [0.0, 0.0], (1.0 / (n + 1)) ** (2 * k))
 
 
@@ -393,6 +375,12 @@ def _kth_difference_energy(k: int, u: list, h: float) -> float:
     return math.fsum(terms)
 
 
+# Picard steps per run, and the relative mu_h change that stops a run early
+# (0 stops only on a repeated sign pattern)
+MAX_PICARD_STEPS = 60
+PICARD_TOL = 0.0
+
+
 class _PicardRun(NamedTuple):
     history: list
     converged: bool
@@ -432,8 +420,6 @@ def _picard(k, A, rho_vec, h, signs, max_iter, tol) -> _PicardRun:
 def sign_iteration(
     spec: ProblemSpec,
     n: int = 199,
-    max_iter: int = 60,
-    tol: float = 0.0,
     initial_signs: Optional[Sequence[float]] = None,
     seed: Optional[int] = None,
 ) -> OracleReport:
@@ -470,10 +456,10 @@ def sign_iteration(
     else:
         signs = [1.0] * n
 
-    run = start = _picard(k, A, rho_vec, h, signs, max_iter, tol)
+    run = start = _picard(k, A, rho_vec, h, signs, MAX_PICARD_STEPS, PICARD_TOL)
     restarted = not start.sign_definite and len(set(signs)) > 1
     if restarted:
-        again = _picard(k, A, rho_vec, h, [1.0] * n, max_iter, tol)
+        again = _picard(k, A, rho_vec, h, [1.0] * n, MAX_PICARD_STEPS, PICARD_TOL)
         if not start.mu_h < again.mu_h:
             run = again
     mu_h = run.mu_h

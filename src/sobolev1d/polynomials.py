@@ -625,24 +625,15 @@ def _piece_positive(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 
 def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:
     """Float minimum over the interior grid points i/n, 0 < i < n; each
-    sample equals pp.eval_float(i / n) bit for bit (see _grid_runs)."""
-    best = float("inf")
-    for coeffs, indices in _grid_runs(pp, n, 1, n):
-        for i in indices:
-            x = i / n
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * x + c
-            if acc < best:
-                best = acc
-    return best
+    sample equals pp.eval_float(i / n) bit for bit."""
+    return min(pp_grid_values(pp, n)[1:-1], default=float("inf"))
 
 
 def pp_grid_values(pp: PiecewisePolynomial, n: int) -> list:
     """[pp.eval_float(i / n) for i in range(n + 1)], bit for bit (see
     _grid_runs)."""
     out = []
-    for coeffs, indices in _grid_runs(pp, n, 0, n + 1):
+    for coeffs, indices in _grid_runs(pp, n):
         for i in indices:
             x = i / n
             acc = 0.0
@@ -652,17 +643,16 @@ def pp_grid_values(pp: PiecewisePolynomial, n: int) -> list:
     return out
 
 
-def _grid_runs(pp: PiecewisePolynomial, n: int, start: int, stop: int):
+def _grid_runs(pp: PiecewisePolynomial, n: int):
     """Per piece, its float coefficients in Horner order and the indices
-    start <= i < stop whose point i/n it owns.
+    0 <= i <= n whose point i/n it owns.
 
     The runs are cut exactly where piece_index switches pieces, and each
     piece's coefficients are converted once, so Horner over them reproduces
     eval_float(i / n) bit for bit.
     """
     cuts = [_first_grid_index(t, n) for t in pp.breakpoints[1:-1]]
-    for p, lo, hi in zip(pp.pieces, [start, *cuts], [*cuts, stop]):
-        lo, hi = max(lo, start), min(hi, stop)
+    for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, n + 1]):
         if lo < hi:  # no grid point: never convert, as eval_float would not
             yield [float(c) for c in reversed(p.coeffs)], range(lo, hi)
 

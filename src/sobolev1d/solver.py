@@ -44,7 +44,8 @@ from .polynomials import (
     from_polynomial,
     pp_equal,
     pp_grid_values,
-    pp_min_on_grid,
+    # uncalled, but perfbench/tracing.py patches this name to time the grid scan
+    pp_min_on_grid,  # noqa: F401
     pp_mul,
     pp_positive_on_open01,
 )
@@ -131,7 +132,8 @@ class DerivativeSeeds:
 class SolveDiagnostics:
     boundary_residual: float = 0.0
     normalization_residual: float = 0.0
-    min_interior_value: float = float("nan")
+    # float grid minimum, only where no positivity certificate runs
+    min_interior_value: Optional[float] = None
     positivity_certified: Optional[bool] = None
     closed_form_mu_checked: bool = False
     pointload_candidate_deviation: Optional[float] = None
@@ -361,8 +363,10 @@ def _value_at_one(f) -> Fraction:
 
 
 def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
-    """Exact boundary and normalization residuals, the float grid minimum
-    and, for a piecewise polynomial, the positivity certificate."""
+    """Exact boundary and normalization residuals and, for a piecewise
+    polynomial, the positivity certificate.  A power-weight extremizer has
+    no certificate; it reports the float minimum over the interior grid
+    instead."""
     rho = spec.rho
     diags = SolveDiagnostics()
     d = u
@@ -382,7 +386,6 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     if isinstance(u, PolyPlusPower):
         diags.min_interior_value = u.min_on_grid()
     else:
-        diags.min_interior_value = pp_min_on_grid(u)
         diags.positivity_certified = pp_positive_on_open01(u)
     return diags
 
@@ -414,12 +417,8 @@ def _hardy_solution(spec: ProblemSpec) -> ExtremalSolution:
     profile = closed_forms.HardyExtremizer()
     assert closed_forms.HardyExtremizer.weighted_integral() == 1
     assert closed_forms.HardyExtremizer.energy() == 1
-    diags = SolveDiagnostics(
-        boundary_residual=0.0,
-        normalization_residual=0.0,
-        min_interior_value=min(profile(i / 4096) for i in range(1, 4096)),
-        positivity_certified=True,  # -x ln x > 0 on (0, 1) since ln x < 0
-    )
+    # -x ln x > 0 on (0, 1) since ln x < 0
+    diags = SolveDiagnostics(positivity_certified=True)
     return _round_at_output(
         ExtremalSolution(
             spec=spec,

@@ -175,6 +175,46 @@ def test_verify_dirac(capsys):
     assert doc["sign_iteration"]["within_5pct"] is True
 
 
+@pytest.mark.parametrize("k", [1, 6, 24])
+def test_constant_reports_a_grid_minimum_only_without_a_certificate(capsys, k):
+    # a float grid scan of a certified extremizer only adds cancellation
+    # noise (about -9.2e9 for chi:1/4,3/4 at k = 24), so none is reported;
+    # x^(k - alpha) terms have no certificate and keep the grid minimum
+    weights = ["poly:1 + x", "pw:[0,1/2]=2*x;[1/2,1]=2-2*x", "chi:1/4,3/4", "dirac:1/3"]
+    if k == 1:
+        weights.append("hardy:1")
+    for weight in weights + ["pow:1/2"]:
+        code, out, _ = run(capsys, "constant", "--k", str(k), "--weight", weight)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        if weight == "pow:1/2":
+            assert isinstance(diagnostics["min_interior_value"], float)
+            assert diagnostics["positivity_certified"] is None
+        else:
+            assert diagnostics["min_interior_value"] is None, weight
+            assert diagnostics["positivity_certified"] is True, weight
+
+
+def test_verify_reports_the_exact_galerkin_gap(capsys):
+    # at k = 18 the float difference 1/mu - lambda^2 cancels to 0.0, while
+    # the exact relative gap is 2.4e-17; pow:1/2 runs in float mode, where
+    # mu is the exact value of the rounded float
+    from sobolev1d.oracles import GalerkinConfig, galerkin_lambda
+    from sobolev1d.scalars import EXACT, FLOAT
+
+    for k, weight, mode in ((18, "chi:3/11,8/13", EXACT), (1, "pow:1/2", FLOAT)):
+        code, out, _ = run(capsys, "verify", "--k", str(k), "--weight", weight)
+        assert code == 0
+        doc = json.loads(out)
+        mu = F(doc["pipeline_mu_exact"] or doc["pipeline_mu"])
+        spec = ProblemSpec(k, parse_weight(weight), mode)
+        gal = galerkin_lambda(spec, GalerkinConfig(doc["galerkin"]["N"]))
+        lam_sq = gal.details["lambda_sq_exact"]
+        assert doc["galerkin"]["gap"] == float(1 / mu - lam_sq), weight
+        assert doc["galerkin"]["relative_gap"] == float(1 - mu * lam_sq), weight
+        assert doc["galerkin"]["relative_gap"] > 0, weight
+
+
 def test_sweep_power(capsys):
     code, out, _ = run(
         capsys,

@@ -257,14 +257,51 @@ def test_galerkin_float_mode_ill_conditioned():
 
 
 def test_galerkin_power_weight_float_quadrature_route():
-    # float mode integrates the load against x^(-alpha) numerically; at a
-    # modest degree it must agree with the exact monomial-moment route
+    # float mode rounds the exact loads into the monomial-basis LDL^T; at a
+    # modest degree it must agree with the exact Legendre route
     spec = ProblemSpec(1, parse_weight("pow:1/2"), FLOAT)
     exact = galerkin_lambda(spec, GalerkinConfig(8))
     floaty = galerkin_lambda(spec, GalerkinConfig(8, FLOAT))
     assert floaty.details["lambda_sq"] == pytest.approx(
         exact.details["lambda_sq"], rel=1e-9
     )
+
+
+SIX_KINDS = (
+    "poly:1 + x^2",
+    "pw:[0,1/3]=1+x;[1/3,1]=2-x",
+    "chi:1/4,3/4",
+    "dirac:1/3",
+    "pow:1/2",
+    "hardy:1",
+)
+
+
+def test_float_load_vector_rounds_the_exact_loads():
+    for text in SIX_KINDS:
+        rho = parse_weight(text)
+        for k in (1, 2, 3):
+            for N in (0, 4, 12):
+                exact = load_vector(rho, k, N, EXACT)
+                rounded = [float(r) for r in exact]
+                assert load_vector(rho, k, N, FLOAT) == rounded, (text, k, N)
+
+
+def test_float_galerkin_and_solves_run_no_quadrature(monkeypatch):
+    from sobolev1d import quadrature, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad_numeric was called")
+
+    for module in (quadrature, oracles, solver):
+        monkeypatch.setattr(module, "quad_numeric", refuse)
+    for text in SIX_KINDS:
+        rho = parse_weight(text)
+        for k in (1, 2):
+            spec = ProblemSpec(k, rho, FLOAT)
+            assert galerkin_lambda(spec, GalerkinConfig(6, FLOAT)).lambda_estimate > 0
+            if text != "hardy:1" or k == 1:  # 1/x is served at order 1 only
+                assert solve(spec).mu > 0
 
 
 # -- sign iteration ---------------------------------------------------------
@@ -281,6 +318,48 @@ def test_sign_iteration_uniform_k2():
     report = sign_iteration(ProblemSpec(2, parse_weight("poly:1")), n=199)
     assert report.sign_definite
     assert abs(report.details["mu_h"] - 720.0) <= 720.0 * 0.02
+
+
+def _fraction_stencil_ldl(k, n):
+    """Exact LDL^T of the clamped stencil (corners 7 for k = 2), as
+    (d, l1, l2) with l1[i] = L[i][i-1] and l2[i] = L[i][i-2]; L has no fill
+    outside the band, so only the band is eliminated."""
+    band = (2, -1) if k == 1 else (6, -4, 1)
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for off, v in enumerate(band):
+            if i + off < n:
+                A[i][i + off] = A[i + off][i] = v
+    if k == 2:
+        A[0][0] = A[-1][-1] = 7
+    L, d = {}, []
+    for i in range(n):
+        lo = max(0, i - k)
+        for j in range(lo, i):
+            s = F(A[i][j]) - sum(L[i, m] * L[j, m] * d[m] for m in range(lo, j))
+            L[i, j] = s / d[j]
+        d.append(A[i][i] - sum(L[i, m] ** 2 * d[m] for m in range(lo, i)))
+    l1 = [L.get((i, i - 1), F(0)) for i in range(n)]
+    l2 = [L.get((i, i - 2), F(0)) for i in range(n)]
+    return d, l1, l2
+
+
+def test_fd_factor_entries_are_the_rounded_exact_ldl():
+    for k in (1, 2):
+        for n in range(1, 61):
+            d, l1, l2 = _fraction_stencil_ldl(k, n)
+            factor = oracles._fd_factor(k, n)
+            assert factor.d == [float(x) for x in d], (k, n)
+            assert factor.l1 == [float(x) for x in l1] + [0.0, 0.0], (k, n)
+            assert factor.l2 == [float(x) for x in l2] + [0.0, 0.0], (k, n)
+
+
+def test_sign_iteration_k2_is_accurate_on_a_fine_grid():
+    # a float pivot recurrence drifted to mu_h = 734.26 for poly:1 here
+    cases = (("poly:1", F(720), 1e-6), ("chi:1/4,3/4", F(46080, 163), 1e-4))
+    for text, mu, rel in cases:
+        report = sign_iteration(ProblemSpec(2, parse_weight(text)), n=100000)
+        assert abs(F(report.details["mu_h"]) - mu) <= rel * mu, text
 
 
 def test_sign_iteration_adversarial_alternating():

@@ -620,3 +620,24 @@ def test_extremizers_certify_without_sturm_fallback(monkeypatch):
     monkeypatch.setattr(polynomials, "sturm_chain", no_sturm)
     for rho, k in weights:
         assert solve(ProblemSpec(k=k, rho=rho)).diagnostics.positivity_certified is True
+
+
+def test_certified_solves_run_no_grid_scan(monkeypatch):
+    from sobolev1d import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified extremizer was grid-scanned")
+
+    monkeypatch.setattr(solver, "pp_min_on_grid", refuse)
+    cases = (
+        ("poly:1 + x", 6),
+        ("pw:[0,1/3]=1+x;[1/3,1]=2-x", 3),
+        ("chi:1/4,3/4", 6),
+        ("dirac:1/3", 2),
+        ("hardy:1", 1),
+    )
+    for text, k in cases:
+        for mode in (EXACT, FLOAT):
+            d = solve(ProblemSpec(k, parse_weight(text), mode)).diagnostics
+            assert d.positivity_certified is True, (text, mode)
+            assert d.min_interior_value is None, (text, mode)
