@@ -24,7 +24,8 @@ Three unrelated routes, none of which shares arithmetic with the solver:
 * ``max_principle_check`` -- the positivity of the clamped polyharmonic
   problem with non-negative load, checked exactly (Bernstein certificate
   with Sturm fallback) for polynomial loads at any order, or on a grid for
-  orders 1 and 2.
+  orders 1 and 2.  The exact solution is the 2k-fold antiderivative of the
+  load plus x^k R(x), deg R < k, fixed by the clamped conditions at 1.
 
 Both grid routes share one linear solver.  The clamped stencils for orders 1
 and 2 are symmetric positive definite band matrices of half-bandwidth 1 or
@@ -37,16 +38,24 @@ stream), so importing this module does not.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import NamedTuple, Optional, Sequence
 
-from .polynomials import PiecewisePolynomial, Polynomial, pp_positive_on_open01
+from .polynomials import (
+    PiecewisePolynomial,
+    Polynomial,
+    derivatives_at_one,
+    kfold_antiderivative,
+    pp_positive_on_open01,
+    taylor_shift,
+)
 # uncalled, but perfbench/tracing.py patches this name to count quadrature
 from .quadrature import quad_numeric  # noqa: F401
 from .scalars import EXACT, FLOAT, coerce
-from .solver import ProblemSpec, gaussian_solve
+from .solver import ProblemSpec
 from .weights import (
     DiracWeight,
     HardyWeight,
@@ -347,6 +356,13 @@ def _band_solve(factor: _BandedLDL, rhs: Sequence[float]) -> list:
 
 
 def _weight_on_grid(rho: Weight, x: list, h: float) -> list:
+    """rho at the increasing nodes x, equal bit for bit to eval_weight node
+    by node; a point mass is spread over its two nearest nodes instead.
+
+    Nodes are assigned to pieces once, by the exact float-Fraction
+    comparisons piece_index makes (an indicator's interval is closed), and
+    each piece's coefficients are converted to floats once.
+    """
     if isinstance(rho, DiracWeight):
         # nearest-node sifting with linear interpolation correction
         a = float(rho.a)
@@ -358,6 +374,25 @@ def _weight_on_grid(rho: Weight, x: list, h: float) -> list:
         if 0 <= j + 1 < len(x):
             vals[j + 1] = theta / h
         return vals
+    if isinstance(rho, IndicatorWeight):
+        lo, hi = bisect_left(x, rho.a), bisect_right(x, rho.b)
+        return [0.0] * lo + [float(rho.height)] * (hi - lo) + [0.0] * (len(x) - hi)
+    if isinstance(rho, (PolyWeight, PiecewiseWeight)):
+        pp = as_piecewise(rho)
+        # a node belongs to the last piece whose left breakpoint is <= it
+        cuts = [bisect_left(x, t) for t in pp.breakpoints[1:-1]]
+        vals = []
+        for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, len(x)]):
+            coeffs = [float(c) for c in reversed(p.coeffs)]
+            for xi in x[lo:hi]:
+                acc = 0.0
+                for c in coeffs:
+                    acc = acc * xi + c
+                vals.append(acc)
+        return vals
+    if isinstance(rho, PowerWeight) and rho.alpha != 0:
+        e = -float(rho.alpha)
+        return [xi**e for xi in x]
     return [eval_weight(rho, xi) for xi in x]
 
 
@@ -375,10 +410,8 @@ def _kth_difference_energy(k: int, u: list, h: float) -> float:
     return math.fsum(terms)
 
 
-# Picard steps per run, and the relative mu_h change that stops a run early
-# (0 stops only on a repeated sign pattern)
+# Picard steps per run; a run stops early only on a repeated sign pattern
 MAX_PICARD_STEPS = 60
-PICARD_TOL = 0.0
 
 
 class _PicardRun(NamedTuple):
@@ -389,14 +422,13 @@ class _PicardRun(NamedTuple):
     sign_definite: bool
 
 
-def _picard(k, A, rho_vec, h, signs, max_iter, tol) -> _PicardRun:
+def _picard(k, A, rho_vec, h, signs, max_iter) -> _PicardRun:
     """One Picard run from the sign pattern ``signs``; ``A`` is the factor
     from :func:`_fd_factor`, shared by every step."""
     history = []
     converged = False
     mu_h = float("nan")
     u = [0.0] * len(signs)
-    prev_mu = None
     for it in range(max_iter):
         u = _band_solve(A, [r * s for r, s in zip(rho_vec, signs)])
         # trapezoid: ends vanish
@@ -410,9 +442,6 @@ def _picard(k, A, rho_vec, h, signs, max_iter, tol) -> _PicardRun:
         if new_signs == signs:
             converged = True
             break
-        if tol > 0 and prev_mu is not None and abs(mu_h - prev_mu) <= tol * abs(mu_h):
-            break
-        prev_mu = mu_h
         signs = new_signs
     return _PicardRun(history, converged, mu_h, u, len(set(signs)) == 1)
 
@@ -456,10 +485,10 @@ def sign_iteration(
     else:
         signs = [1.0] * n
 
-    run = start = _picard(k, A, rho_vec, h, signs, MAX_PICARD_STEPS, PICARD_TOL)
+    run = start = _picard(k, A, rho_vec, h, signs, MAX_PICARD_STEPS)
     restarted = not start.sign_definite and len(set(signs)) > 1
     if restarted:
-        again = _picard(k, A, rho_vec, h, [1.0] * n, MAX_PICARD_STEPS, PICARD_TOL)
+        again = _picard(k, A, rho_vec, h, [1.0] * n, MAX_PICARD_STEPS)
         if not start.mu_h < again.mu_h:
             run = again
     mu_h = run.mu_h
@@ -491,32 +520,35 @@ def _solve_clamped_bvp_exact(k: int, load: PiecewisePolynomial) -> PiecewisePoly
     polynomial.
 
     Particular solution: 2k-fold antiderivative of (-1)^k f (all derivatives
-    vanish at 0).  Homogeneous correction: sum c_i x^i over i = k..2k-1 (the
+    vanish at 0).  Homogeneous correction: x^k R(x) with deg R < k (the
     lower coefficients stay zero because of the left boundary conditions),
-    with the c_i fixed by the k right boundary conditions.
+    fixed by the k right boundary conditions, which read the particular
+    solution's derivatives at 1 off its last piece.
     """
-    sign = Fraction((-1) ** k)
-    particular = load.scale(sign)
-    for _ in range(2 * k):
-        particular = particular.antiderivative()
-    # right-boundary conditions: w^(j)(1) = 0 for j = 0..k-1
-    rows = []
-    rhs = []
-    d = particular
-    for j in range(k):
-        rows.append(
-            [
-                Fraction(factorial(i), factorial(i - j))  # d^j/dx^j x^i at x = 1
-                for i in range(k, 2 * k)
-            ]
-        )
-        rhs.append(-d.pieces[-1](Fraction(1)))
-        d = d.derivative()
-    coeffs = gaussian_solve(rows, rhs)
-    correction = Polynomial(
-        [Fraction(0)] * k + [Fraction(c) for c in coeffs], EXACT
-    )
-    return particular.add_polynomial(correction)
+    particular = kfold_antiderivative(load.scale(Fraction((-1) ** k)), 2 * k)
+    targets = derivatives_at_one(particular.pieces[-1], k)
+    return particular.add_polynomial(_right_boundary_correction(k, targets))
+
+
+def _right_boundary_correction(k: int, targets: Sequence[Fraction]) -> Polynomial:
+    """H = x^k R(x), deg R < k, with H^(j)(1) = -targets[j] for j < k.
+
+    In y = x - 1, H(1 + y) = (1 + y)^k R(1 + y) has the Taylor coefficients
+    -targets[j]/j! below y^k, so R(1 + y) is their series times
+    (1 + y)^(-k) = sum_n (-1)^n C(k-1+n, n) y^n, cut below y^k; a Taylor
+    shift by -1 gives R(x).  Everything is integer arithmetic over
+    D (k-1)!, with D the targets' common denominator.
+    """
+    den = math.lcm(*(v.denominator for v in targets))
+    top = factorial(k - 1)
+    tau = [
+        -v.numerator * (den // v.denominator) * (top // factorial(j))
+        for j, v in enumerate(targets)
+    ]
+    series = [(-1) ** n * comb(k - 1 + n, n) for n in range(k)]
+    r = [sum(tau[j] * series[n - j] for j in range(n + 1)) for n in range(k)]
+    taylor_shift(r, -1)
+    return Polynomial([0] * k + [Fraction(c, den * top) for c in r], EXACT)
 
 
 def max_principle_check(

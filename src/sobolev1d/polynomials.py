@@ -18,7 +18,7 @@ checks C^m smoothness where a caller needs it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, factorial, lcm
+from math import ceil, factorial, gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce, mode_of
@@ -177,10 +177,107 @@ def bridge_poly(k: int, mode: str = EXACT) -> Polynomial:
     return p
 
 
-def kfold_antiderivative(p: Polynomial, k: int) -> Polynomial:
-    for _ in range(k):
-        p = p.antiderivative()
-    return p
+def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
+    """The m-fold antiderivative of a Polynomial or PiecewisePolynomial,
+    equal to m successive ``antiderivative()`` calls, in one pass.
+
+    A polynomial sum c_i x^i becomes sum c_i i!/(i+m)! x^(i+m).  On a
+    piecewise polynomial each piece gets that plain term plus a correction
+    of degree < m: the Taylor polynomial, at the piece's left breakpoint, of
+    the previous piece's result minus the plain term, so that derivatives
+    0..m-1 are continuous there (the first piece needs none, as every
+    derivative of both vanishes at 0).  Exact pieces are handled in integer
+    arithmetic over one denominator per piece; float ones by the loop.
+    """
+    if p.mode != EXACT:
+        for _ in range(m):
+            p = p.antiderivative()
+        return p
+    if isinstance(p, Polynomial):
+        nums, den = _plain_antiderivative(p, m)
+        return _exact_polynomial(nums, den)
+    pieces = []
+    prev = None  # the previous piece's result: (numerators, denominator)
+    for a, q in zip(p.breakpoints, p.pieces):
+        nums, den = _plain_antiderivative(q, m)
+        if prev is not None:
+            nums, den = _add_taylor_correction(nums, den, prev, a, m)
+        prev = nums, den
+        pieces.append(_exact_polynomial(nums, den))
+    return PiecewisePolynomial(p.breakpoints, pieces)
+
+
+def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
+    """sum c_i i!/(i+m)! x^(i+m) as integer numerators over one denominator:
+    with c_i = N_i / D and n = deg p, the x^(i+m) numerator is
+    N_i i! (n+m)!/(i+m)! over D (n+m)!."""
+    n = p.degree
+    if n < 0:
+        return [], 1
+    den = lcm(*(c.denominator for c in p.coeffs))
+    nums = [0] * m
+    ratio = factorial(n + m) // factorial(m)  # i! (n+m)!/(i+m)! at i = 0
+    for i, c in enumerate(p.coeffs):
+        nums.append(c.numerator * (den // c.denominator) * ratio)
+        ratio = ratio * (i + 1) // (i + m + 1)
+    return nums, den * factorial(n + m)
+
+
+def _add_taylor_correction(nums, den, prev, a: Fraction, m: int):
+    """nums/den plus the degree < m Taylor polynomial at a of prev - nums/den.
+
+    With G = prev - nums/den over L of degree n and a = s/t, the integer
+    polynomial t^n L G((s + y)/t) is a Taylor shift by s; its coefficients
+    h_r below y^m give G's Taylor part as sum h_r (t x - s)^r / (t^n L),
+    and a shift of h_0..h_(m-1) by -s gives its x^r coefficient e_r over
+    t^(n-r) L.  The sum is reduced by the gcd of all its integers.
+    """
+    prev_nums, prev_den = prev
+    big = lcm(den, prev_den)
+    fp, fq = big // prev_den, big // den
+    size = max(len(nums), len(prev_nums))
+    g = [0] * size
+    for i, c in enumerate(prev_nums):
+        g[i] = c * fp
+    for i, c in enumerate(nums):
+        g[i] -= c * fq
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return nums, den
+    n = len(g) - 1
+    s, t = a.numerator, a.denominator
+    t_pow = [t**i for i in range(n + 1)]
+    h = [c * t_pow[n - i] for i, c in enumerate(g)]
+    taylor_shift(h, s)
+    e = h[:m]
+    taylor_shift(e, -s)
+    out = [c * fq * t_pow[n] for c in nums] + [0] * (len(e) - len(nums))
+    for r, c in enumerate(e):
+        out[r] += c * t_pow[r]
+    out_den = big * t_pow[n]
+    common = gcd(out_den, *out)
+    return [c // common for c in out], out_den // common
+
+
+def _exact_polynomial(nums: list[int], den: int) -> Polynomial:
+    return Polynomial([Fraction(c, den) for c in nums], EXACT)
+
+
+def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
+    """p^(j)(1) = sum_{i >= j} c_i i!/(i-j)! for j < count, for an exact p.
+
+    The falling factorials are stepped in integers over one denominator:
+    the i-th term picks up the factor (i - j) on the way from order j to
+    order j + 1.
+    """
+    den = lcm(*(c.denominator for c in p.coeffs))
+    terms = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    out = []
+    for j in range(count):
+        out.append(Fraction(sum(terms), den))
+        terms = [c * (i - j) for i, c in enumerate(terms)]
+    return out
 
 
 def kth_derivative(p: Polynomial, k: int) -> Polynomial:
@@ -356,7 +453,7 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 BERNSTEIN_MAX_BOXES = 64
 
 
-def _taylor_shift(c: list[int], s: int) -> None:
+def taylor_shift(c: list[int], s: int) -> None:
     """Turn the coefficients of p(x) into those of p(x + s), in place."""
     n = len(c)
     for i in range(n - 1):
@@ -382,12 +479,12 @@ def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[in
         coef.numerator * (den // coef.denominator) * d ** (n - i)
         for i, coef in enumerate(p.coeffs)
     ]
-    _taylor_shift(c, a)
+    taylor_shift(c, a)
     w = b - a
     c = [ci * w**i for i, ci in enumerate(c)]
     # sum_i c_i t^i (1 + t)^(n - i) carries the coefficients binom(n, j) beta_j
     c.reverse()
-    _taylor_shift(c, 1)
+    taylor_shift(c, 1)
     c.reverse()
     return [cj * factorial(j) * factorial(n - j) for j, cj in enumerate(c)]
 

@@ -62,8 +62,31 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "p/q" rendering (plain integer when q == 1)."""
+    """Canonical "p/q" rendering (plain integer when q == 1), for integers
+    of any length."""
     value = Fraction(value)
+    num = _format_integer(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{_format_integer(value.denominator)}"
+
+
+# Digits of one chunk: far below the interpreter's int -> str digit limit
+# (4300 by default), which this conversion leaves as it is.
+_CHUNK_DIGITS = 1000
+
+
+def _format_integer(n: int, width: int = 0) -> str:
+    """Decimal digits of n, zero-padded to ``width``, for any length.
+
+    Larger integers are split in two by a power of ten, high and low halves
+    converted alike, until each chunk has about _CHUNK_DIGITS digits.
+    """
+    if n < 0:
+        return "-" + _format_integer(-n)
+    digits = n.bit_length() * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+    if digits <= _CHUNK_DIGITS:
+        return str(n).zfill(width)
+    half = digits // 2
+    high, low = divmod(n, 10**half)
+    return _format_integer(high, width - half) + _format_integer(low, half)

@@ -41,6 +41,7 @@ from . import closed_forms
 from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
+    derivatives_at_one,
     from_polynomial,
     pp_equal,
     pp_grid_values,
@@ -282,9 +283,6 @@ class PolyPlusPower:
     def antiderivative(self) -> "PolyPlusPower":
         return PolyPlusPower(self.poly.antiderivative(), self.term.antiderivative())
 
-    def derivative(self) -> "PolyPlusPower":
-        return PolyPlusPower(self.poly.derivative(), self.term.derivative())
-
     def scale(self, c) -> "PolyPlusPower":
         return PolyPlusPower(self.poly.scale(c), self.term.scale(c))
 
@@ -356,10 +354,18 @@ def assemble_u(spec: ProblemSpec, seeds: DerivativeSeeds, mu: Fraction, v):
     return u, _diagnostics(spec, u)
 
 
-def _value_at_one(f) -> Fraction:
-    if isinstance(f, PiecewisePolynomial):
-        return f.pieces[-1](f.breakpoints[-1])
-    return f.poly(1) + f.term.coefficient  # x^e = 1 at x = 1
+def _derivatives_at_one(u, k: int) -> list:
+    """u^(j)(1) for j < k from the last piece, or from the polynomial part
+    plus c x^e, whose j-th derivative at 1 is the same falling factorial
+    c e(e-1)...(e-j+1)."""
+    if isinstance(u, PiecewisePolynomial):
+        return derivatives_at_one(u.pieces[-1], k)
+    values = derivatives_at_one(u.poly, k)
+    c, e = u.term.coefficient, u.term.exponent
+    for j in range(k):
+        values[j] += c
+        c *= e - j
+    return values
 
 
 def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
@@ -369,12 +375,9 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     instead."""
     rho = spec.rho
     diags = SolveDiagnostics()
-    d = u
-    for j in range(spec.k):
-        value = _value_at_one(d)
+    for j, value in enumerate(_derivatives_at_one(u, spec.k)):
         if value != 0:
             raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
-        d = d.derivative()
     # normalization: integral of u rho must be 1 (point mass: u(a) = 1)
     if isinstance(rho, DiracWeight):
         norm = u(rho.a)

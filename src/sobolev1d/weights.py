@@ -31,6 +31,7 @@ from .polynomials import (
     constant,
     from_polynomial,
     is_nonnegative_on,
+    kfold_antiderivative,
 )
 from .scalars import EXACT, Scalar, format_rational, parse_rational
 
@@ -298,9 +299,6 @@ class PowerLawTerm:
         e = self.exponent + 1
         return PowerLawTerm(self.coefficient / e, e)
 
-    def derivative(self) -> "PowerLawTerm":
-        return PowerLawTerm(self.coefficient * self.exponent, self.exponent - 1)
-
     def scale(self, c) -> "PowerLawTerm":
         return PowerLawTerm(self.coefficient * c, self.exponent)
 
@@ -329,11 +327,7 @@ def iterated_integral(rho: Weight, k: int):
         return PiecewisePolynomial(
             [Fraction(0), a, Fraction(1)], [Polynomial((), EXACT), shifted]
         )
-    pp = as_piecewise(rho)
-    out = pp
-    for _ in range(k):
-        out = out.antiderivative()
-    return out
+    return kfold_antiderivative(as_piecewise(rho), k)
 
 
 def eval_weight(rho: Weight, x: float) -> float:

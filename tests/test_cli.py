@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from sobolev1d.cli import (
     _sweep_values,
     main,
 )
+from sobolev1d.scalars import format_rational
 from sobolev1d.solver import ProblemSpec, solve
 from sobolev1d.weights import MAX_DEGREE, parse_weight
 
@@ -266,6 +268,25 @@ def test_sweep_indicator_shrinks_to_dirac(capsys):
     assert all(a < b for a, b in zip(mus, mus[1:]))
     assert mus[0] == pytest.approx(12.0 / (3.0 - 4.0 * 0.05), rel=1e-12)
     assert mus[0] > 4.0
+
+
+def test_format_rational_renders_integers_past_the_str_digit_limit():
+    assert format_rational(F(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert format_rational(F(-(10**4400))) == "-1" + "0" * 4400
+
+
+def test_constant_prints_a_mu_past_the_str_digit_limit(capsys, monkeypatch):
+    import sobolev1d.cli as cli
+
+    big = F(10**5000 + 1, 3 * 10**4999)
+
+    def huge_solve(spec):
+        return replace(solve(spec), mu=big)
+
+    monkeypatch.setattr(cli, "solve", huge_solve)
+    code, out, _ = run(capsys, "constant", "--k", "1", "--weight", "poly:1")
+    assert code == 0
+    assert json.loads(out)["mu_exact"] == "1" + "0" * 4999 + "1/3" + "0" * 4999
 
 
 def test_exit_code_input_error(capsys):

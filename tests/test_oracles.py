@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import random_fraction
+from conftest import frac_solve, random_fraction
 from sobolev1d import oracles
 from sobolev1d.oracles import (
     GalerkinConfig,
@@ -16,6 +17,7 @@ from sobolev1d.oracles import (
     sign_iteration,
 )
 from sobolev1d.polynomials import (
+    PiecewisePolynomial,
     Polynomial,
     bridge_poly,
     from_polynomial,
@@ -27,9 +29,11 @@ from sobolev1d.scalars import EXACT, FLOAT
 from sobolev1d.solver import ProblemSpec, solve
 from sobolev1d.weights import (
     DiracWeight,
+    PiecewiseWeight,
     PolyWeight,
     UnsupportedWeightError,
     as_piecewise,
+    eval_weight,
     parse_weight,
 )
 
@@ -411,12 +415,28 @@ def test_sign_iteration_restarts_from_a_non_minimizing_critical_point():
     assert not constant.details["restarted"]
 
 
+def test_weight_on_grid_is_eval_weight_bit_for_bit():
+    rng = random.Random(515)
+    fixed = ("chi:1/4,3/4", "chi:0,1", "pow:0", "pow:999/1000", "pw:[0,1/2]=1;[1/2,1]=x")
+    weights = [parse_weight(t) for t in fixed]  # nodes hit 1/4, 1/2 and 3/4 exactly
+    for _ in range(8):
+        weights.append(_random_nonneg_load(rng))
+        weights.append(parse_weight(f"pow:{rng.randint(0, 19)}/20"))
+    for rho in weights:
+        for n in (9, 10, 99, 199, 1000, 4095):
+            h = 1.0 / (n + 1)
+            x = [(i + 1) * h for i in range(n)]
+            got = oracles._weight_on_grid(rho, x, h)
+            expected = [eval_weight(rho, xi) for xi in x]
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (rho, n)
+
+
 def test_sign_iteration_keeps_a_lower_energy_sign_changing_run(monkeypatch):
     # a sign-changing fixed point below the constant start's energy would be
     # evidence against sign-definiteness, so it must not be replaced
     runs = iter([(3.0, False), (5.0, True)])
 
-    def fake_picard(k, A, rho_vec, h, signs, max_iter, tol):
+    def fake_picard(k, A, rho_vec, h, signs, max_iter):
         mu_h, sign_definite = next(runs)
         return oracles._PicardRun([(0, mu_h)], True, mu_h, np.zeros(len(signs)), sign_definite)
 
@@ -501,6 +521,50 @@ def test_max_principle_random_loads_exact():
             report = max_principle_check(k, PolyWeight(load))
             assert report.sign_definite
             assert report.details["route"] == "exact"
+
+
+def _clamped_solution_by_loop(k, load):
+    """(-1)^k w^(2k) = load, clamped: 2k successive antiderivatives, then
+    x^k..x^(2k-1) fixed by derivative rows at 1 and frac_solve."""
+    particular = load.scale(F((-1) ** k))
+    for _ in range(2 * k):
+        particular = particular.antiderivative()
+    rows, rhs, d = [], [], particular
+    for j in range(k):
+        rows.append([math.perm(i, j) for i in range(k, 2 * k)])
+        rhs.append(-d.pieces[-1](F(1)))
+        d = d.derivative()
+    coeffs = frac_solve(rows, rhs)
+    return particular.add_polynomial(Polynomial([0] * k + coeffs))
+
+
+def _random_nonneg_load(rng):
+    kind = rng.choice(("poly", "pw", "chi"))
+    if kind == "chi":
+        den = rng.randint(2, 12)
+        a, b = sorted(rng.sample(range(den + 1), 2))
+        return parse_weight(f"chi:{a}/{den},{b}/{den}")
+    if kind == "poly":
+        q = Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 3))])
+        return PolyWeight(q * q + Polynomial([F(1, 50)]))
+    cut = F(rng.randint(1, 6), 7)
+    pieces = []
+    for _ in range(2):
+        q = Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 2))])
+        pieces.append(q * q + Polynomial([random_fraction(rng, 0, 2)]))
+    return PiecewiseWeight(PiecewisePolynomial([F(0), cut, F(1)], pieces))
+
+
+def test_max_principle_solution_equals_the_successive_antiderivative_solve():
+    rng = random.Random(6060)
+    for k in (1, 2, 3, 4, 5, 6):
+        for _ in range(4):
+            rho = _random_nonneg_load(rng)
+            if not any(p.coeffs for p in as_piecewise(rho).pieces):
+                continue
+            report = max_principle_check(k, rho)
+            assert report.details["route"] == "exact"
+            assert report.details["solution"] == _clamped_solution_by_loop(k, as_piecewise(rho))
 
 
 def test_max_principle_grid_route():

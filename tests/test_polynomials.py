@@ -10,6 +10,7 @@ from sobolev1d.polynomials import (
     bernstein_coefficients,
     bernstein_positive,
     bridge_poly,
+    derivatives_at_one,
     from_polynomial,
     is_nonnegative_on,
     is_positive_on_open,
@@ -63,6 +64,55 @@ def test_kfold_antiderivative_of_one(k):
 
     expected = Polynomial([0] * k + [F(1, factorial(k))])
     assert kfold_antiderivative(ONE, k) == expected
+
+
+def _successive_antiderivatives(p, m):
+    for _ in range(m):
+        p = p.antiderivative()
+    return p
+
+
+def _random_piecewise(rng, pieces, max_degree):
+    """Breakpoints with denominators up to 50; pieces of degree 0..max_degree."""
+    cuts = set()
+    while len(cuts) < pieces - 1:
+        den = rng.randint(2, 50)
+        cuts.add(F(rng.randint(1, den - 1), den))
+    polys = [
+        Polynomial([F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(rng.randint(1, max_degree + 1))])
+        for _ in range(pieces)
+    ]
+    return PiecewisePolynomial([F(0), *sorted(cuts), F(1)], polys)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 24, 48, 80])
+def test_kfold_antiderivative_equals_successive_antiderivatives(m):
+    rng = random.Random(9000 + m)
+    for trial in range(12 if m <= 12 else 4):
+        pp = _random_piecewise(rng, 1 + trial % 5, 8)
+        got = kfold_antiderivative(pp, m)
+        assert got == _successive_antiderivatives(pp, m)
+        assert kfold_antiderivative(pp.pieces[-1], m) == _successive_antiderivatives(pp.pieces[-1], m)
+    # zero pieces and a zero order
+    pp = PiecewisePolynomial([F(0), F(1, 3), F(1)], [Polynomial(), Polynomial([F(2, 7), 1])])
+    assert kfold_antiderivative(pp, m) == _successive_antiderivatives(pp, m)
+    assert kfold_antiderivative(pp, 0) == pp
+
+
+def test_kfold_antiderivative_float_mode_loops():
+    pp = _random_piecewise(random.Random(77), 3, 4).to_float()
+    assert kfold_antiderivative(pp, 5) == _successive_antiderivatives(pp, 5)
+
+
+def test_derivatives_at_one_are_falling_factorial_sums():
+    rng = random.Random(4242)
+    for _ in range(20):
+        p = Polynomial([F(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(rng.randint(0, 10))])
+        d, expected = p, []
+        for _ in range(12):
+            expected.append(d(F(1)))
+            d = d.derivative()
+        assert derivatives_at_one(p, 12) == expected
 
 
 def test_exact_ring_identities():

@@ -24,9 +24,13 @@ from sobolev1d.polynomials import (
 from sobolev1d.quadrature import quad_numeric
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError
 from sobolev1d.solver import (
+    BoundaryResidualError,
     LinearSystem,
+    PolyPlusPower,
     ProblemSpec,
     ZeroWeightError,
+    _diagnostics,
+    assemble_u,
     assemble_uk,
     build_matrix,
     closed_form,
@@ -412,6 +416,37 @@ def test_boundary_conditions_exact():
             assert d.pieces[0](F(0)) == 0
             assert d.pieces[-1](F(1)) == 0
             d = d.derivative()
+
+
+def _exact_power_extremizer(k, alpha):
+    """The exact PolyPlusPower u that solve rounds for pow:alpha."""
+    spec = ProblemSpec(k, parse_weight(f"pow:{alpha}"), FLOAT)
+    seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
+    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+    u, _ = assemble_u(spec, seeds, compute_mu(v), v)
+    return spec, u
+
+
+def test_a_nonzero_boundary_derivative_at_one_raises():
+    rng = random.Random(2718)
+    for k in (1, 2, 3, 6):
+        spec = ProblemSpec(k, parse_weight("pw:[0,1/3]=1;[1/3,1]=x"))
+        u = solve(spec).u
+        power_spec, power_u = _exact_power_extremizer(k, "1/2")
+        _diagnostics(spec, u)
+        _diagnostics(power_spec, power_u)
+        for j in range(k):
+            # c (x - 1)^j changes u^(j)(1) by c j! and no lower derivative
+            bump = Polynomial([1])
+            for _ in range(j):
+                bump = bump * Polynomial([-1, 1])
+            bump = bump.scale(random_fraction(rng, 1, 3))
+            bad = PiecewisePolynomial(u.breakpoints, [*u.pieces[:-1], u.pieces[-1] + bump])
+            with pytest.raises(BoundaryResidualError, match=rf"u\^\({j}\)\(1\)"):
+                _diagnostics(spec, bad)
+            bad_power = PolyPlusPower(power_u.poly + bump, power_u.term)
+            with pytest.raises(BoundaryResidualError, match=rf"u\^\({j}\)\(1\)"):
+                _diagnostics(power_spec, bad_power)
 
 
 def test_normalization_exact():
