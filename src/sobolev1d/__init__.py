@@ -9,7 +9,13 @@ the smallest Lambda with
 together with the extremizer achieving it, using exact rational arithmetic
 for piecewise-polynomial-type weights, and verifies the results with
 independent Galerkin, finite-difference and maximum-principle oracles.
+
+The ``oracles`` and ``quadrature`` modules, and the names taken from them
+below, are loaded on first access, so a process that solves without
+verifying never compiles them.
 """
+
+import sys
 
 from .closed_forms import (
     HardyExtremizer,
@@ -19,17 +25,7 @@ from .closed_forms import (
     uniform_minimizer,
     uniform_mu,
 )
-from .oracles import (
-    GalerkinConfig,
-    IllConditionedError,
-    OracleReport,
-    PositivityViolatedError,
-    galerkin_lambda,
-    max_principle_check,
-    sign_iteration,
-)
 from .polynomials import PiecewisePolynomial, Polynomial
-from .quadrature import QuadratureNonConvergence, QuadratureResult, quad_numeric
 from .scalars import EXACT, FLOAT, ModeMismatchError
 from .solver import (
     BoundaryResidualError,
@@ -71,6 +67,35 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "oracles": (
+        "GalerkinConfig",
+        "IllConditionedError",
+        "OracleReport",
+        "PositivityViolatedError",
+        "galerkin_lambda",
+        "max_principle_check",
+        "sign_iteration",
+    ),
+    "quadrature": ("QuadratureNonConvergence", "QuadratureResult", "quad_numeric"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """Load a lazy submodule, or one of its names, on first access (PEP 562)."""
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's machinery, which python -X importtime reports
+    # (importlib.import_module would load the module unreported)
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
 
 __all__ = [
     "EXACT",

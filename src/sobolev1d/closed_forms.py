@@ -19,7 +19,6 @@ authoritative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, log
 
@@ -29,7 +28,7 @@ from .polynomials import (
     bridge_poly,
     monomial,
 )
-from .scalars import EXACT
+from .scalars import EXACT, record
 
 
 def uniform_mu(k: int) -> Fraction:
@@ -104,7 +103,7 @@ def log_moment(n: int, m: int) -> Fraction:
     return Fraction(factorial(m), (n + 1) ** (m + 1))
 
 
-@dataclass(frozen=True)
+@record
 class HardyExtremizer:
     """u(x) = -x ln x, the sharp profile for the 1/x boundary weight.
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import NamedTuple, Optional, Sequence
@@ -52,9 +51,7 @@ from .polynomials import (
     pp_positive_on_open01,
     taylor_shift,
 )
-# uncalled, but perfbench/tracing.py patches this name to count quadrature
-from .quadrature import quad_numeric  # noqa: F401
-from .scalars import EXACT, FLOAT, coerce
+from .scalars import EXACT, FLOAT, Fresh, coerce, record
 from .solver import ProblemSpec
 from .weights import (
     DiracWeight,
@@ -68,6 +65,16 @@ from .weights import (
     as_piecewise,
     eval_weight,
 )
+
+
+def __getattr__(name):
+    # uncalled here, but perfbench/tracing.py patches this name to count
+    # quadrature; resolved on first access, so no oracle loads the module
+    if name == "quad_numeric":
+        from .quadrature import quad_numeric
+
+        return quad_numeric
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IllConditionedError(ArithmeticError):
@@ -85,7 +92,7 @@ class PositivityViolatedError(AssertionError):
         self.value = value
 
 
-@dataclass(frozen=True)
+@record
 class GalerkinConfig:
     """Trial space x^k (1-x)^k x^i for i = 0..degree (clamped by construction)."""
 
@@ -97,13 +104,13 @@ class GalerkinConfig:
             raise ValueError("degree must be >= 0")
 
 
-@dataclass
+@record(frozen=False)
 class OracleReport:
     method: str
     lambda_estimate: Optional[float] = None
-    history: list = field(default_factory=list)
+    history: list = Fresh(list)
     sign_definite: Optional[bool] = None
-    details: dict = field(default_factory=dict)
+    details: dict = Fresh(dict)
 
 
 # ---------------------------------------------------------------------------

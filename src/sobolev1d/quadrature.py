@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+from .scalars import record
 
 # 15-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
 # numpy.polynomial.legendre.leggauss(15)
@@ -53,7 +54,7 @@ class QuadratureNonConvergence(ArithmeticError):
         self.intervals = intervals
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     value: float
     error: float

@@ -20,9 +20,8 @@ are exact rationals (0.3 means 3/10).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Union
 
 from .polynomials import (
@@ -33,7 +32,7 @@ from .polynomials import (
     is_nonnegative_on,
     kfold_antiderivative,
 )
-from .scalars import EXACT, Scalar, format_rational, parse_rational
+from .scalars import EXACT, Scalar, format_rational, parse_rational, record
 
 
 class WeightSyntaxError(ValueError):
@@ -57,7 +56,7 @@ class UnsupportedWeightError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PolyWeight:
     poly: Polynomial
 
@@ -80,7 +79,7 @@ class PolyWeight:
         return f"poly:{format_poly(self.poly)}"
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseWeight:
     pp: PiecewisePolynomial
 
@@ -116,7 +115,7 @@ class PiecewiseWeight:
         return "pw:" + ";".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class IndicatorWeight:
     """rho = chi_[a,b] / (b - a), a unit-mass plateau."""
 
@@ -143,7 +142,7 @@ class IndicatorWeight:
         return f"chi:{format_rational(self.a)},{format_rational(self.b)}"
 
 
-@dataclass(frozen=True)
+@record
 class DiracWeight:
     """Unit point mass at an interior location a."""
 
@@ -162,7 +161,7 @@ class DiracWeight:
         return f"dirac:{format_rational(self.a)}"
 
 
-@dataclass(frozen=True)
+@record
 class PowerWeight:
     """rho = x^(-alpha) with 0 <= alpha < 1 (integrable at 0)."""
 
@@ -183,7 +182,7 @@ class PowerWeight:
         return f"pow:{format_rational(self.alpha)}"
 
 
-@dataclass(frozen=True)
+@record
 class HardyWeight:
     """rho = x^(-order); only order 1 is supported, and only by closed form."""
 
@@ -211,7 +210,7 @@ Weight = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MomentVector:
     """b_m = (-1)^(k+1) * integral (1-t)^(k+m) rho(t) dt for m = 0..k-1."""
 
@@ -283,7 +282,7 @@ def moments(rho: Weight, k: int) -> MomentVector:
     return MomentVector(k, tuple(values))
 
 
-@dataclass(frozen=True)
+@record
 class PowerLawTerm:
     """c * x^e with exact coefficient; the iterated integral of x^(-alpha)."""
 
@@ -388,6 +387,33 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+|/\d+)?")
 # cap on a DSL polynomial's degree and on any ^ exponent, checked before
 # multiplying out: poly:(1+x)^256 solves in ~3.5 s at k = 60
 MAX_DEGREE = 256
+# caps on the bit length of DSL rationals, each set from a measured time
+# budget (README): a literal's numerator and denominator, and a polynomial's,
+# written as P/D with one denominator D and integer coefficients P, after
+# every +, - and *, and each step of a ^, checked before multiplying.  A
+# literal can be a breakpoint, whose cost grows fastest: at k = 60,
+# chi:1/(2^64 - 1),1/(2^64 - 59) takes ~52 s, poly:(1/15+x)^256 ~10 s
+MAX_LITERAL_BITS = 64
+MAX_POLY_BITS = 1024
+
+
+def _check_literal(value: Fraction, position: int) -> Fraction:
+    """value, if its numerator and denominator fit MAX_LITERAL_BITS."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > MAX_LITERAL_BITS:
+        raise WeightSyntaxError(
+            f"{bits}-bit number exceeds {MAX_LITERAL_BITS} bits", position
+        )
+    return value
+
+
+def _poly_bits(p: Polynomial) -> tuple:
+    """Bit lengths of P's largest coefficient and of D, for p = P/D with D
+    the least common denominator."""
+    dens = [c.denominator for c in p.coeffs]
+    den = lcm(*dens)
+    num = max((abs(c.numerator) * (den // d) for c, d in zip(p.coeffs, dens)), default=0)
+    return num.bit_length(), den.bit_length()
 
 
 def _tokenize_poly(text: str, base: int):
@@ -400,7 +426,8 @@ def _tokenize_poly(text: str, base: int):
             continue
         if ch.isdigit():
             m = _NUMBER_RE.match(text, i)
-            tokens.append(("num", parse_rational(m.group()), base + i))
+            value = _check_literal(parse_rational(m.group()), base + i)
+            tokens.append(("num", value, base + i))
             i = m.end()
             continue
         if ch == "x":
@@ -438,14 +465,31 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
         else:
             node = parse_term()
         while peek()[0] in ("+", "-"):
-            op = take()[0]
+            op, _, position = take()
             rhs = parse_term()
             node = node + rhs if op == "+" else node - rhs
+            check_bits(*_poly_bits(node), position)
         return node
 
     def check_degree(degree: int, position: int):
         if degree > MAX_DEGREE:
             raise WeightSyntaxError(f"degree {degree} exceeds {MAX_DEGREE}", position)
+
+    def check_bits(num_bits: int, den_bits: int, position: int):
+        bits = max(num_bits, den_bits)
+        if bits > MAX_POLY_BITS:
+            raise WeightSyntaxError(
+                f"coefficients of up to {bits} bits exceed {MAX_POLY_BITS}", position
+            )
+
+    def multiply(p: Polynomial, q: Polynomial, position: int) -> Polynomial:
+        # over one denominator, a product's coefficient is a sum of at most
+        # m = min(len) products, each below 2^(pn + qn): below 2^(pn + qn)
+        # times m <= 2^bits(m - 1)
+        (pn, pd), (qn, qd) = _poly_bits(p), _poly_bits(q)
+        terms = min(len(p.coeffs), len(q.coeffs))
+        check_bits(pn + qn + (terms - 1).bit_length(), pd + qd, position)
+        return p * q
 
     def parse_term() -> Polynomial:
         node = parse_power()
@@ -453,7 +497,7 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
             position = take()[2]
             rhs = parse_power()
             check_degree(node.degree + rhs.degree, position)
-            node = node * rhs
+            node = multiply(node, rhs, position)
         return node
 
     def parse_power() -> Polynomial:
@@ -469,7 +513,7 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
             check_degree(node.degree * int(exp), tok[2])
             result = Polynomial([1], EXACT)
             for _ in range(int(exp)):
-                result = result * node
+                result = multiply(result, node, tok[2])
             return result
         return node
 
@@ -502,7 +546,7 @@ def _parse_number_payload(payload: str, base: int) -> Fraction:
     m = _NUMBER_RE.fullmatch(text)
     if not m:
         raise WeightSyntaxError(f"expected a number, found {payload.strip()!r}", base)
-    value = parse_rational(text)
+    value = _check_literal(parse_rational(text), base)
     return -value if neg else value
 
 

@@ -19,9 +19,10 @@ from sobolev1d.cli import (
     _sweep_values,
     main,
 )
+from sobolev1d.closed_forms import dirac_mu
 from sobolev1d.scalars import format_rational
 from sobolev1d.solver import ProblemSpec, solve
-from sobolev1d.weights import MAX_DEGREE, parse_weight
+from sobolev1d.weights import MAX_DEGREE, MAX_LITERAL_BITS, MAX_POLY_BITS, parse_weight
 
 
 def run(capsys, *argv):
@@ -289,6 +290,35 @@ def test_constant_prints_a_mu_past_the_str_digit_limit(capsys, monkeypatch):
     assert json.loads(out)["mu_exact"] == "1" + "0" * 4999 + "1/3" + "0" * 4999
 
 
+def test_constant_reports_a_mu_past_the_float_range(capsys):
+    # mu = 79 (39!)^2 / (a (1 - a))^79 at a = 1/1000 is past the float range
+    code, out, err = run(capsys, "constant", "--k", "40", "--weight", "dirac:1/1000")
+    assert code == 0, err
+    doc = json.loads(out)
+    mu = dirac_mu(40, F(1, 1000))
+    assert mu > F(10) ** 309
+    assert F(doc["mu_exact"]) == mu
+    assert doc["mu_float"] is None
+    lam = doc["lambda"]
+    assert math.isfinite(lam) and lam > 0
+    assert abs(F(lam) ** 2 * mu - 1) < F(1, 10**15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--k", "40", "--weight", "dirac:1/1000"),
+        ("sweep", "--k", "40", "--param", "dirac", "--start", "1/1000",
+         "--stop", "1/1000", "--step", "1"),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_float_arithmetic_on_a_mu_past_the_float_range_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "overflows a float" in err
+
+
 def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "chi:3/4,1/4")
     assert code == 2
@@ -301,6 +331,24 @@ def test_exit_code_solver_error(capsys):
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "poly:0")
     assert code == 3
     assert "solver error" in err
+
+
+@pytest.mark.parametrize("name", ["galerkin_lambda", "sign_iteration"])
+def test_oracle_errors_exit_3(capsys, monkeypatch, name):
+    from sobolev1d import oracles
+
+    error = {
+        "galerkin_lambda": oracles.IllConditionedError("pivot"),
+        "sign_iteration": oracles.PositivityViolatedError(0.5, -1.0),
+    }[name]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(oracles, name, fail)
+    code, out, err = run(capsys, "verify", "--k", "1", "--weight", "poly:1")
+    assert (code, out) == (3, "")
+    assert err.startswith("solver error:")
 
 
 def test_out_file(tmp_path, capsys):
@@ -466,6 +514,43 @@ def test_inputs_at_their_cap_run(capsys):
     code, _, _ = run(capsys, "constant", "--k", "1", "--weight", f"poly:1 + x^{MAX_DEGREE}")
     assert code == 0
     assert len(_sweep_values(F(1, 4000), F(MAX_SWEEP_ROWS, 4000), F(1, 4000))) == MAX_SWEEP_ROWS
+
+
+_LITERAL = 2**MAX_LITERAL_BITS - 1  # the longest literal allowed
+_POWER, _REST = divmod(MAX_POLY_BITS, MAX_LITERAL_BITS)
+# a product whose coefficient bound is exactly MAX_POLY_BITS
+_POLY_AT_CAP = f"{_LITERAL}^{_POWER}" + (f"*{2**_REST - 1}" if _REST else "")
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [f"poly:{_LITERAL}", f"chi:1/{_LITERAL},1/2", f"dirac:{_LITERAL - 1}/{_LITERAL}",
+     f"poly:{_POLY_AT_CAP}"],
+    ids=["poly-literal", "chi", "dirac", "poly-product"],
+)
+def test_rationals_at_the_bit_caps_run(weight):
+    proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
+    assert proc.returncode == 0, proc.stderr
+    assert F(json.loads(proc.stdout)["mu_exact"]) > 0
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (f"poly:{_LITERAL + 1}", f"{MAX_LITERAL_BITS + 1}-bit number exceeds"),
+        (f"chi:1/{_LITERAL + 1},1/2", f"{MAX_LITERAL_BITS + 1}-bit number exceeds"),
+        (f"pw:[0,1/{_LITERAL + 1}]=1;[1/{_LITERAL + 1},1]=x", "-bit number exceeds"),
+        (f"poly:{_POLY_AT_CAP}*1", f"up to {MAX_POLY_BITS + 1} bits exceed {MAX_POLY_BITS}"),
+        (f"poly:{_POLY_AT_CAP} + 1/3", f"bits exceed {MAX_POLY_BITS}"),
+        ("poly:((2^256)^256)^256", f"bits exceed {MAX_POLY_BITS}"),
+    ],
+    ids=["poly-literal", "chi", "pw", "product", "sum", "tower"],
+)
+def test_rationals_above_the_bit_caps_exit_2(weight, message):
+    # each bound is checked before the product is multiplied out
+    proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
 
 
 def test_config_file_galerkin_degree_is_capped(tmp_path, capsys, monkeypatch):

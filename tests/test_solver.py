@@ -36,6 +36,7 @@ from sobolev1d.solver import (
     closed_form,
     compute_mu,
     gaussian_solve,
+    sharp_constant,
     solve,
     solve_seeds,
 )
@@ -676,3 +677,24 @@ def test_certified_solves_run_no_grid_scan(monkeypatch):
             d = solve(ProblemSpec(k, parse_weight(text), mode)).diagnostics
             assert d.positivity_certified is True, (text, mode)
             assert d.min_interior_value is None, (text, mode)
+
+
+def test_sharp_constant_equals_the_float_formula_bit_for_bit():
+    rng = random.Random(20)
+    for _ in range(20000):
+        mu = F(rng.getrandbits(rng.randint(1, 1100)) + 1, rng.getrandbits(rng.randint(1, 1100)) + 1)
+        try:
+            value = float(mu)
+        except OverflowError:
+            continue
+        if value >= 2.3e-308:  # a normal float
+            assert sharp_constant(mu) == 1.0 / math.sqrt(value), mu
+
+
+def test_sharp_constant_past_the_float_range():
+    # float(mu) overflows, and float(1 / mu) underflows to 0 below ~1e-324
+    for exponent in (400, 700):
+        mu = F(10) ** (2 * exponent)
+        assert math.isclose(sharp_constant(mu), 10.0**-exponent, rel_tol=1e-15)
+    assert sharp_constant(F(2) ** 2000) == 2.0**-1000
+    assert sharp_constant(F(2) ** 4000) == 0.0  # 2^-2000 underflows

@@ -322,3 +322,28 @@ def test_reflect_weight():
     assert p.poly == Polynomial([1, -1])
     with pytest.raises(UnsupportedWeightError):
         reflect_weight(parse_weight("pow:1/2"))
+
+
+def test_literal_bit_cap_names_the_number():
+    from sobolev1d.weights import MAX_LITERAL_BITS
+
+    big = 2**MAX_LITERAL_BITS
+    assert parse_weight(f"dirac:1/{big - 1}").a == F(1, big - 1)
+    for text in (f"poly:1 + {big}*x", f"chi:1/4,{big - 1}/{big}", f"dirac:-1/{big}",
+                 f"pow:1/{big}", f"pw:[0,1/2]=1;[1/2,1]=1/{big}"):
+        with pytest.raises(WeightSyntaxError, match=f"{MAX_LITERAL_BITS + 1}-bit number") as info:
+            parse_weight(text)
+        assert 0 < info.value.position < len(text), text
+
+
+def test_polynomial_bit_cap_covers_every_operation():
+    from sobolev1d.weights import MAX_POLY_BITS, _poly_bits
+
+    assert _poly_bits(parse_weight("poly:(1+x)^256").poly) == (252, 1)  # C(256, 128)
+    assert _poly_bits(parse_weight("poly:(1/15+x)^256").poly)[1] == 1001  # 15^256
+    assert _poly_bits(parse_weight("poly:(15+x)^256").poly) == (1021, 1)
+    for text in ("poly:(2^256)^4", "poly:(1/2^256)^4", "poly:(16+x)^256",
+                 "poly:(15+x)^200*(15+x)^56", "poly:2^256*2^256*2^256*2^256",
+                 "poly:1/3^200 + 1/5^200 + 1/7^200 + 1/11^200"):
+        with pytest.raises(WeightSyntaxError, match=f"exceed {MAX_POLY_BITS}"):
+            parse_weight(text)
