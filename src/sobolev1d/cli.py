@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .polynomials import pp_grid_values_exact
 from .scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
-from .solver import ProblemSpec, SolverError, solve
+from .solver import ProblemSpec, SolverError, float_mu, solve
 from .weights import (
     DiracWeight,
     IndicatorWeight,
@@ -202,18 +202,6 @@ def _float_mu(mu) -> float | None:
         return None
 
 
-def _require_float_mu(mu) -> float:
-    """float(mu) for the float arithmetic of verify and sweep."""
-    value = _float_mu(mu)
-    if value is None:
-        exponent = int((mu.numerator.bit_length() - mu.denominator.bit_length()) * 0.30103)
-        raise OverflowError(
-            f"mu (about 10^{exponent}) overflows a float; "
-            f"`constant` prints it exactly as mu_exact"
-        )
-    return value
-
-
 def _solution_json(solution) -> dict:
     diags = solution.diagnostics
     return {
@@ -285,7 +273,7 @@ def cmd_verify(args) -> int:
     mode = _resolve_mode(cfg, rho)
     spec = ProblemSpec(args.k, rho, mode)
     solution = solve(spec)
-    mu = _require_float_mu(solution.mu)
+    mu = float_mu(solution.mu)
 
     # Galerkin lower bound; exact arithmetic whenever the load vector is exact
     degree = cfg["galerkin_degree"]
@@ -374,7 +362,7 @@ def cmd_sweep(args) -> int:
             rho = PowerWeight(value)
         mode = _resolve_mode(cfg, rho)
         solution = solve(ProblemSpec(args.k, rho, mode))
-        rows.append((value, _require_float_mu(solution.mu), solution.lam))
+        rows.append((value, float_mu(solution.mu), solution.lam))
     lines = ["param,mu,lambda"]
     for value, mu, lam in rows:
         lines.append(f"{_fmt(float(value))},{_fmt(mu)},{_fmt(lam)}")

@@ -31,13 +31,15 @@ Both grid routes share one linear solver.  The clamped stencils for orders 1
 and 2 are symmetric positive definite band matrices of half-bandwidth 1 or
 2, so a banded LDL^T factorization, held in plain lists, costs O(n) time and
 memory; a sign iteration factors once and reuses the factor for every Picard
-step.  Only a seeded random start pattern imports numpy (for its random
-stream), so importing this module does not.
+step.  A seeded random start pattern comes from a pure-Python copy of
+numpy's default generator (PCG64 seeded through SeedSequence), so no oracle
+imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -453,6 +455,60 @@ def _picard(k, A, rho_vec, h, signs, max_iter) -> _PicardRun:
     return _PicardRun(history, converged, mu_h, u, len(set(signs)) == 1)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _random_signs(seed: int, n: int) -> list:
+    """[1.0 if r < 0.5 else -1.0 for r in numpy.random.default_rng(seed).random(n)].
+
+    numpy's SeedSequence hashes the seed's 32-bit words into a pool of four
+    and draws four 64-bit words from it; PCG64 takes them as the 128-bit
+    initial state and stream, and each draw is one LCG step followed by the
+    XSL-RR output (O'Neill, HMC-CS-2014-0905).  A double r = (x >> 11) 2^-53
+    is below 1/2 exactly when the output x has its top bit clear, so no
+    float is formed.  An integer seed is checked as default_rng checks it.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hc = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal hc
+        v = (v ^ hc) * (hc := hc * 0x931E8875 & _M32) & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for w in words[4:]:
+        for d in range(4):
+            pool[d] = mix(pool[d], hashmix(w))
+    hc, out = 0x8B51F9DD, []  # generate_state(4, uint64), as 8 uint32 words
+    for i in range(8):
+        v = (pool[i % 4] ^ hc) * (hc := hc * 0x58F38DED & _M32) & _M32
+        out.append(v ^ v >> 16)
+    s0, s1, q0, q1 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (q0 << 64 | q1) << 1 & _M128 | 1
+    # state = 0, step, add the initial state, step
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    signs = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        # the top bit of x rotated right by state >> 122
+        signs.append(-1.0 if x >> ((state >> 122) - 1 & 63) & 1 else 1.0)
+    return signs
+
+
 def sign_iteration(
     spec: ProblemSpec,
     n: int = 199,
@@ -474,9 +530,10 @@ def sign_iteration(
     (``start_sign_definite``, ``start_mu_h``, ``restarted``).  A sign-changing
     run with the lower energy is still reported as sign-indefinite.
 
-    ``seed`` draws the start pattern from ``numpy.random.default_rng(seed)``;
-    it is the only input that loads numpy.  ``details["solution"]`` is the
-    final grid solution as a list of floats.
+    ``seed`` (a non-negative integer) draws the start pattern that
+    ``numpy.random.default_rng(seed).random(n) < 0.5`` gives, bit for bit,
+    without importing numpy (:func:`_random_signs`).  ``details["solution"]``
+    is the final grid solution as a list of floats.
     """
     k = spec.k
     h = 1.0 / (n + 1)
@@ -485,10 +542,7 @@ def sign_iteration(
     if initial_signs is not None:
         signs = [1.0 if s >= 0 else -1.0 for s in initial_signs]
     elif seed is not None:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        signs = [1.0 if r < 0.5 else -1.0 for r in rng.random(n).tolist()]
+        signs = _random_signs(seed, n)
     else:
         signs = [1.0] * n
 

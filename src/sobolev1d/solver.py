@@ -362,6 +362,19 @@ def sharp_constant(mu: Fraction) -> float:
     return math.ldexp(1.0 / math.sqrt(scaled), -t)
 
 
+def float_mu(mu) -> float:
+    """float(mu), or an OverflowError naming mu's size for an exact mu past
+    the float range."""
+    try:
+        return float(mu)
+    except OverflowError:
+        exponent = int((mu.numerator.bit_length() - mu.denominator.bit_length()) * 0.30103)
+        raise OverflowError(
+            f"mu (about 10^{exponent}) overflows a float; "
+            f"`constant --mode exact` prints it as mu_exact"
+        ) from None
+
+
 def compute_mu(v) -> Fraction:
     """mu = 1 / integral of v^2, exact."""
     energy = v.square_integral01()
@@ -433,7 +446,7 @@ def _round_at_output(solution: ExtremalSolution) -> ExtremalSolution:
         return f.to_float() if isinstance(f, (PiecewisePolynomial, PolyPlusPower)) else f
 
     return replace(
-        solution, mu=float(solution.mu), u=rounded(solution.u), u_k=rounded(solution.u_k)
+        solution, mu=float_mu(solution.mu), u=rounded(solution.u), u_k=rounded(solution.u_k)
     )
 
 

@@ -319,6 +319,14 @@ def test_float_arithmetic_on_a_mu_past_the_float_range_exits_3(capsys, argv):
     assert "overflows a float" in err
 
 
+def test_float_mode_constant_names_a_mu_past_the_float_range(capsys):
+    code, out, err = run(
+        capsys, "constant", "--k", "40", "--weight", "dirac:1/1000", "--mode", "float"
+    )
+    assert (code, out) == (3, "")
+    assert "mu (about 10^331) overflows a float" in err
+
+
 def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "chi:3/4,1/4")
     assert code == 2
@@ -592,6 +600,26 @@ def test_numpy_stays_off_the_import_path():
                 code = sobolev1d.cli.main(argv)
             assert code == 0, (argv, code)
             assert "numpy" not in sys.modules, argv
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_seeded_sign_iteration_leaves_numpy_unloaded():
+    script = textwrap.dedent(
+        """
+        import sys
+        from sobolev1d import ProblemSpec, parse_weight, sign_iteration
+        spec = ProblemSpec(1, parse_weight("poly:1 + x"))
+        sign_iteration(spec, n=199, seed=1)
+        assert "numpy" not in sys.modules
         """
     )
     proc = subprocess.run(

@@ -415,6 +415,32 @@ def test_sign_iteration_restarts_from_a_non_minimizing_critical_point():
     assert not constant.details["restarted"]
 
 
+def test_random_signs_match_numpys_default_rng_bit_for_bit():
+    fixed = [0, 1, 236029492, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3]
+    rng = random.Random(1106)
+    seeds = fixed + [rng.randrange(2**31) for _ in range(200)]
+    for seed in seeds:
+        for n in (1, 2, 49, 99, 199, 1000):
+            draws = np.random.default_rng(seed).random(n)
+            expected = [1.0 if r < 0.5 else -1.0 for r in draws.tolist()]
+            assert oracles._random_signs(seed, n) == expected, (seed, n)
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError)]
+)
+def test_sign_iteration_rejects_seeds_as_default_rng_does(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        sign_iteration(ProblemSpec(1, parse_weight("poly:1")), n=49, seed=seed)
+
+
+def test_sign_iteration_takes_true_as_seed_1():
+    spec = ProblemSpec(1, parse_weight("poly:1 + x"))
+    assert sign_iteration(spec, n=99, seed=True) == sign_iteration(spec, n=99, seed=1)
+
+
 def test_weight_on_grid_is_eval_weight_bit_for_bit():
     rng = random.Random(515)
     fixed = ("chi:1/4,3/4", "chi:0,1", "pow:0", "pow:999/1000", "pw:[0,1/2]=1;[1/2,1]=x")
