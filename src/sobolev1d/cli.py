@@ -183,8 +183,11 @@ def _resolve_mode(cfg, rho) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -192,6 +195,16 @@ def _emit(text: str, out_path):
 def _require_format(args, expected: str):
     if args.format is not None and args.format != expected:
         raise ValueError(f"{args.command} output is {expected} only")
+
+
+def _settings_and_solution(args, output_format: str):
+    """The merged settings, and the solution for args.k and args.weight, in
+    the order every single-weight command checks them.  parse_weight and
+    solve are this module's globals, looked up at each call."""
+    cfg = _merge_config(args)
+    _require_format(args, output_format)
+    rho = parse_weight(args.weight)
+    return cfg, solve(ProblemSpec(args.k, rho, _resolve_mode(cfg, rho)))
 
 
 def _float_mu(mu) -> float | None:
@@ -231,21 +244,13 @@ def _fmt(value: float) -> str:
 
 
 def cmd_constant(args) -> int:
-    cfg = _merge_config(args)
-    _require_format(args, "json")
-    rho = parse_weight(args.weight)
-    spec = ProblemSpec(args.k, rho, _resolve_mode(cfg, rho))
-    solution = solve(spec)
+    _, solution = _settings_and_solution(args, "json")
     _emit(json.dumps(_solution_json(solution), allow_nan=False) + "\n", args.out)
     return 0
 
 
 def cmd_minimizer(args) -> int:
-    cfg = _merge_config(args)
-    _require_format(args, "csv")
-    rho = parse_weight(args.weight)
-    spec = ProblemSpec(args.k, rho, _resolve_mode(cfg, rho))
-    solution = solve(spec)
+    cfg, solution = _settings_and_solution(args, "csv")
     n = cfg["samples"]
 
     def column(rep, eval_float):
@@ -267,12 +272,8 @@ def cmd_minimizer(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracles
 
-    cfg = _merge_config(args)
-    _require_format(args, "json")
-    rho = parse_weight(args.weight)
-    mode = _resolve_mode(cfg, rho)
-    spec = ProblemSpec(args.k, rho, mode)
-    solution = solve(spec)
+    cfg, solution = _settings_and_solution(args, "json")
+    spec, rho = solution.spec, solution.spec.rho
     mu = float_mu(solution.mu)
 
     # Galerkin lower bound; exact arithmetic whenever the load vector is exact

@@ -49,8 +49,10 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     derivatives_at_one,
+    integer_form,
     kfold_antiderivative,
     pp_positive_on_open01,
+    pp_values_at,
     taylor_shift,
 )
 from .scalars import EXACT, FLOAT, Fresh, coerce, record
@@ -208,8 +210,7 @@ def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
     float of the reduced Fraction; only the last value is reduced.
     """
     moments = [coerce(v, EXACT) for v in _monomial_moments(rho, k, 2 * k + N)]
-    den = math.lcm(*(v.denominator for v in moments))
-    a = [v.numerator * (den // v.denominator) for v in moments]  # a[j] = D M_(j+k)
+    a, den = integer_form(moments)  # a[j] = D M_(j+k)
     history = []
     p = 0
     scale = (den * factorial(2 * k - 1)) ** 2  # D^2 ((2k+n-1)!)^2 before step n
@@ -368,9 +369,9 @@ def _weight_on_grid(rho: Weight, x: list, h: float) -> list:
     """rho at the increasing nodes x, equal bit for bit to eval_weight node
     by node; a point mass is spread over its two nearest nodes instead.
 
-    Nodes are assigned to pieces once, by the exact float-Fraction
-    comparisons piece_index makes (an indicator's interval is closed), and
-    each piece's coefficients are converted to floats once.
+    An indicator's closed interval is cut out of x by bisection, and a
+    polynomial or piecewise weight is sampled by polynomials.pp_values_at,
+    which assigns nodes to pieces as piece_index does.
     """
     if isinstance(rho, DiracWeight):
         # nearest-node sifting with linear interpolation correction
@@ -387,18 +388,7 @@ def _weight_on_grid(rho: Weight, x: list, h: float) -> list:
         lo, hi = bisect_left(x, rho.a), bisect_right(x, rho.b)
         return [0.0] * lo + [float(rho.height)] * (hi - lo) + [0.0] * (len(x) - hi)
     if isinstance(rho, (PolyWeight, PiecewiseWeight)):
-        pp = as_piecewise(rho)
-        # a node belongs to the last piece whose left breakpoint is <= it
-        cuts = [bisect_left(x, t) for t in pp.breakpoints[1:-1]]
-        vals = []
-        for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, len(x)]):
-            coeffs = [float(c) for c in reversed(p.coeffs)]
-            for xi in x[lo:hi]:
-                acc = 0.0
-                for c in coeffs:
-                    acc = acc * xi + c
-                vals.append(acc)
-        return vals
+        return pp_values_at(as_piecewise(rho), x)
     if isinstance(rho, PowerWeight) and rho.alpha != 0:
         e = -float(rho.alpha)
         return [xi**e for xi in x]
@@ -600,12 +590,9 @@ def _right_boundary_correction(k: int, targets: Sequence[Fraction]) -> Polynomia
     shift by -1 gives R(x).  Everything is integer arithmetic over
     D (k-1)!, with D the targets' common denominator.
     """
-    den = math.lcm(*(v.denominator for v in targets))
+    nums, den = integer_form(targets)
     top = factorial(k - 1)
-    tau = [
-        -v.numerator * (den // v.denominator) * (top // factorial(j))
-        for j, v in enumerate(targets)
-    ]
+    tau = [-c * (top // factorial(j)) for j, c in enumerate(nums)]
     series = [(-1) ** n * comb(k - 1 + n, n) for n in range(k)]
     r = [sum(tau[j] * series[n - j] for j in range(n + 1)) for n in range(k)]
     taylor_shift(r, -1)

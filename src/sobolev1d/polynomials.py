@@ -13,10 +13,14 @@ Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval.  Continuity is deliberately not an invariant:
 derivatives of extremizers for point masses jump, and a separate predicate
 checks C^m smoothness where a caller needs it.
+
+Exact values enter integer arithmetic through :func:`integer_form`, and
+piecewise polynomials are sampled at float points by :func:`pp_values_at`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, factorial, gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -129,11 +133,7 @@ class Polynomial:
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative P with P(0) = 0."""
-        zero = self._zero()
-        if self.mode == EXACT:
-            out = [zero] + [c / Fraction(i + 1) for i, c in enumerate(self.coeffs)]
-        else:
-            out = [zero] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
+        out = [self._zero()] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
         return Polynomial(out, self.mode)
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Scalar:
@@ -214,11 +214,11 @@ def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
     n = p.degree
     if n < 0:
         return [], 1
-    den = lcm(*(c.denominator for c in p.coeffs))
+    coeffs, den = integer_form(p.coeffs)
     nums = [0] * m
     ratio = factorial(n + m) // factorial(m)  # i! (n+m)!/(i+m)! at i = 0
-    for i, c in enumerate(p.coeffs):
-        nums.append(c.numerator * (den // c.denominator) * ratio)
+    for i, c in enumerate(coeffs):
+        nums.append(c * ratio)
         ratio = ratio * (i + 1) // (i + m + 1)
     return nums, den * factorial(n + m)
 
@@ -264,6 +264,14 @@ def _exact_polynomial(nums: list[int], den: int) -> Polynomial:
     return Polynomial([Fraction(c, den) for c in nums], EXACT)
 
 
+def integer_form(values: Sequence) -> tuple[list[int], int]:
+    """Integers nums and den > 0 with values[i] == Fraction(nums[i], den),
+    den the least common denominator of the exact values (ints or
+    Fractions); the inverse of _exact_polynomial.  () gives ([], 1)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
     """p^(j)(1) = sum_{i >= j} c_i i!/(i-j)! for j < count, for an exact p.
 
@@ -271,8 +279,7 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
     the i-th term picks up the factor (i - j) on the way from order j to
     order j + 1.
     """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    terms = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    terms, den = integer_form(p.coeffs)
     out = []
     for j in range(count):
         out.append(Fraction(sum(terms), den))
@@ -280,7 +287,8 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
     return out
 
 
-def kth_derivative(p: Polynomial, k: int) -> Polynomial:
+def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
+    """The k-th derivative of a Polynomial or PiecewisePolynomial."""
     for _ in range(k):
         p = p.derivative()
     return p
@@ -471,14 +479,10 @@ def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[in
     n = p.degree
     if n < 0:
         return [0]
-    den = lcm(*(c.denominator for c in p.coeffs))
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    coeffs, _ = integer_form(p.coeffs)
+    (a, b), d = integer_form((lo, hi))
     # d^n p(y / d) in y, then y = a + (b - a) t: d^n p(lo + (hi - lo) t)
-    c = [
-        coef.numerator * (den // coef.denominator) * d ** (n - i)
-        for i, coef in enumerate(p.coeffs)
-    ]
+    c = [coef * d ** (n - i) for i, coef in enumerate(coeffs)]
     taylor_shift(c, a)
     w = b - a
     c = [ci * w**i for i, ci in enumerate(c)]
@@ -637,9 +641,7 @@ class PiecewisePolynomial:
         """Jumps of the j-th derivatives (j <= order) at interior breakpoints."""
         defects = []
         for j in range(order + 1):
-            d = self
-            for _ in range(j):
-                d = d.derivative()
+            d = kth_derivative(self, j)
             for i in range(1, len(self.breakpoints) - 1):
                 t = self.breakpoints[i]
                 defects.append(d.pieces[i](t) - d.pieces[i - 1](t))
@@ -664,7 +666,7 @@ def merge_binary(
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
     pieces = []
     for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2 if f.mode == EXACT else (a + b) / 2.0
+        mid = (a + b) / 2
         pieces.append(op(f.pieces[f.piece_index(mid)], g.pieces[g.piece_index(mid)]))
     return PiecewisePolynomial(cuts, pieces)
 
@@ -727,41 +729,41 @@ def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:
 
 
 def pp_grid_values(pp: PiecewisePolynomial, n: int) -> list:
-    """[pp.eval_float(i / n) for i in range(n + 1)], bit for bit (see
-    _grid_runs)."""
-    out = []
-    for coeffs, indices in _grid_runs(pp, n):
-        for i in indices:
-            x = i / n
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * x + c
-            out.append(acc)
-    return out
+    """[pp.eval_float(i / n) for i in range(n + 1)] by pp_values_at."""
+    return pp_values_at(pp, [i / n for i in range(n + 1)])
 
 
-def _grid_runs(pp: PiecewisePolynomial, n: int):
-    """Per piece, its float coefficients in Horner order and the indices
-    0 <= i <= n whose point i/n it owns.
+def pp_values_at(pp: PiecewisePolynomial, x: Sequence[float]) -> list:
+    """[pp.eval_float(t) for t in x] bit for bit, for increasing floats x
+    in [0, 1]: the one float sampler of piecewise polynomials.
 
-    The runs are cut exactly where piece_index switches pieces, and each
-    piece's coefficients are converted once, so Horner over them reproduces
-    eval_float(i / n) bit for bit.
+    A point belongs to the last piece whose left breakpoint is <= it, as
+    piece_index decides; float-Fraction comparisons are exact, so bisection
+    cuts x where piece_index switches.  Each piece's coefficients are
+    converted once, and Horner over them is eval_float's loop.  A piece
+    that owns no point is never converted, as eval_float would not.
     """
-    cuts = [_first_grid_index(t, n) for t in pp.breakpoints[1:-1]]
-    for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, n + 1]):
-        if lo < hi:  # no grid point: never convert, as eval_float would not
-            yield [float(c) for c in reversed(p.coeffs)], range(lo, hi)
+    cuts = [bisect_left(x, t) for t in pp.breakpoints[1:-1]]
+    out = []
+    for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, len(x)]):
+        if lo < hi:
+            coeffs = [float(c) for c in reversed(p.coeffs)]
+            for t in x[lo:hi]:
+                acc = 0.0
+                for c in coeffs:
+                    acc = acc * t + c
+                out.append(acc)
+    return out
 
 
 def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
     """[float(pp(Fraction(i, n))) for i in range(n + 1)] in integer arithmetic.
 
     Each piece takes the indices whose exact point i/n lies in it, as
-    piece_index decides.  With its coefficients over one denominator D, a
-    degree-d piece is sum_j a_j i^j n^(d-j) / (D n^d) at i/n: an integer
-    Horner sum over one integer denominator.  int / int is correctly
-    rounded, so every value equals the float of the exact rational.
+    piece_index decides.  With its coefficients over one denominator D
+    (integer_form), a degree-d piece is sum_j a_j i^j n^(d-j) / (D n^d) at
+    i/n: an integer Horner sum over one integer denominator.  int / int is
+    correctly rounded, so every value equals the float of the exact rational.
     """
     if pp.mode != EXACT:
         raise ModeMismatchError("exact grid values need exact pieces")
@@ -772,11 +774,8 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
         if lo >= hi:
             continue
         d = max(p.degree, 0)
-        den = lcm(*(c.denominator for c in p.coeffs))
-        scaled = [
-            c.numerator * (den // c.denominator) * n ** (d - j)
-            for j, c in enumerate(p.coeffs)
-        ]
+        nums, den = integer_form(p.coeffs)
+        scaled = [c * n ** (d - j) for j, c in enumerate(nums)]
         den *= n**d
         scaled.reverse()
         for i in range(lo, hi):
@@ -786,13 +785,3 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
             out.append(acc / den)
     return out
 
-
-def _first_grid_index(t: Scalar, n: int) -> int:
-    """Smallest i with i / n >= t as floats: where t's piece starts on the grid."""
-    i = ceil(Fraction(t) * n)
-    # i / n rounds, and rounding is monotone in i; step to the float boundary
-    while i > 1 and (i - 1) / n >= t:
-        i -= 1
-    while i < n and i / n < t:
-        i += 1
-    return i

@@ -43,6 +43,8 @@ from .polynomials import (
     Polynomial,
     derivatives_at_one,
     from_polynomial,
+    integer_form,
+    kth_derivative,
     pp_equal,
     pp_grid_values,
     pp_grid_values_exact,
@@ -266,8 +268,7 @@ def _difference_solve(k: int, b: Sequence[Fraction]) -> list:
     in t_j = j! s_j it reads t_i = d_i - sum_{j > i} C(k, j-i) t_j.  With b
     over one denominator D every step is integer arithmetic.
     """
-    den = math.lcm(*(v.denominator for v in b))
-    d = [v.numerator * (den // v.denominator) for v in b]
+    d, den = integer_form(b)
     for i in range(1, k):
         # after pass i, d[i] holds the i-th difference at 0
         for m in range(k - 1, i - 1, -1):
@@ -503,10 +504,7 @@ def closed_form(spec: ProblemSpec) -> Optional[ExtremalSolution]:
         u = profile.scale(Fraction(1) / peak)  # rescale to u(a) = 1
     else:
         return None
-    u_k = u
-    if u is not None:
-        for _ in range(k):
-            u_k = u_k.derivative()
+    u_k = None if u is None else kth_derivative(u, k)
     return _round_at_output(
         ExtremalSolution(
             spec=spec,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Union
 
 from .polynomials import (
@@ -29,6 +29,7 @@ from .polynomials import (
     Polynomial,
     constant,
     from_polynomial,
+    integer_form,
     is_nonnegative_on,
     kfold_antiderivative,
 )
@@ -56,6 +57,20 @@ class UnsupportedWeightError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _require_nonnegative(kind: str, p: Polynomial, a: Scalar, b: Scalar):
+    """Reject a weight that is negative on [a, b] where it equals p: exact
+    pieces by a Sturm certificate, float ones by their minimum over 1,001
+    evenly spaced points (a NaN sample passes)."""
+    if p.mode == EXACT:
+        if not is_nonnegative_on(p, a, b):
+            raise WeightDomainError(f"{kind} weight is negative on [{a}, {b}]")
+        return
+    af, bf = float(a), float(b)
+    lows = min(p.eval_float(af + (bf - af) * i / 1000) for i in range(1001))
+    if lows < -1e-12:
+        raise WeightDomainError(f"{kind} weight dips to {lows:.3e} on [{a}, {b}]")
+
+
 @record
 class PolyWeight:
     poly: Polynomial
@@ -65,15 +80,7 @@ class PolyWeight:
     exact_capable = property(lambda self: self.poly.mode == EXACT)  # float coefficients
 
     def __post_init__(self):
-        if self.poly.mode == EXACT:
-            if not is_nonnegative_on(self.poly, Fraction(0), Fraction(1)):
-                raise WeightDomainError("polynomial weight is negative on [0, 1]")
-        else:
-            lows = min(self.poly.eval_float(i / 1000) for i in range(1001))
-            if lows < -1e-12:
-                raise WeightDomainError(
-                    f"polynomial weight dips to {lows:.3e} on [0, 1]"
-                )
+        _require_nonnegative("polynomial", self.poly, Fraction(0), Fraction(1))
 
     def format(self) -> str:
         return f"poly:{format_poly(self.poly)}"
@@ -88,21 +95,9 @@ class PiecewiseWeight:
     exact_capable = property(lambda self: self.pp.mode == EXACT)
 
     def __post_init__(self):
-        for (a, b), p in zip(
-            zip(self.pp.breakpoints, self.pp.breakpoints[1:]), self.pp.pieces
-        ):
-            if self.pp.mode == EXACT:
-                if not is_nonnegative_on(p, a, b):
-                    raise WeightDomainError(
-                        f"piecewise weight is negative on [{a}, {b}]"
-                    )
-            else:
-                af, bf = float(a), float(b)
-                lows = min(
-                    p.eval_float(af + (bf - af) * i / 1000) for i in range(1001)
-                )
-                if lows < -1e-12:
-                    raise WeightDomainError("piecewise weight is negative")
+        cuts = self.pp.breakpoints
+        for a, b, p in zip(cuts, cuts[1:], self.pp.pieces):
+            _require_nonnegative("piecewise", p, a, b)
 
     def format(self) -> str:
         parts = []
@@ -410,10 +405,8 @@ def _check_literal(value: Fraction, position: int) -> Fraction:
 def _poly_bits(p: Polynomial) -> tuple:
     """Bit lengths of P's largest coefficient and of D, for p = P/D with D
     the least common denominator."""
-    dens = [c.denominator for c in p.coeffs]
-    den = lcm(*dens)
-    num = max((abs(c.numerator) * (den // d) for c, d in zip(p.coeffs, dens)), default=0)
-    return num.bit_length(), den.bit_length()
+    nums, den = integer_form(p.coeffs)
+    return max(map(abs, nums), default=0).bit_length(), den.bit_length()
 
 
 def _tokenize_poly(text: str, base: int):

@@ -370,6 +370,17 @@ def test_out_file(tmp_path, capsys):
     assert doc["mu_exact"] == "12"
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    code, out, err = run(
+        capsys, "constant", "--k", "1", "--weight", "poly:1", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_csv_line_endings(tmp_path, capsys):
     path = tmp_path / "u.csv"
     run(

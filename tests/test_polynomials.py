@@ -12,6 +12,7 @@ from sobolev1d.polynomials import (
     bridge_poly,
     derivatives_at_one,
     from_polynomial,
+    integer_form,
     is_nonnegative_on,
     is_positive_on_open,
     kfold_antiderivative,
@@ -21,6 +22,7 @@ from sobolev1d.polynomials import (
     pp_min_on_grid,
     pp_mul,
     pp_positive_on_open01,
+    pp_values_at,
     strip_root,
 )
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
@@ -449,3 +451,55 @@ def test_exact_grid_values_match_fraction_evaluation():
     assert pp_grid_values_exact(zero_piece, 6) == [0.0, 0.0] + [1.0] * 5
     with pytest.raises(ModeMismatchError):
         pp_grid_values_exact(pp.to_float(), 4)
+
+
+def test_pp_values_at_is_eval_float_bit_for_bit():
+    # seeded points plus every breakpoint's float and both its float
+    # neighbours, so each cut is tested from both sides in both modes
+    rng = random.Random(3688)
+    cuts = [F(0), F(1, 5), F(1, 3), F(3, 8), F(1, 2), F(1)]
+    for _ in range(3):
+        pieces = [
+            Polynomial(
+                [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 14))]
+            )
+            for _ in cuts[1:]
+        ]
+        exact = PiecewisePolynomial(cuts, pieces)
+        near = set()
+        for t in cuts:
+            f = float(t)
+            near.update((math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)))
+        points = sorted(
+            [x for x in near if 0.0 <= x <= 1.0] + [rng.random() for _ in range(300)]
+        )
+        for pp in (exact, exact.to_float()):
+            expected = [pp.eval_float(x).hex() for x in points]
+            assert [v.hex() for v in pp_values_at(pp, points)] == expected
+    assert pp_values_at(exact, []) == []
+
+
+def test_pp_values_at_never_converts_a_piece_without_points():
+    # the middle piece owns no point, and its coefficient has no float
+    huge = Polynomial([F(10**400)])
+    pp = PiecewisePolynomial([F(0), F(1, 3), F(1, 2), F(1)], [ONE, huge, X])
+    with pytest.raises(OverflowError):
+        pp.eval_float(0.4)
+    assert pp_values_at(pp, [0.0, 0.25, 0.5, 0.75, 1.0]) == [1.0, 1.0, 0.5, 0.75, 1.0]
+
+
+def test_integer_form_round_trips_exact_values():
+    rng = random.Random(1201)
+    for _ in range(40):
+        values = [
+            F(rng.randint(-(10**9), 10**9), rng.randint(1, 10**6))
+            if rng.random() < 0.7
+            else rng.randint(-50, 50)
+            for _ in range(rng.randint(1, 12))
+        ]
+        nums, den = integer_form(values)
+        assert den == math.lcm(*(F(v).denominator for v in values))
+        assert all(type(c) is int for c in nums)
+        assert [F(c, den) for c in nums] == values
+    assert integer_form(()) == ([], 1)
+    assert integer_form([F(-1, 6), 2, F(3, 4)]) == ([-2, 24, 9], 12)
