@@ -19,9 +19,10 @@ Every input is capped so that a run ends in bounded time and memory; a value
 outside its range exits with code 2.  ``--k`` lies in 1..60,
 ``galerkin_degree`` in 0..512, ``samples`` in 2..100000, ``grid`` in
 9..100000, a sweep has at most 1000 rows, a weight polynomial's degree
-and every ``^`` exponent are at most 256 (``weights.MAX_DEGREE``), and the
+and every ``^`` exponent are at most 256 (``weights.MAX_DEGREE``), the
 bit lengths of weight rationals are capped (``weights.MAX_LITERAL_BITS``,
-``weights.MAX_POLY_BITS``).
+``weights.MAX_POLY_BITS``), and so are a ``pw`` weight's pieces and size
+(``weights.MAX_PIECES``, ``weights.MAX_WEIGHT_SIZE``).
 
 An exact mu past the float range is printed by ``constant`` with a null
 ``mu_float``; ``verify`` and ``sweep``, which need its float, exit 3.
@@ -53,9 +54,9 @@ from .weights import (
 _DEFAULTS = {"mode": None, "samples": 201, "galerkin_degree": 16, "grid": 199}
 _CONFIG_KEYS = set(_DEFAULTS)
 # caps that keep every run's time and memory bounded, each set from a
-# measured time budget (README); with all at their caps, verify took 10 s
+# measured time budget (README); with all at their caps, verify took 1.9 s
 MAX_POINTS = 100_000  # minimizer samples and finite-difference grid nodes
-MAX_K = 60  # constant takes 0.3-0.8 s for every weight kind at k = 60
+MAX_K = 60  # constant takes 0.16-0.22 s for every weight kind at k = 60
 MAX_GALERKIN_DEGREE = 512
 MAX_SWEEP_ROWS = 1000
 

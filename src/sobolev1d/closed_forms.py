@@ -26,6 +26,7 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     bridge_poly,
+    exact_polynomial,
     monomial,
 )
 from .scalars import EXACT, record
@@ -59,37 +60,30 @@ def dirac_mu(k: int, a: Fraction) -> Fraction:
 
 
 def _series_factor(k: int, a: Fraction) -> Polynomial:
-    """H(x, a) = sum_n x^n sum_m C(2k-1, m) C(k-1+n-m, n-m) a^(k-1-m)."""
-    coeffs = []
-    for n in range(k):
-        coeffs.append(
-            sum(
-                comb(2 * k - 1, m) * comb(k - 1 + n - m, n - m) * a ** (k - 1 - m)
-                for m in range(n + 1)
-            )
-        )
-    return Polynomial([Fraction(c) for c in coeffs], EXACT)
+    """H(x, a) = sum_n x^n sum_m C(2k-1, m) C(k-1+n-m, n-m) a^(k-1-m), in
+    integers: with a = s/t, a^(k-1-m) = s^(k-1-m) t^m / t^(k-1)."""
+    s, t = a.numerator, a.denominator
+    lead = [comb(2 * k - 1, m) * s ** (k - 1 - m) * t**m for m in range(k)]
+    nums = [
+        sum(lead[m] * comb(k - 1 + n - m, n - m) for m in range(n + 1))
+        for n in range(k)
+    ]
+    return exact_polynomial(nums, t ** (k - 1))
 
 
 def pointload_series_profile(k: int, a: Fraction) -> PiecewisePolynomial:
     """Two-piece closed-form series candidate for the point-mass extremizer.
 
     Left piece (1-a)^k x^k H(1-x, 1-a), right piece a^k (1-x)^k H(x, a),
-    returned unnormalized.  Trustworthy for k = 1 only; retained as a
-    documented negative cross-check for k >= 2.
+    returned unnormalized.  (1-x)^k is its binomial expansion, and
+    H(1-x, 1-a) one integer Taylor shift (compose_affine).  Trustworthy for
+    k = 1 only; retained as a documented negative cross-check for k >= 2.
     """
     a = Fraction(a)
-    one_minus_x = Polynomial([1, -1], EXACT)
-
-    def power(p: Polynomial, n: int) -> Polynomial:
-        out = Polynomial([1], EXACT)
-        for _ in range(n):
-            out = out * p
-        return out
-
-    mirrored = _series_factor(k, 1 - a).compose_affine(Fraction(-1), Fraction(1))
-    left = monomial(k).scale((1 - a) ** k) * mirrored
-    right = power(one_minus_x, k).scale(a**k) * _series_factor(k, a)
+    one_minus_x_k = Polynomial([(-1) ** j * comb(k, j) for j in range(k + 1)], EXACT)
+    mirrored = _series_factor(k, 1 - a).compose_affine(-1, 1)
+    left = (monomial(k) * mirrored).scale((1 - a) ** k)
+    right = (one_minus_x_k * _series_factor(k, a)).scale(a**k)
     return PiecewisePolynomial([Fraction(0), a, Fraction(1)], [left, right])
 
 

@@ -49,6 +49,7 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     derivatives_at_one,
+    exact_polynomial,
     integer_form,
     kfold_antiderivative,
     pp_positive_on_open01,
@@ -596,7 +597,7 @@ def _right_boundary_correction(k: int, targets: Sequence[Fraction]) -> Polynomia
     series = [(-1) ** n * comb(k - 1 + n, n) for n in range(k)]
     r = [sum(tau[j] * series[n - j] for j in range(n + 1)) for n in range(k)]
     taylor_shift(r, -1)
-    return Polynomial([0] * k + [Fraction(c, den * top) for c in r], EXACT)
+    return exact_polynomial([0] * k + r, den * top)
 
 
 def max_principle_check(

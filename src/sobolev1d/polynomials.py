@@ -1,47 +1,69 @@
 """Dense polynomial and piecewise-polynomial algebra on [0, 1].
 
-Polynomials are stored as ascending coefficient tuples with trailing zeros
-stripped; the zero polynomial is the empty tuple.  All coefficients of one
-polynomial share a scalar mode (exact Fraction or float), and binary
-operations require both operands to be in the same mode.  In exact mode every
-operation here is exact, including evaluation at rational points, definite
-integration and the positivity certificates: a Bernstein certificate with
+Polynomials have a scalar mode, exact or float, and binary operations
+require both operands to be in the same mode.  An exact polynomial is
+stored as integer numerators over one positive denominator, in lowest terms
+with trailing zeros stripped: the fraction-free form (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6).  It is canonical, so
+equality and hashing read it directly, and every exact operation here runs
+on those integers, with one gcd per result rather than one per coefficient:
+arithmetic, evaluation at rational points, integrals of products, root
+stripping and the positivity certificates (a Bernstein certificate with
 Sturm fallback for strict positivity, and Sturm sequences for the
-non-negativity of weights.
+non-negativity of weights).  A float polynomial stores its float
+coefficients.  ``coeffs`` is the read-only coefficient view in both modes;
+in exact mode it builds Fractions on each access.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval.  Continuity is deliberately not an invariant:
 derivatives of extremizers for point masses jump, and a separate predicate
 checks C^m smoothness where a caller needs it.
 
-Exact values enter integer arithmetic through :func:`integer_form`, and
-piecewise polynomials are sampled at float points by :func:`pp_values_at`.
+Exact values other than polynomials enter integer arithmetic through
+:func:`integer_form`, and piecewise polynomials are sampled at float points
+by :func:`pp_values_at`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, factorial, gcd, lcm
+from math import ceil, comb, factorial, gcd, lcm, perm
 from typing import Callable, Iterable, Sequence
 
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce, mode_of
 
 
 class Polynomial:
-    """Immutable dense polynomial sum(c[i] * x**i)."""
+    """Immutable dense polynomial sum(c[i] * x**i).
 
-    __slots__ = ("coeffs", "mode")
+    Exact: c[i] = nums[i] / den with integer ``nums``, den > 0, no common
+    factor of den and all of nums, and no trailing zero in nums; the zero
+    polynomial is ``nums == ()`` with den 1.  The numerators are held as one
+    byte string of ``_width``-byte two's-complement integers, the width the
+    least that fits the largest, which takes a fraction of the memory of a
+    tuple of int objects.  Float: ``nums`` holds the float coefficients,
+    without trailing zeros, ``_width`` is 0 and den is 1.
+    """
+
+    __slots__ = ("_data", "_width", "den", "mode")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), mode: str | None = None):
         coeffs = list(coeffs)
         if mode is None:
             mode = FLOAT if any(isinstance(c, float) for c in coeffs) else EXACT
-        coeffs = [coerce(c, mode) for c in coeffs]
+        if mode == EXACT:
+            # ints stay as they are: integer_form reads their numerator and
+            # denominator like a Fraction's
+            coeffs = [c if type(c) is int else coerce(c, mode) for c in coeffs]
+        else:
+            coeffs = [coerce(c, mode) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "mode", mode)
+        # the least common denominator of reduced fractions leaves no
+        # common factor, so integer_form is already in lowest terms
+        nums, den = integer_form(coeffs) if mode == EXACT else (coeffs, 1)
+        _store(self, tuple(nums), den, mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -49,31 +71,58 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def nums(self) -> tuple:
+        """The integer numerators over den (exact), or the float
+        coefficients (float)."""
+        data, width = self._data, self._width
+        if not width:
+            return data
+        return tuple(
+            [
+                int.from_bytes(data[i : i + width], "little", signed=True)
+                for i in range(0, len(data), width)
+            ]
+        )
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, ascending: Fractions built on each access in
+        exact mode, the stored floats in float mode."""
+        if self.mode == EXACT:
+            den = self.den
+            return tuple(Fraction(c, den) for c in self.nums)
+        return self.nums
+
+    def float_coeffs(self) -> list:
+        """[float(c) for c in self.coeffs], each a correctly rounded
+        int / int division in exact mode."""
+        den = self.den
+        return [c / den for c in self.nums]
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) == -1."""
-        return len(self.coeffs) - 1
+        return len(self._data) // (self._width or 1) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._data
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.mode == other.mode
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.mode, self.coeffs))
+        return hash((self.mode, self._data, self.den))
 
     def __repr__(self):
         if self.is_zero():
             return f"Polynomial(0, mode={self.mode})"
         terms = " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"Polynomial({terms})"
-
-    def _zero(self) -> Scalar:
-        return coerce(0, self.mode)
 
     def _check_mode(self, other: "Polynomial"):
         if self.mode != other.mode:
@@ -85,14 +134,22 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_mode(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self._zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)], self.mode)
+        a, b = self.nums, other.nums
+        if self.mode == EXACT:
+            den = lcm(self.den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a, b = [c * fa for c in a], [c * fb for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        if self.mode == EXACT:
+            return exact_polynomial(out, den)
+        return Polynomial(out, FLOAT)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.mode)
+        return _make(tuple(-c for c in self.nums), self.den, self.mode)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -101,40 +158,74 @@ class Polynomial:
         self._check_mode(other)
         if self.is_zero() or other.is_zero():
             return Polynomial((), self.mode)
-        zero = self._zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out, self.mode)
+        if self.mode == EXACT:
+            # content(a b) = content(a) content(b) (Gauss's lemma), and each
+            # content is prime to its own denominator, so the product's
+            # common factor with den_a den_b is gcd(den_b, a) gcd(den_a, b)
+            a = self.nums
+            b = a if other is self else other.nums
+            common = gcd(other.den, *a) * gcd(self.den, *b)
+            out = _int_convolve(a, b)
+            if common > 1:
+                out = [c // common for c in out]
+            return _make(tuple(out), self.den * other.den // common, EXACT)
+        return Polynomial(_convolve(self.nums, other.nums), FLOAT)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = coerce(c, self.mode)
-        return Polynomial([c * a for a in self.coeffs], self.mode)
+        if self.mode == EXACT:
+            if not c or self.is_zero():
+                return Polynomial((), EXACT)
+            # with nums/den and c = p/q both in lowest terms, the product's
+            # only common factors are gcd(p, den) and gcd(q, nums)
+            nums = self.nums
+            g1, g2 = gcd(c.numerator, self.den), gcd(c.denominator, *nums)
+            p = c.numerator // g1
+            nums = [a // g2 * p for a in nums] if g2 > 1 else [a * p for a in nums]
+            return _make(tuple(nums), self.den // g1 * (c.denominator // g2), EXACT)
+        return Polynomial([c * a for a in self.nums], FLOAT)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """Return x -> p(a*x + b), by Horner over the affine argument."""
+        """Return x -> p(a*x + b).
+
+        Exact: with b = s/t and n = deg p, the integers nums[i] t^(n-i) are
+        the coefficients of t^n den p(y/t), and one Taylor shift by s makes
+        them those of t^n den p(b + y/t); y = t a x then multiplies the
+        y^i coefficient by (t a)^i, over den t^n times a power of a's
+        denominator.  Float: Horner over the affine argument.
+        """
         a = coerce(a, self.mode)
         b = coerce(b, self.mode)
+        if self.mode == EXACT:
+            if self.is_zero():
+                return self
+            n = self.degree
+            s, t = b.numerator, b.denominator
+            h = [c * t ** (n - i) for i, c in enumerate(self.nums)]
+            taylor_shift(h, s)
+            ta = t * a
+            p, q = ta.numerator, ta.denominator
+            out = [c * p**i * q ** (n - i) for i, c in enumerate(h)]
+            return exact_polynomial(out, self.den * t**n * q**n)
         inner = Polynomial([b, a], self.mode)
         result = Polynomial((), self.mode)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             result = result * inner + Polynomial([c], self.mode)
         return result
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            [c * i for i, c in enumerate(self.coeffs)][1:], self.mode
-        )
+        out = [c * i for i, c in enumerate(self.nums)][1:]
+        if self.mode == EXACT:
+            return exact_polynomial(out, self.den)
+        return Polynomial(out, FLOAT)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative P with P(0) = 0."""
-        out = [self._zero()] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-        return Polynomial(out, self.mode)
+        if self.mode == EXACT:
+            return exact_polynomial(*_integer_antiderivative(self.nums, self.den))
+        return Polynomial([0.0] + [c / (i + 1) for i, c in enumerate(self.nums)], FLOAT)
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Scalar:
         """Definite integral over [lo, hi], exact in exact mode."""
@@ -143,19 +234,118 @@ class Polynomial:
 
     def __call__(self, x: Scalar) -> Scalar:
         x = coerce(x, self.mode)
-        acc = self._zero()
-        for c in reversed(self.coeffs):
+        if self.mode == EXACT:
+            value, scale = _homogeneous_horner(self.nums, x.numerator, x.denominator)
+            return Fraction(value, self.den * scale)
+        acc = 0.0
+        for c in reversed(self.nums):
             acc = acc * x + c
         return acc
 
     def eval_float(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(self.float_coeffs()):
+            acc = acc * x + c
         return acc
 
     def to_float(self) -> "Polynomial":
-        return Polynomial([float(c) for c in self.coeffs], FLOAT)
+        return Polynomial(self.float_coeffs(), FLOAT)
+
+
+def _store(p: Polynomial, nums: tuple, den, mode: str) -> None:
+    if mode == EXACT:
+        width = max(map(abs, nums), default=0).bit_length() // 8 + 1
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in nums])
+    else:
+        width, data = 0, nums
+    object.__setattr__(p, "_data", data)
+    object.__setattr__(p, "_width", width)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "mode", mode)
+
+
+def _make(nums: tuple, den, mode: str) -> Polynomial:
+    """A polynomial from a representation already in canonical form."""
+    p = object.__new__(Polynomial)
+    _store(p, nums, den, mode)
+    return p
+
+
+def exact_polynomial(nums: Sequence[int], den: int) -> Polynomial:
+    """The exact polynomial sum(nums[i] / den * x**i) for integers nums and
+    den > 0, reduced to lowest terms: the inverse of reading ``p.nums`` and
+    ``p.den``."""
+    nums = list(nums)
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if not nums:
+        return _make((), 1, EXACT)
+    common = gcd(den, *nums)
+    if common > 1:
+        nums = [c // common for c in nums]
+        den //= common
+    return _make(tuple(nums), den, EXACT)
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of the polynomials with coefficients a
+    and b (both non-empty)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+# Below this many terms in the shorter factor the schoolbook product wins.
+KRONECKER_MIN_TERMS = 16
+
+
+def _int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """_convolve for integers; long factors by Kronecker substitution.
+
+    Every product coefficient is below min(len) max|a| max|b| <= 2^(8w-1)
+    in size, so a and b evaluated at B = 2^(8w) multiply as two integers
+    (subquadratic in CPython, squaring when a is b) and the product's
+    base-B digits, each offset by B/2 so that none borrows, are the
+    coefficients.  The offsets make each evaluation one byte string.
+    """
+    if min(len(a), len(b)) < KRONECKER_MIN_TERMS:
+        return _convolve(a, b)
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    w = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
+    half = 1 << (8 * w - 1)
+    offsets = half.to_bytes(w, "little")
+
+    def evaluate(c: Sequence[int]) -> int:
+        biased = b"".join([(x + half).to_bytes(w, "little") for x in c])
+        return int.from_bytes(biased, "little") - int.from_bytes(offsets * len(c), "little")
+
+    n = len(a) + len(b) - 1
+    product = evaluate(a) ** 2 if a is b else evaluate(a) * evaluate(b)
+    digits = (product + int.from_bytes(offsets * n, "little")).to_bytes(w * n, "little")
+    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _integer_antiderivative(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """The antiderivative, vanishing at 0, of nums/den as integers over one
+    denominator: with L = lcm(1..n), n = len(nums), c x^i integrates to
+    (c L/(i+1)) x^(i+1) over den L."""
+    scale = lcm(*range(1, len(nums) + 1))
+    return [0] + [c * (scale // (i + 1)) for i, c in enumerate(nums)], den * scale
+
+
+def _homogeneous_horner(nums: Sequence[int], s: int, t: int) -> tuple[int, int]:
+    """(sum nums[i] s^i t^(n-i), t^n) with n = len(nums) - 1: the polynomial
+    with integer coefficients nums at s/t is the first over the second.
+    () gives (0, 1)."""
+    acc = 0
+    scale = 1
+    for i in range(len(nums) - 1, -1, -1):
+        acc = acc * s + nums[i] * scale
+        scale *= t
+    return acc, scale // t if nums else 1
 
 
 def monomial(power: int, coeff: Scalar = 1, mode: str = EXACT) -> Polynomial:
@@ -169,12 +359,9 @@ def constant(value: Scalar, mode: str | None = None) -> Polynomial:
 
 
 def bridge_poly(k: int, mode: str = EXACT) -> Polynomial:
-    """x**k (1-x)**k, the lowest-degree polynomial clamped to order k."""
-    p = monomial(k, 1, mode)
-    omx = Polynomial([1, -1], mode)
-    for _ in range(k):
-        p = p * omx
-    return p
+    """x**k (1-x)**k, the lowest-degree polynomial clamped to order k, from
+    the binomial expansion of (1-x)**k."""
+    return Polynomial([0] * k + [(-1) ** j * comb(k, j) for j in range(k + 1)], mode)
 
 
 def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
@@ -194,8 +381,7 @@ def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
             p = p.antiderivative()
         return p
     if isinstance(p, Polynomial):
-        nums, den = _plain_antiderivative(p, m)
-        return _exact_polynomial(nums, den)
+        return exact_polynomial(*_plain_antiderivative(p, m))
     pieces = []
     prev = None  # the previous piece's result: (numerators, denominator)
     for a, q in zip(p.breakpoints, p.pieces):
@@ -203,7 +389,7 @@ def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
         if prev is not None:
             nums, den = _add_taylor_correction(nums, den, prev, a, m)
         prev = nums, den
-        pieces.append(_exact_polynomial(nums, den))
+        pieces.append(exact_polynomial(nums, den))
     return PiecewisePolynomial(p.breakpoints, pieces)
 
 
@@ -214,13 +400,12 @@ def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
     n = p.degree
     if n < 0:
         return [], 1
-    coeffs, den = integer_form(p.coeffs)
     nums = [0] * m
     ratio = factorial(n + m) // factorial(m)  # i! (n+m)!/(i+m)! at i = 0
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(p.nums):
         nums.append(c * ratio)
         ratio = ratio * (i + 1) // (i + m + 1)
-    return nums, den * factorial(n + m)
+    return nums, p.den * factorial(n + m)
 
 
 def _add_taylor_correction(nums, den, prev, a: Fraction, m: int):
@@ -260,14 +445,10 @@ def _add_taylor_correction(nums, den, prev, a: Fraction, m: int):
     return [c // common for c in out], out_den // common
 
 
-def _exact_polynomial(nums: list[int], den: int) -> Polynomial:
-    return Polynomial([Fraction(c, den) for c in nums], EXACT)
-
-
 def integer_form(values: Sequence) -> tuple[list[int], int]:
     """Integers nums and den > 0 with values[i] == Fraction(nums[i], den),
     den the least common denominator of the exact values (ints or
-    Fractions); the inverse of _exact_polynomial.  () gives ([], 1)."""
+    Fractions).  () gives ([], 1)."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -279,7 +460,7 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
     the i-th term picks up the factor (i - j) on the way from order j to
     order j + 1.
     """
-    terms, den = integer_form(p.coeffs)
+    terms, den = p.nums, p.den
     out = []
     for j in range(count):
         out.append(Fraction(sum(terms), den))
@@ -288,10 +469,15 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
 
 
 def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
-    """The k-th derivative of a Polynomial or PiecewisePolynomial."""
-    for _ in range(k):
-        p = p.derivative()
-    return p
+    """The k-th derivative of a Polynomial or PiecewisePolynomial; an exact
+    polynomial in one integer pass, c_i x^i -> c_i i!/(i-k)! x^(i-k)."""
+    if isinstance(p, PiecewisePolynomial):
+        return p.map_pieces(lambda q: kth_derivative(q, k))
+    if p.mode != EXACT:
+        for _ in range(k):
+            p = p.derivative()
+        return p
+    return exact_polynomial([c * perm(i, k) for i, c in enumerate(p.nums)][k:], p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +490,9 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(0, num.degree - den.degree + 1)
     rem = list(num.coeffs)
+    divisor = den.coeffs
     d = den.degree
-    lead = den.coeffs[-1]
+    lead = divisor[-1]
     while len(rem) - 1 >= d and any(c != 0 for c in rem):
         while rem and rem[-1] == 0:
             rem.pop()
@@ -314,7 +501,7 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
         shift = len(rem) - 1 - d
         factor = rem[-1] / lead
         q[shift] = factor
-        for i, c in enumerate(den.coeffs):
+        for i, c in enumerate(divisor):
             rem[shift + i] -= factor * c
         rem.pop()
     return Polynomial(q, EXACT), Polynomial(rem, EXACT)
@@ -349,21 +536,38 @@ def count_roots_half_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
 
 
 def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
-    """Divide out (x - c)**m where m is the multiplicity of the root c."""
+    """Divide out (x - c)**m where m is the multiplicity of the root c.
+
+    In integers: with c = s/t in lowest terms, t x - s divides the integer
+    numerators P exactly when c is a root, and then the quotient Q is
+    integral (Gauss's lemma), so synthetic division top down,
+    Q[i-1] = (P[i] + s Q[i]) / t, stops at the first inexact quotient or
+    non-zero remainder P[0] + s Q[0].  As x - c = (t x - s)/t, stripping
+    m roots leaves t^m Q over p's denominator.
+    """
+    c = Fraction(c)
+    s, t = c.numerator, c.denominator
+    nums = p.nums
     m = 0
-    coeffs = list(p.coeffs)
-    while coeffs:
-        # synthetic division by (x - c): the quotient and p(c) in one pass
-        quotient = coeffs[1:]
-        acc = coeffs[-1]
-        for i in range(len(coeffs) - 2, -1, -1):
-            quotient[i] = acc
-            acc = coeffs[i] + c * acc if c else coeffs[i]
-        if acc != 0:
-            break
-        coeffs = quotient
-        m += 1
-    return Polynomial(coeffs, EXACT) if m else p, m
+    while nums:
+        quotient = [0] * (len(nums) - 1)
+        acc = nums[-1]
+        for i in range(len(nums) - 1, 0, -1):
+            q, r = divmod(acc, t) if t != 1 else (acc, 0)
+            if r:
+                break
+            quotient[i - 1] = q
+            acc = nums[i - 1] + s * q
+        else:
+            if acc == 0:
+                nums = quotient
+                m += 1
+                continue
+        break
+    if not m:
+        return p, 0
+    scale = t**m
+    return exact_polynomial([q * scale for q in nums], p.den), m
 
 
 def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
@@ -479,7 +683,7 @@ def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[in
     n = p.degree
     if n < 0:
         return [0]
-    coeffs, _ = integer_form(p.coeffs)
+    coeffs = p.nums
     (a, b), d = integer_form((lo, hi))
     # d^n p(y / d) in y, then y = a + (b - a) t: d^n p(lo + (hi - lo) t)
     c = [coef * d ** (n - i) for i, coef in enumerate(coeffs)]
@@ -627,10 +831,7 @@ class PiecewisePolynomial:
         return total
 
     def square_integral01(self) -> Scalar:
-        total = coerce(0, self.mode)
-        for (a, b), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            total += (p * p).integrate(a, b)
-        return total
+        return pp_integrate_product(self, self)
 
     def to_float(self) -> "PiecewisePolynomial":
         return PiecewisePolynomial(
@@ -655,20 +856,61 @@ def from_polynomial(p: Polynomial) -> PiecewisePolynomial:
     return PiecewisePolynomial([coerce(0, p.mode), coerce(1, p.mode)], [p])
 
 
+def _refinement(f: PiecewisePolynomial, g: PiecewisePolynomial) -> tuple[list, list]:
+    """The breakpoints of the common refinement of f's and g's partitions,
+    and the pair of f's and g's pieces on each of its intervals."""
+    if f.mode != g.mode:
+        raise ModeMismatchError("piecewise modes differ")
+    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pairs = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = (a + b) / 2
+        pairs.append((f.pieces[f.piece_index(mid)], g.pieces[g.piece_index(mid)]))
+    return cuts, pairs
+
+
 def merge_binary(
     f: PiecewisePolynomial,
     g: PiecewisePolynomial,
     op: Callable[[Polynomial, Polynomial], Polynomial],
 ) -> PiecewisePolynomial:
     """Apply a polynomial binary op piecewise over the refined partition."""
-    if f.mode != g.mode:
-        raise ModeMismatchError("piecewise modes differ")
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        pieces.append(op(f.pieces[f.piece_index(mid)], g.pieces[g.piece_index(mid)]))
-    return PiecewisePolynomial(cuts, pieces)
+    cuts, pairs = _refinement(f, g)
+    return PiecewisePolynomial(cuts, [op(p, q) for p, q in pairs])
+
+
+def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> Scalar:
+    """The integral of p q over [lo, hi], exact in exact mode.
+
+    Exact: the convolution of the integer numerators integrates, over
+    p.den q.den lcm(1..N) (N = deg p + deg q + 1), to integer coefficients
+    G; homogeneous Horner gives G at lo = s/t and hi = S/T as integers over
+    t^N and T^N, so the integral is one Fraction.
+    """
+    p._check_mode(q)
+    if p.mode != EXACT:
+        return (p * q).integrate(lo, hi)
+    if p.is_zero() or q.is_zero():
+        return Fraction(0)
+    a = p.nums
+    g, den = _integer_antiderivative(
+        _int_convolve(a, a if q is p else q.nums), p.den * q.den
+    )
+    lo, hi = Fraction(lo), Fraction(hi)
+    top, top_scale = _homogeneous_horner(g, hi.numerator, hi.denominator)
+    bottom, bottom_scale = _homogeneous_horner(g, lo.numerator, lo.denominator)
+    return Fraction(
+        top * bottom_scale - bottom * top_scale, den * top_scale * bottom_scale
+    )
+
+
+def pp_integrate_product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> Scalar:
+    """The integral of f g over [0, 1], by integrate_product on each
+    interval of the refined partition."""
+    cuts, pairs = _refinement(f, g)
+    return sum(
+        integrate_product(p, q, a, b) for a, b, (p, q) in zip(cuts, cuts[1:], pairs)
+    )
 
 
 def pp_mul(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
@@ -747,7 +989,7 @@ def pp_values_at(pp: PiecewisePolynomial, x: Sequence[float]) -> list:
     out = []
     for p, lo, hi in zip(pp.pieces, [0, *cuts], [*cuts, len(x)]):
         if lo < hi:
-            coeffs = [float(c) for c in reversed(p.coeffs)]
+            coeffs = p.float_coeffs()[::-1]
             for t in x[lo:hi]:
                 acc = 0.0
                 for c in coeffs:
@@ -761,7 +1003,7 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
 
     Each piece takes the indices whose exact point i/n lies in it, as
     piece_index decides.  With its coefficients over one denominator D
-    (integer_form), a degree-d piece is sum_j a_j i^j n^(d-j) / (D n^d) at
+    (p.nums over p.den), a degree-d piece is sum_j a_j i^j n^(d-j) / (D n^d) at
     i/n: an integer Horner sum over one integer denominator.  int / int is
     correctly rounded, so every value equals the float of the exact rational.
     """
@@ -774,7 +1016,7 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
         if lo >= hi:
             continue
         d = max(p.degree, 0)
-        nums, den = integer_form(p.coeffs)
+        nums, den = p.nums, p.den
         scaled = [c * n ** (d - j) for j, c in enumerate(nums)]
         den *= n**d
         scaled.reverse()

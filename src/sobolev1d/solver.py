@@ -44,13 +44,15 @@ from .polynomials import (
     derivatives_at_one,
     from_polynomial,
     integer_form,
+    integrate_product,
+    kfold_antiderivative,
     kth_derivative,
     pp_equal,
     pp_grid_values,
     pp_grid_values_exact,
+    pp_integrate_product,
     # uncalled, but perfbench/tracing.py patches this name to time the grid scan
     pp_min_on_grid,  # noqa: F401
-    pp_mul,
     pp_positive_on_open01,
 )
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, format_rational, record
@@ -305,7 +307,8 @@ class PolyPlusPower:
         """integral of (p + c x^e)^2 = integral p^2 + 2c sum a_i/(i+e+1) + c^2/(2e+1)."""
         c, e = self.term.coefficient, self.term.exponent
         cross = sum(a / (i + e + 1) for i, a in enumerate(self.poly.coeffs))
-        return (self.poly * self.poly).integrate(0, 1) + 2 * c * cross + c * c / (2 * e + 1)
+        square = integrate_product(self.poly, self.poly, 0, 1)
+        return square + 2 * c * cross + c * c / (2 * e + 1)
 
     def power_moment(self, alpha: Fraction) -> Fraction:
         """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha)."""
@@ -385,10 +388,16 @@ def compute_mu(v) -> Fraction:
 
 
 def assemble_u(spec: ProblemSpec, seeds: DerivativeSeeds, mu: Fraction, v):
-    """u = mu * (k-fold antiderivative of v), plus residual diagnostics."""
-    anti = v
-    for _ in range(spec.k):
-        anti = anti.antiderivative()
+    """u = mu * (k-fold antiderivative of v), plus residual diagnostics.
+
+    A piecewise v takes one integer pass of kfold_antiderivative; the power
+    term of a PolyPlusPower integrates step by step."""
+    if isinstance(v, PolyPlusPower):
+        anti = v
+        for _ in range(spec.k):
+            anti = anti.antiderivative()
+    else:
+        anti = kfold_antiderivative(v, spec.k)
     u = anti.scale(mu)
     return u, _diagnostics(spec, u)
 
@@ -423,7 +432,7 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     elif isinstance(u, PolyPlusPower):
         norm = u.power_moment(rho.alpha)
     else:
-        norm = pp_mul(u, as_piecewise(rho)).integrate01()
+        norm = pp_integrate_product(u, as_piecewise(rho))
     diags.normalization_residual = abs(float(norm) - 1.0)
     if isinstance(u, PolyPlusPower):
         diags.min_interior_value = u.min_on_grid()

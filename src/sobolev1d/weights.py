@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Union
 
 from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     constant,
+    exact_polynomial,
     from_polynomial,
     integer_form,
     is_nonnegative_on,
@@ -263,16 +264,24 @@ def moments(rho: Weight, k: int) -> MomentVector:
         totals = [Fraction(0)] * k
         for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
             # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
-            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
-            d = p.compose_affine(-1, 1).coeffs
-            lo, hi = 1 - b, 1 - a
-            lo_pow, hi_pow = lo**k, hi**k
+            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1.
+            # In integers, with d = nums/D, 1-b = v/w, 1-a = u/w and L the
+            # lcm of 1..E, E the largest e: [s^e/e] = P_e / (L w^E) with
+            # P_e = (u^e - v^e) w^(E-e) L/e.
+            mirrored = p.compose_affine(-1, 1)
+            nums = mirrored.nums
+            top = 2 * k + len(nums) - 1
+            (v, u), w = integer_form((1 - b, 1 - a))
+            scale = lcm(*range(1, top + 1))
+            power = {}
+            u_e, v_e, w_e = u**k, v**k, w ** (top - k)
+            for e in range(k + 1, top + 1):
+                u_e, v_e, w_e = u_e * u, v_e * v, w_e // w
+                power[e] = (u_e - v_e) * w_e * (scale // e)
+            den = mirrored.den * scale * w**top
             for m in range(k):
-                lo_e, hi_e = lo_pow, hi_pow
-                for i, c in enumerate(d):
-                    lo_e, hi_e = lo_e * lo, hi_e * hi
-                    totals[m] += c * (hi_e - lo_e) / (k + m + i + 1)
-                lo_pow, hi_pow = lo_pow * lo, hi_pow * hi
+                total = sum(c * power[k + m + i + 1] for i, c in enumerate(nums))
+                totals[m] += Fraction(total, den)
         values = [sign * t for t in totals]
     return MomentVector(k, tuple(values))
 
@@ -312,12 +321,15 @@ def iterated_integral(rho: Weight, k: int):
         coeff = beta_product(rho.alpha, k - 1) / factorial(k - 1)
         return PowerLawTerm(coeff, k - rho.alpha)
     if isinstance(rho, DiracWeight):
-        # sifting: I(x) = (x - a)^(k-1)/(k-1)! for x >= a, else 0
-        a = rho.a
-        shifted = Polynomial([1], EXACT)
-        for _ in range(k - 1):
-            shifted = shifted * Polynomial([-a, 1], EXACT)
-        shifted = shifted.scale(Fraction(1, factorial(k - 1)))
+        # sifting: I(x) = (x - a)^(k-1)/(k-1)! for x >= a, else 0; with
+        # a = s/t the binomial expansion has the x^j numerator
+        # C(k-1, j) (-s)^(k-1-j) t^j over t^(k-1) (k-1)!
+        a, n = rho.a, k - 1
+        s, t = a.numerator, a.denominator
+        shifted = exact_polynomial(
+            [comb(n, j) * (-s) ** (n - j) * t**j for j in range(n + 1)],
+            t**n * factorial(n),
+        )
         return PiecewisePolynomial(
             [Fraction(0), a, Fraction(1)], [Polynomial((), EXACT), shifted]
         )
@@ -380,16 +392,25 @@ def scale_weight(rho: Weight, c: Fraction) -> Weight:
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+|/\d+)?")
 # cap on a DSL polynomial's degree and on any ^ exponent, checked before
-# multiplying out: poly:(1+x)^256 solves in ~3.5 s at k = 60
+# multiplying out: poly:(1+x)^256 solves in ~0.6 s at k = 60
 MAX_DEGREE = 256
 # caps on the bit length of DSL rationals, each set from a measured time
 # budget (README): a literal's numerator and denominator, and a polynomial's,
 # written as P/D with one denominator D and integer coefficients P, after
 # every +, - and *, and each step of a ^, checked before multiplying.  A
 # literal can be a breakpoint, whose cost grows fastest: at k = 60,
-# chi:1/(2^64 - 1),1/(2^64 - 59) takes ~52 s, poly:(1/15+x)^256 ~10 s
+# chi:1/(2^64 - 1),1/(2^64 - 59) takes ~1.8 s, poly:(1/15+x)^256 ~0.8 s
 MAX_LITERAL_BITS = 64
 MAX_POLY_BITS = 1024
+# caps on a pw weight, checked before its pieces are certified or solved:
+# its number of pieces, and its size, pieces x (degree + 1) x bits, with the
+# largest piece degree and the largest bit length of a piece's P or D.  The
+# size cap is the size of the largest polynomial the caps above admit, so
+# poly weights never reach it.  Long breakpoints make every piece cost: at
+# k = 60 with 64-bit breakpoints, 16 constant pieces take ~3 s, two pieces
+# of degree 128 at the size cap ~4 s and 16 of degree 15 at it ~17 s
+MAX_PIECES = 16
+MAX_WEIGHT_SIZE = (MAX_DEGREE + 1) * MAX_POLY_BITS
 
 
 def _check_literal(value: Fraction, position: int) -> Fraction:
@@ -405,8 +426,7 @@ def _check_literal(value: Fraction, position: int) -> Fraction:
 def _poly_bits(p: Polynomial) -> tuple:
     """Bit lengths of P's largest coefficient and of D, for p = P/D with D
     the least common denominator."""
-    nums, den = integer_form(p.coeffs)
-    return max(map(abs, nums), default=0).bit_length(), den.bit_length()
+    return max(map(abs, p.nums), default=0).bit_length(), p.den.bit_length()
 
 
 def _tokenize_poly(text: str, base: int):
@@ -580,6 +600,10 @@ _PIECE_RE = re.compile(r"\s*\[([^,\]]+),([^,\]]+)\]\s*=\s*(.+)\s*")
 
 def _parse_piecewise(payload: str, base: int) -> PiecewiseWeight:
     pieces_text = payload.split(";")
+    if len(pieces_text) > MAX_PIECES:
+        raise WeightDomainError(
+            f"pw weight has {len(pieces_text)} pieces, at most {MAX_PIECES}"
+        )
     cuts: list[Fraction] = []
     polys: list[Polynomial] = []
     offset = base
@@ -606,6 +630,14 @@ def _parse_piecewise(payload: str, base: int) -> PiecewiseWeight:
         offset += len(chunk) + 1
     if cuts[-1] != 1:
         raise WeightDomainError("last piece must end at 1")
+    degree = max(p.degree for p in polys)
+    bits = max(max(_poly_bits(p)) for p in polys)
+    size = len(polys) * (degree + 1) * bits
+    if size > MAX_WEIGHT_SIZE:
+        raise WeightDomainError(
+            f"weight size {size} ({len(polys)} pieces x (degree {degree} + 1) x "
+            f"{bits} bits) exceeds {MAX_WEIGHT_SIZE}"
+        )
     return PiecewiseWeight(PiecewisePolynomial(cuts, polys))
 
 

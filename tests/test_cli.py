@@ -22,7 +22,14 @@ from sobolev1d.cli import (
 from sobolev1d.closed_forms import dirac_mu
 from sobolev1d.scalars import format_rational
 from sobolev1d.solver import ProblemSpec, solve
-from sobolev1d.weights import MAX_DEGREE, MAX_LITERAL_BITS, MAX_POLY_BITS, parse_weight
+from sobolev1d.weights import (
+    MAX_DEGREE,
+    MAX_LITERAL_BITS,
+    MAX_PIECES,
+    MAX_POLY_BITS,
+    MAX_WEIGHT_SIZE,
+    parse_weight,
+)
 
 
 def run(capsys, *argv):
@@ -570,6 +577,42 @@ def test_rationals_above_the_bit_caps_exit_2(weight, message):
     proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def _pw(pieces):
+    """pw weight text with the given piece texts on equal parts of [0, 1]."""
+    n = len(pieces)
+    cuts = ["0", *(f"{i}/{n}" for i in range(1, n)), "1"]
+    return "pw:" + ";".join(f"[{a},{b}]={p}" for a, b, p in zip(cuts, cuts[1:], pieces))
+
+
+# two pieces of degree 128, the first with the coefficient 2^1020 (1021 bits)
+# or 2^1019 (1020 bits): sizes 2 x 129 x 1021 and 2 x 129 x 1020
+_OVER_SIZE = _pw(["(2^255)^4*x^128", "1"])
+_AT_SIZE = _pw(["(2^254)^4*8*x^128", "1"])
+
+
+def test_weights_above_the_size_and_piece_caps_exit_2():
+    # both caps are checked before any piece is certified or solved
+    assert 2 * 129 * 1020 <= MAX_WEIGHT_SIZE < 2 * 129 * 1021
+    for weight, message in [
+        (
+            _OVER_SIZE,
+            f"weight size {2 * 129 * 1021} (2 pieces x (degree 128 + 1) x 1021 bits) "
+            f"exceeds {MAX_WEIGHT_SIZE}",
+        ),
+        (_pw(["1"] * (MAX_PIECES + 1)), f"has {MAX_PIECES + 1} pieces, at most {MAX_PIECES}"),
+    ]:
+        proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
+
+def test_weights_at_the_size_and_piece_caps_run():
+    for weight in (_AT_SIZE, _pw(["1"] * MAX_PIECES)):
+        proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
+        assert proc.returncode == 0, proc.stderr
+        assert F(json.loads(proc.stdout)["mu_exact"]) > 0
 
 
 def test_config_file_galerkin_degree_is_capped(tmp_path, capsys, monkeypatch):
