@@ -545,6 +545,8 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     non-zero remainder P[0] + s Q[0].  As x - c = (t x - s)/t, stripping
     m roots leaves t^m Q over p's denominator.
     """
+    if p.mode != EXACT:
+        raise ModeMismatchError("root stripping requires exact mode")
     c = Fraction(c)
     s, t = c.numerator, c.denominator
     nums = p.nums
