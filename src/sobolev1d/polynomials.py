@@ -165,7 +165,7 @@ class Polynomial:
             a = self.nums
             b = a if other is self else other.nums
             common = gcd(other.den, *a) * gcd(self.den, *b)
-            out = _int_convolve(a, b)
+            out = _convolve(a, b)
             if common > 1:
                 out = [c // common for c in out]
             return _make(tuple(out), self.den * other.den // common, EXACT)
@@ -296,36 +296,6 @@ def _convolve(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-# Below this many terms in the shorter factor the schoolbook product wins.
-KRONECKER_MIN_TERMS = 16
-
-
-def _int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """_convolve for integers; long factors by Kronecker substitution.
-
-    Every product coefficient is below min(len) max|a| max|b| <= 2^(8w-1)
-    in size, so a and b evaluated at B = 2^(8w) multiply as two integers
-    (subquadratic in CPython, squaring when a is b) and the product's
-    base-B digits, each offset by B/2 so that none borrows, are the
-    coefficients.  The offsets make each evaluation one byte string.
-    """
-    if min(len(a), len(b)) < KRONECKER_MIN_TERMS:
-        return _convolve(a, b)
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-    w = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
-    half = 1 << (8 * w - 1)
-    offsets = half.to_bytes(w, "little")
-
-    def evaluate(c: Sequence[int]) -> int:
-        biased = b"".join([(x + half).to_bytes(w, "little") for x in c])
-        return int.from_bytes(biased, "little") - int.from_bytes(offsets * len(c), "little")
-
-    n = len(a) + len(b) - 1
-    product = evaluate(a) ** 2 if a is b else evaluate(a) * evaluate(b)
-    digits = (product + int.from_bytes(offsets * n, "little")).to_bytes(w * n, "little")
-    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * n, w)]
 
 
 def _integer_antiderivative(nums: Sequence[int], den: int) -> tuple[list[int], int]:
@@ -896,7 +866,7 @@ def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> S
         return Fraction(0)
     a = p.nums
     g, den = _integer_antiderivative(
-        _int_convolve(a, a if q is p else q.nums), p.den * q.den
+        _convolve(a, a if q is p else q.nums), p.den * q.den
     )
     lo, hi = Fraction(lo), Fraction(hi)
     top, top_scale = _homogeneous_horner(g, hi.numerator, hi.denominator)

@@ -392,25 +392,26 @@ def scale_weight(rho: Weight, c: Fraction) -> Weight:
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+|/\d+)?")
 # cap on a DSL polynomial's degree and on any ^ exponent, checked before
-# multiplying out: poly:(1+x)^256 solves in ~0.6 s at k = 60
+# multiplying out: poly:(1+x)^256 solves in ~0.7 s at k = 60
 MAX_DEGREE = 256
 # caps on the bit length of DSL rationals, each set from a measured time
 # budget (README): a literal's numerator and denominator, and a polynomial's,
 # written as P/D with one denominator D and integer coefficients P, after
 # every +, - and *, and each step of a ^, checked before multiplying.  A
 # literal can be a breakpoint, whose cost grows fastest: at k = 60,
-# chi:1/(2^64 - 1),1/(2^64 - 59) takes ~1.8 s, poly:(1/15+x)^256 ~0.8 s
+# chi:1/(2^64 - 1),1/(2^64 - 59) takes ~2.8 s, poly:(1/15+x)^256 ~1.3 s
 MAX_LITERAL_BITS = 64
 MAX_POLY_BITS = 1024
-# caps on a pw weight, checked before its pieces are certified or solved:
-# its number of pieces, and its size, pieces x (degree + 1) x bits, with the
-# largest piece degree and the largest bit length of a piece's P or D.  The
-# size cap is the size of the largest polynomial the caps above admit, so
-# poly weights never reach it.  Long breakpoints make every piece cost: at
-# k = 60 with 64-bit breakpoints, 16 constant pieces take ~3 s, two pieces
-# of degree 128 at the size cap ~4 s and 16 of degree 15 at it ~17 s
-MAX_PIECES = 16
-MAX_WEIGHT_SIZE = (MAX_DEGREE + 1) * MAX_POLY_BITS
+# caps on a pw weight, checked before its pieces are certified or solved,
+# set so that verify at k = 60 ends within 10 s (README): its number of
+# pieces, and its size, pieces x (degree + 1) x bits, with the largest piece
+# degree and the largest bit length of a piece's P or D or of a breakpoint.
+# Long breakpoints are the main cost: each raises the bit length of every
+# piece of u^(k), so at k = 60 four constant pieces with 64-bit breakpoints
+# take ~8.5 s to solve, and three pieces of degree 15, at the size cap, up
+# to 8.7 s in verify
+MAX_PIECES = 3
+MAX_WEIGHT_SIZE = 3 * 16 * MAX_LITERAL_BITS
 
 
 def _check_literal(value: Fraction, position: int) -> Fraction:
@@ -631,7 +632,10 @@ def _parse_piecewise(payload: str, base: int) -> PiecewiseWeight:
     if cuts[-1] != 1:
         raise WeightDomainError("last piece must end at 1")
     degree = max(p.degree for p in polys)
-    bits = max(max(_poly_bits(p)) for p in polys)
+    bits = max(
+        max(max(_poly_bits(p)) for p in polys),
+        max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in cuts),
+    )
     size = len(polys) * (degree + 1) * bits
     if size > MAX_WEIGHT_SIZE:
         raise WeightDomainError(

@@ -25,7 +25,6 @@ from sobolev1d.solver import ProblemSpec, solve
 from sobolev1d.weights import (
     MAX_DEGREE,
     MAX_LITERAL_BITS,
-    MAX_PIECES,
     MAX_POLY_BITS,
     MAX_WEIGHT_SIZE,
     parse_weight,
@@ -586,22 +585,28 @@ def _pw(pieces):
     return "pw:" + ";".join(f"[{a},{b}]={p}" for a, b, p in zip(cuts, cuts[1:], pieces))
 
 
-# two pieces of degree 128, the first with the coefficient 2^1020 (1021 bits)
-# or 2^1019 (1020 bits): sizes 2 x 129 x 1021 and 2 x 129 x 1020
-_OVER_SIZE = _pw(["(2^255)^4*x^128", "1"])
-_AT_SIZE = _pw(["(2^254)^4*8*x^128", "1"])
+# three pieces of degree 15 on 64-bit breakpoints, size 3 x 16 x 64: the
+# slowest input found at the caps (verify --k 60 took 8.7 s against the 10 s
+# budget the caps are set from); degree 16 makes it 3 x 17 x 64
+_CUTS = ("0", "1212534804593786696/3637604413781271093",
+         "9938324321300422253/14907486481950237672", "1")
+
+
+def _long_cuts(degree):
+    pieces = (f"(4/5+x)^{degree}", f"(7/5+x)^{degree}", f"(6/7+x)^{degree}")
+    return "pw:" + ";".join(f"[{a},{b}]={p}" for a, b, p in zip(_CUTS, _CUTS[1:], pieces))
 
 
 def test_weights_above_the_size_and_piece_caps_exit_2():
     # both caps are checked before any piece is certified or solved
-    assert 2 * 129 * 1020 <= MAX_WEIGHT_SIZE < 2 * 129 * 1021
+    assert 3 * 16 * 64 <= MAX_WEIGHT_SIZE < 3 * 17 * 64
     for weight, message in [
         (
-            _OVER_SIZE,
-            f"weight size {2 * 129 * 1021} (2 pieces x (degree 128 + 1) x 1021 bits) "
+            _long_cuts(16),
+            f"weight size {3 * 17 * 64} (3 pieces x (degree 16 + 1) x 64 bits) "
             f"exceeds {MAX_WEIGHT_SIZE}",
         ),
-        (_pw(["1"] * (MAX_PIECES + 1)), f"has {MAX_PIECES + 1} pieces, at most {MAX_PIECES}"),
+        (_pw(["1"] * 4), "pw weight has 4 pieces, at most 3"),
     ]:
         proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
         assert proc.returncode == 2, proc.stderr
@@ -609,10 +614,13 @@ def test_weights_above_the_size_and_piece_caps_exit_2():
 
 
 def test_weights_at_the_size_and_piece_caps_run():
-    for weight in (_AT_SIZE, _pw(["1"] * MAX_PIECES)):
-        proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", weight)
-        assert proc.returncode == 0, proc.stderr
-        assert F(json.loads(proc.stdout)["mu_exact"]) > 0
+    proc = _cli_under_memory_cap("constant", "--k", "2", "--weight", _pw(["1"] * 3))
+    assert proc.returncode == 0, proc.stderr
+    assert F(json.loads(proc.stdout)["mu_exact"]) > 0
+    # the slowest input found at the size cap, at the largest k
+    proc = _cli_under_memory_cap("verify", "--k", str(MAX_K), "--weight", _long_cuts(15))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "agree"
 
 
 def test_config_file_galerkin_degree_is_capped(tmp_path, capsys, monkeypatch):
