@@ -56,7 +56,7 @@ _CONFIG_KEYS = set(_DEFAULTS)
 # caps that keep every run's time and memory bounded, each set from a
 # measured time budget (README); with all at their caps, verify took 1.9 s
 MAX_POINTS = 100_000  # minimizer samples and finite-difference grid nodes
-MAX_K = 60  # constant takes 0.34-0.42 s for every weight kind at k = 60
+MAX_K = 60  # constant takes 0.19-0.25 s for every weight kind at k = 60
 MAX_GALERKIN_DEGREE = 512
 MAX_SWEEP_ROWS = 1000
 

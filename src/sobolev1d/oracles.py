@@ -159,10 +159,10 @@ def _monomial_moments(rho: Weight, lo: int, hi: int) -> list:
     if not isinstance(rho, (PolyWeight, PiecewiseWeight, IndicatorWeight)):
         raise UnsupportedWeightError(f"no load vector for {rho.kind}")
     pp = as_piecewise(rho)
-    out = [coerce(0, pp.mode)] * (hi - lo + 1)
+    out = [Fraction(0)] * (hi - lo + 1)
     for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
         # q[j] = (b^j - a^j) / j, the integral of x^(j-1) over the piece
-        pa = pb = coerce(1, pp.mode)
+        pa = pb = 1
         q = [None]
         for j in range(1, hi + len(p.coeffs) + 1):
             pa, pb = pa * a, pb * b

@@ -1,18 +1,22 @@
 """Dense polynomial and piecewise-polynomial algebra on [0, 1].
 
-Polynomials have a scalar mode, exact or float, and binary operations
-require both operands to be in the same mode.  An exact polynomial is
-stored as integer numerators over one positive denominator, in lowest terms
-with trailing zeros stripped: the fraction-free form (von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 6).  It is canonical, so
-equality and hashing read it directly, and every exact operation here runs
-on those integers, with one gcd per result rather than one per coefficient:
-arithmetic, evaluation at rational points, integrals of products, root
-stripping and the positivity certificates (a Bernstein certificate with
-Sturm fallback for strict positivity, and Sturm sequences for the
-non-negativity of weights).  A float polynomial stores its float
-coefficients.  ``coeffs`` is the read-only coefficient view in both modes;
-in exact mode it builds Fractions on each access.
+Every arithmetic, calculus and certificate routine here is exact.  An
+exact polynomial is stored as integer numerators over one positive
+denominator, in lowest terms with trailing zeros stripped: the fraction-free
+form (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  It is
+canonical, so equality and hashing read it directly, and every operation
+here runs on those integers, with one gcd per result rather than one per
+coefficient: arithmetic, evaluation at rational points, integrals of
+products, root stripping and the positivity certificates (a Bernstein
+certificate with Sturm fallback for strict positivity, and Sturm sequences
+for the non-negativity of weights).  ``coeffs`` is the read-only
+coefficient view; it builds Fractions on each access.
+
+Float polynomials are output values: ``to_float`` rounds an exact result,
+and float literals build one.  They are constructed, compared and hashed,
+read through ``coeffs``, ``nums`` and ``float_coeffs``, and sampled by
+``eval_float`` and :func:`pp_values_at`; every other operation raises
+:class:`ModeMismatchError` on them.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval.  Continuity is deliberately not an invariant:
@@ -31,7 +35,7 @@ from fractions import Fraction
 from math import ceil, comb, factorial, gcd, lcm, perm
 from typing import Callable, Iterable, Sequence
 
-from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce, mode_of
+from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce
 
 
 class Polynomial:
@@ -42,8 +46,9 @@ class Polynomial:
     polynomial is ``nums == ()`` with den 1.  The numerators are held as one
     byte string of ``_width``-byte two's-complement integers, the width the
     least that fits the largest, which takes a fraction of the memory of a
-    tuple of int objects.  Float: ``nums`` holds the float coefficients,
-    without trailing zeros, ``_width`` is 0 and den is 1.
+    tuple of int objects.  Float polynomials are output values, with no
+    arithmetic: ``nums`` holds the float coefficients, without trailing
+    zeros, ``_width`` is 0 and den is 1.
     """
 
     __slots__ = ("_data", "_width", "den", "mode")
@@ -124,123 +129,108 @@ class Polynomial:
         terms = " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"Polynomial({terms})"
 
-    def _check_mode(self, other: "Polynomial"):
-        if self.mode != other.mode:
+    def _exact(self, other: "Polynomial | None" = None) -> None:
+        """Raise ModeMismatchError unless self, and other if given, are
+        exact: the one guard of every arithmetic, calculus and certificate
+        routine."""
+        if self.mode != EXACT or (other is not None and other.mode != EXACT):
             raise ModeMismatchError(
-                f"polynomial modes differ: {self.mode} vs {other.mode}"
+                "float polynomials are output values, with no arithmetic"
             )
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_mode(other)
-        a, b = self.nums, other.nums
-        if self.mode == EXACT:
-            den = lcm(self.den, other.den)
-            fa, fb = den // self.den, den // other.den
-            a, b = [c * fa for c in a], [c * fb for c in b]
+        self._exact(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = [c * fa for c in self.nums], [c * fb for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        if self.mode == EXACT:
-            return exact_polynomial(out, den)
-        return Polynomial(out, FLOAT)
+            a[i] += c
+        return exact_polynomial(a, den)
 
     def __neg__(self) -> "Polynomial":
-        return _make(tuple(-c for c in self.nums), self.den, self.mode)
+        self._exact()
+        return _make(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_mode(other)
+        self._exact(other)
         if self.is_zero() or other.is_zero():
-            return Polynomial((), self.mode)
-        if self.mode == EXACT:
-            # content(a b) = content(a) content(b) (Gauss's lemma), and each
-            # content is prime to its own denominator, so the product's
-            # common factor with den_a den_b is gcd(den_b, a) gcd(den_a, b)
-            a = self.nums
-            b = a if other is self else other.nums
-            common = gcd(other.den, *a) * gcd(self.den, *b)
-            out = _convolve(a, b)
-            if common > 1:
-                out = [c // common for c in out]
-            return _make(tuple(out), self.den * other.den // common, EXACT)
-        return Polynomial(_convolve(self.nums, other.nums), FLOAT)
+            return Polynomial(())
+        # content(a b) = content(a) content(b) (Gauss's lemma), and each
+        # content is prime to its own denominator, so the product's common
+        # factor with den_a den_b is gcd(den_b, a) gcd(den_a, b)
+        a = self.nums
+        b = a if other is self else other.nums
+        common = gcd(other.den, *a) * gcd(self.den, *b)
+        out = _convolve(a, b)
+        if common > 1:
+            out = [c // common for c in out]
+        return _make(tuple(out), self.den * other.den // common)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = coerce(c, self.mode)
-        if self.mode == EXACT:
-            if not c or self.is_zero():
-                return Polynomial((), EXACT)
-            # with nums/den and c = p/q both in lowest terms, the product's
-            # only common factors are gcd(p, den) and gcd(q, nums)
-            nums = self.nums
-            g1, g2 = gcd(c.numerator, self.den), gcd(c.denominator, *nums)
-            p = c.numerator // g1
-            nums = [a // g2 * p for a in nums] if g2 > 1 else [a * p for a in nums]
-            return _make(tuple(nums), self.den // g1 * (c.denominator // g2), EXACT)
-        return Polynomial([c * a for a in self.nums], FLOAT)
+        self._exact()
+        c = coerce(c, EXACT)
+        if not c or self.is_zero():
+            return Polynomial(())
+        # with nums/den and c = p/q both in lowest terms, the product's only
+        # common factors are gcd(p, den) and gcd(q, nums)
+        nums = self.nums
+        g1, g2 = gcd(c.numerator, self.den), gcd(c.denominator, *nums)
+        p = c.numerator // g1
+        nums = [a // g2 * p for a in nums] if g2 > 1 else [a * p for a in nums]
+        return _make(tuple(nums), self.den // g1 * (c.denominator // g2))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """Return x -> p(a*x + b).
 
-        Exact: with b = s/t and n = deg p, the integers nums[i] t^(n-i) are
-        the coefficients of t^n den p(y/t), and one Taylor shift by s makes
-        them those of t^n den p(b + y/t); y = t a x then multiplies the
-        y^i coefficient by (t a)^i, over den t^n times a power of a's
-        denominator.  Float: Horner over the affine argument.
+        With b = s/t and n = deg p, the integers nums[i] t^(n-i) are the
+        coefficients of t^n den p(y/t), and one Taylor shift by s makes them
+        those of t^n den p(b + y/t); y = t a x then multiplies the y^i
+        coefficient by (t a)^i, over den t^n times a power of a's
+        denominator.
         """
-        a = coerce(a, self.mode)
-        b = coerce(b, self.mode)
-        if self.mode == EXACT:
-            if self.is_zero():
-                return self
-            n = self.degree
-            s, t = b.numerator, b.denominator
-            h = [c * t ** (n - i) for i, c in enumerate(self.nums)]
-            taylor_shift(h, s)
-            ta = t * a
-            p, q = ta.numerator, ta.denominator
-            out = [c * p**i * q ** (n - i) for i, c in enumerate(h)]
-            return exact_polynomial(out, self.den * t**n * q**n)
-        inner = Polynomial([b, a], self.mode)
-        result = Polynomial((), self.mode)
-        for c in reversed(self.nums):
-            result = result * inner + Polynomial([c], self.mode)
-        return result
+        self._exact()
+        a = coerce(a, EXACT)
+        b = coerce(b, EXACT)
+        if self.is_zero():
+            return self
+        n = self.degree
+        s, t = b.numerator, b.denominator
+        h = [c * t ** (n - i) for i, c in enumerate(self.nums)]
+        taylor_shift(h, s)
+        ta = t * a
+        p, q = ta.numerator, ta.denominator
+        out = [c * p**i * q ** (n - i) for i, c in enumerate(h)]
+        return exact_polynomial(out, self.den * t**n * q**n)
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "Polynomial":
+        self._exact()
         out = [c * i for i, c in enumerate(self.nums)][1:]
-        if self.mode == EXACT:
-            return exact_polynomial(out, self.den)
-        return Polynomial(out, FLOAT)
+        return exact_polynomial(out, self.den)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative P with P(0) = 0."""
-        if self.mode == EXACT:
-            return exact_polynomial(*_integer_antiderivative(self.nums, self.den))
-        return Polynomial([0.0] + [c / (i + 1) for i, c in enumerate(self.nums)], FLOAT)
+        self._exact()
+        return exact_polynomial(*_integer_antiderivative(self.nums, self.den))
 
-    def integrate(self, lo: Scalar, hi: Scalar) -> Scalar:
-        """Definite integral over [lo, hi], exact in exact mode."""
+    def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
+        """Exact definite integral over [lo, hi]."""
         anti = self.antiderivative()
         return anti(hi) - anti(lo)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        x = coerce(x, self.mode)
-        if self.mode == EXACT:
-            value, scale = _homogeneous_horner(self.nums, x.numerator, x.denominator)
-            return Fraction(value, self.den * scale)
-        acc = 0.0
-        for c in reversed(self.nums):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Scalar) -> Fraction:
+        self._exact()
+        x = coerce(x, EXACT)
+        value, scale = _homogeneous_horner(self.nums, x.numerator, x.denominator)
+        return Fraction(value, self.den * scale)
 
     def eval_float(self, x: float) -> float:
         acc = 0.0
@@ -264,10 +254,10 @@ def _store(p: Polynomial, nums: tuple, den, mode: str) -> None:
     object.__setattr__(p, "mode", mode)
 
 
-def _make(nums: tuple, den, mode: str) -> Polynomial:
-    """A polynomial from a representation already in canonical form."""
+def _make(nums: tuple, den) -> Polynomial:
+    """An exact polynomial from a representation already in canonical form."""
     p = object.__new__(Polynomial)
-    _store(p, nums, den, mode)
+    _store(p, nums, den, EXACT)
     return p
 
 
@@ -279,12 +269,12 @@ def exact_polynomial(nums: Sequence[int], den: int) -> Polynomial:
     while nums and nums[-1] == 0:
         nums.pop()
     if not nums:
-        return _make((), 1, EXACT)
+        return _make((), 1)
     common = gcd(den, *nums)
     if common > 1:
         nums = [c // common for c in nums]
         den //= common
-    return _make(tuple(nums), den, EXACT)
+    return _make(tuple(nums), den)
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:
@@ -318,20 +308,18 @@ def _homogeneous_horner(nums: Sequence[int], s: int, t: int) -> tuple[int, int]:
     return acc, scale // t if nums else 1
 
 
-def monomial(power: int, coeff: Scalar = 1, mode: str = EXACT) -> Polynomial:
-    return Polynomial([0] * power + [coeff], mode)
+def monomial(power: int) -> Polynomial:
+    return Polynomial([0] * power + [1])
 
 
-def constant(value: Scalar, mode: str | None = None) -> Polynomial:
-    if mode is None:
-        mode = mode_of(value)
-    return Polynomial([value], mode)
+def constant(value: Scalar) -> Polynomial:
+    return Polynomial([value])
 
 
-def bridge_poly(k: int, mode: str = EXACT) -> Polynomial:
+def bridge_poly(k: int) -> Polynomial:
     """x**k (1-x)**k, the lowest-degree polynomial clamped to order k, from
     the binomial expansion of (1-x)**k."""
-    return Polynomial([0] * k + [(-1) ** j * comb(k, j) for j in range(k + 1)], mode)
+    return Polynomial([0] * k + [(-1) ** j * comb(k, j) for j in range(k + 1)])
 
 
 def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
@@ -343,13 +331,9 @@ def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
     of degree < m: the Taylor polynomial, at the piece's left breakpoint, of
     the previous piece's result minus the plain term, so that derivatives
     0..m-1 are continuous there (the first piece needs none, as every
-    derivative of both vanishes at 0).  Exact pieces are handled in integer
-    arithmetic over one denominator per piece; float ones by the loop.
+    derivative of both vanishes at 0).  Each piece is handled in integer
+    arithmetic over one denominator.
     """
-    if p.mode != EXACT:
-        for _ in range(m):
-            p = p.antiderivative()
-        return p
     if isinstance(p, Polynomial):
         return exact_polynomial(*_plain_antiderivative(p, m))
     pieces = []
@@ -367,6 +351,7 @@ def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
     """sum c_i i!/(i+m)! x^(i+m) as integer numerators over one denominator:
     with c_i = N_i / D and n = deg p, the x^(i+m) numerator is
     N_i i! (n+m)!/(i+m)! over D (n+m)!."""
+    p._exact()
     n = p.degree
     if n < 0:
         return [], 1
@@ -430,6 +415,7 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
     the i-th term picks up the factor (i - j) on the way from order j to
     order j + 1.
     """
+    p._exact()
     terms, den = p.nums, p.den
     out = []
     for j in range(count):
@@ -439,23 +425,21 @@ def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
 
 
 def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
-    """The k-th derivative of a Polynomial or PiecewisePolynomial; an exact
+    """The k-th derivative of a Polynomial or PiecewisePolynomial; a
     polynomial in one integer pass, c_i x^i -> c_i i!/(i-k)! x^(i-k)."""
     if isinstance(p, PiecewisePolynomial):
         return p.map_pieces(lambda q: kth_derivative(q, k))
-    if p.mode != EXACT:
-        for _ in range(k):
-            p = p.derivative()
-        return p
+    p._exact()
     return exact_polynomial([c * perm(i, k) for i, c in enumerate(p.nums)][k:], p.den)
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and exact sign certificates (exact mode only)
+# Sturm sequences and exact sign certificates
 # ---------------------------------------------------------------------------
 
 
 def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    num._exact(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(0, num.degree - den.degree + 1)
@@ -478,8 +462,7 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    if p.mode != EXACT:
-        raise ModeMismatchError("Sturm certificates require exact mode")
+    p._exact()
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
         _, rem = poly_divmod(chain[-2], chain[-1])
@@ -515,8 +498,7 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     non-zero remainder P[0] + s Q[0].  As x - c = (t x - s)/t, stripping
     m roots leaves t^m Q over p's denominator.
     """
-    if p.mode != EXACT:
-        raise ModeMismatchError("root stripping requires exact mode")
+    p._exact()
     c = Fraction(c)
     s, t = c.numerator, c.denominator
     nums = p.nums
@@ -548,6 +530,7 @@ def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     Endpoint roots are divided out first; an interior root of any
     multiplicity disqualifies (a touching zero is not strict positivity).
     """
+    p._exact()
     lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero():
         return False
@@ -601,11 +584,10 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     them.  Between consecutive distinct roots the sign is constant, so a
     dip below zero would create an extra distinct root and be detected.
     """
+    p._exact()
     lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero():
         return True
-    if p.mode != EXACT:
-        raise ModeMismatchError("exact non-negativity check requires exact mode")
     q, _ = strip_root(p, lo)
     q, m_hi = strip_root(q, hi)
     if m_hi % 2:
@@ -628,7 +610,7 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bernstein certificates (exact mode only)
+# Bernstein certificates
 # ---------------------------------------------------------------------------
 
 # Boxes one piece may examine before its certificate falls back to Sturm.
@@ -652,6 +634,7 @@ def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[in
     subdivision intact.  The first and last equal p(lo) and p(hi) times that
     constant.
     """
+    p._exact()
     n = p.degree
     if n < 0:
         return [0]
@@ -767,8 +750,8 @@ class PiecewisePolynomial:
                 hi = mid
         return lo
 
-    def __call__(self, x: Scalar) -> Scalar:
-        return self.pieces[self.piece_index(x)](coerce(x, self.mode))
+    def __call__(self, x: Scalar) -> Fraction:
+        return self.pieces[self.piece_index(x)](x)
 
     def eval_float(self, x: float) -> float:
         return float(self.pieces[self.piece_index(x)].eval_float(x))
@@ -788,21 +771,21 @@ class PiecewisePolynomial:
     def antiderivative(self) -> "PiecewisePolynomial":
         """Continuous antiderivative F with F(0) = 0 (constants accumulate)."""
         pieces = []
-        carry = coerce(0, self.mode)
+        carry = Fraction(0)
         for (a, b), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
             anti = p.antiderivative()
             shift = carry - anti(a)
-            pieces.append(anti + constant(shift, self.mode))
+            pieces.append(anti + constant(shift))
             carry = pieces[-1](b)
         return PiecewisePolynomial(self.breakpoints, pieces)
 
-    def integrate01(self) -> Scalar:
-        total = coerce(0, self.mode)
+    def integrate01(self) -> Fraction:
+        total = Fraction(0)
         for (a, b), p in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
             total += p.integrate(a, b)
         return total
 
-    def square_integral01(self) -> Scalar:
+    def square_integral01(self) -> Fraction:
         return pp_integrate_product(self, self)
 
     def to_float(self) -> "PiecewisePolynomial":
@@ -825,7 +808,7 @@ class PiecewisePolynomial:
 
 
 def from_polynomial(p: Polynomial) -> PiecewisePolynomial:
-    return PiecewisePolynomial([coerce(0, p.mode), coerce(1, p.mode)], [p])
+    return PiecewisePolynomial([0, 1], [p])
 
 
 def _refinement(f: PiecewisePolynomial, g: PiecewisePolynomial) -> tuple[list, list]:
@@ -841,27 +824,15 @@ def _refinement(f: PiecewisePolynomial, g: PiecewisePolynomial) -> tuple[list, l
     return cuts, pairs
 
 
-def merge_binary(
-    f: PiecewisePolynomial,
-    g: PiecewisePolynomial,
-    op: Callable[[Polynomial, Polynomial], Polynomial],
-) -> PiecewisePolynomial:
-    """Apply a polynomial binary op piecewise over the refined partition."""
-    cuts, pairs = _refinement(f, g)
-    return PiecewisePolynomial(cuts, [op(p, q) for p, q in pairs])
+def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> Fraction:
+    """The exact integral of p q over [lo, hi].
 
-
-def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> Scalar:
-    """The integral of p q over [lo, hi], exact in exact mode.
-
-    Exact: the convolution of the integer numerators integrates, over
-    p.den q.den lcm(1..N) (N = deg p + deg q + 1), to integer coefficients
-    G; homogeneous Horner gives G at lo = s/t and hi = S/T as integers over
+    The convolution of the integer numerators integrates, over p.den q.den
+    lcm(1..N) (N = deg p + deg q + 1), to integer coefficients G;
+    homogeneous Horner gives G at lo = s/t and hi = S/T as integers over
     t^N and T^N, so the integral is one Fraction.
     """
-    p._check_mode(q)
-    if p.mode != EXACT:
-        return (p * q).integrate(lo, hi)
+    p._exact(q)
     if p.is_zero() or q.is_zero():
         return Fraction(0)
     a = p.nums
@@ -876,7 +847,7 @@ def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> S
     )
 
 
-def pp_integrate_product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> Scalar:
+def pp_integrate_product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> Fraction:
     """The integral of f g over [0, 1], by integrate_product on each
     interval of the refined partition."""
     cuts, pairs = _refinement(f, g)
@@ -886,16 +857,15 @@ def pp_integrate_product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> Scal
 
 
 def pp_mul(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
-    return merge_binary(f, g, lambda p, q: p * q)
-
-
-def pp_sub(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
-    return merge_binary(f, g, lambda p, q: p - q)
+    cuts, pairs = _refinement(f, g)
+    return PiecewisePolynomial(cuts, [p * q for p, q in pairs])
 
 
 def pp_equal(f: PiecewisePolynomial, g: PiecewisePolynomial) -> bool:
-    diff = pp_sub(f, g)
-    return all(p.is_zero() for p in diff.pieces)
+    """f == g as functions on [0, 1]: pieces are canonical, so equal ones
+    are == on every interval of the refined partition."""
+    _, pairs = _refinement(f, g)
+    return all(p == q for p, q in pairs)
 
 
 def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
@@ -906,8 +876,6 @@ def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
     subdivision; a piece that exhausts the box budget is settled by
     :func:`is_positive_on_open`.
     """
-    if pp.mode != EXACT:
-        raise ModeMismatchError("positivity certificate requires exact mode")
     for i, ((a, b), p) in enumerate(
         zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces)
     ):
@@ -979,8 +947,7 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
     i/n: an integer Horner sum over one integer denominator.  int / int is
     correctly rounded, so every value equals the float of the exact rational.
     """
-    if pp.mode != EXACT:
-        raise ModeMismatchError("exact grid values need exact pieces")
+    pp.pieces[0]._exact()  # all pieces share one mode
     out = []
     # first index of each later piece: the smallest i with i/n >= t
     cuts = [ceil(t * n) for t in pp.breakpoints[1:-1]]

@@ -3,8 +3,8 @@
 Exact mode uses :class:`fractions.Fraction` (arbitrary-precision, reduced,
 positive denominator); every solve computes in it.  Float mode uses plain
 ``float``: a solve's output format and the arithmetic of the numerical
-oracles.  Binary operations between objects of different modes are rejected
-rather than silently coerced.
+oracles.  A float never enters an exact computation: :func:`coerce` rejects
+it rather than promote a rounded value.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ Scalar = Union[Fraction, float]
 
 
 class ModeMismatchError(TypeError):
-    """Raised when exact and float operands meet in one operation."""
-
-
-def mode_of(value) -> str:
-    """Return the arithmetic mode of a scalar value."""
-    if isinstance(value, float):
-        return FLOAT
-    if isinstance(value, (int, Fraction)):
-        return EXACT
-    raise TypeError(f"not a scalar: {value!r}")
+    """Raised when a float value reaches an exact-only computation."""
 
 
 def coerce(value, mode: str) -> Scalar:

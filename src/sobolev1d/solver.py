@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Optional, Sequence
 
 from . import closed_forms
@@ -196,22 +196,17 @@ class ExtremalSolution:
 
 @lru_cache(maxsize=64)
 def build_matrix(k: int) -> tuple:
-    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact integers.
+    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact integers
+    held as Fractions, so that :func:`gaussian_solve` on it stays exact.
 
-    Built and structure-checked once per k; the tuple is immutable, so every
-    solve of that order shares it.
+    Built and structure-checked in ints once per k; the tuple is immutable,
+    so every solve of that order shares it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = []
-    for m in range(k):
-        row = []
-        for j in range(k):
-            row.append(Fraction(factorial(k + m), factorial(k + m - j)))
-        rows.append(tuple(row))
-    matrix = tuple(rows)
-    _check_vandermonde_structure(matrix, k)
-    return matrix
+    rows = [[perm(k + m, j) for j in range(k)] for m in range(k)]
+    _check_vandermonde_structure(rows, k)
+    return tuple(tuple(Fraction(a) for a in row) for row in rows)
 
 
 def _check_vandermonde_structure(matrix, k: int):

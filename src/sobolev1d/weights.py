@@ -238,7 +238,7 @@ def as_piecewise(rho: Weight) -> PiecewisePolynomial:
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             inside = rho.a <= lo and hi <= rho.b
-            pieces.append(constant(h if inside else Fraction(0), EXACT))
+            pieces.append(constant(h if inside else Fraction(0)))
         return PiecewisePolynomial(cuts, pieces)
     raise UnsupportedWeightError(f"{rho.kind} weight has no piecewise-polynomial form")
 

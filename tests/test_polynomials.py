@@ -10,22 +10,30 @@ from sobolev1d.polynomials import (
     bernstein_coefficients,
     bernstein_positive,
     bridge_poly,
+    count_roots_half_open,
     derivatives_at_one,
     from_polynomial,
     integer_form,
+    integrate_product,
     is_nonnegative_on,
     is_positive_on_open,
+    isolate_roots,
     kfold_antiderivative,
+    kth_derivative,
+    poly_divmod,
     pp_equal,
     pp_grid_values,
     pp_grid_values_exact,
+    pp_integrate_product,
     pp_min_on_grid,
     pp_mul,
     pp_positive_on_open01,
     pp_values_at,
     strip_root,
+    sturm_chain,
 )
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
+from sobolev1d.weights import PiecewiseWeight, PolyWeight, reflect_weight, scale_weight
 
 X = Polynomial([0, 1])
 ONE = Polynomial([1])
@@ -101,9 +109,99 @@ def test_kfold_antiderivative_equals_successive_antiderivatives(m):
     assert kfold_antiderivative(pp, 0) == pp
 
 
-def test_kfold_antiderivative_float_mode_loops():
-    pp = _random_piecewise(random.Random(77), 3, 4).to_float()
-    assert kfold_antiderivative(pp, 5) == _successive_antiderivatives(pp, 5)
+def _raises_through_the_guard(name, op, arg):
+    try:
+        op(arg)
+    except ModeMismatchError as exc:
+        assert "output values" in str(exc), name
+    else:
+        pytest.fail(f"{name} accepted a float polynomial")
+
+
+def test_float_polynomials_are_values():
+    # float polynomials are output values: every arithmetic, calculus and
+    # certificate routine raises through the one guard, and construction,
+    # equality, the coefficient views and float sampling still work
+    exact = _random_piecewise(random.Random(77), 3, 4)
+    pp = exact.to_float()
+    p = pp.pieces[1]
+    assert p.mode == FLOAT and p == exact.pieces[1].to_float()
+    zero = Polynomial([0.0])
+    half = F(1, 2)
+    on_polynomials = {
+        "+": lambda q: q + q,
+        "+ exact": lambda q: X + q,
+        "-": lambda q: -q,
+        "- exact": lambda q: q - X,
+        "*": lambda q: q * q,
+        "* exact": lambda q: X * q,
+        "scale": lambda q: q.scale(2),
+        "compose_affine": lambda q: q.compose_affine(-1, 1),
+        "derivative": lambda q: q.derivative(),
+        "antiderivative": lambda q: q.antiderivative(),
+        "integrate": lambda q: q.integrate(0, 1),
+        "call": lambda q: q(half),
+        "kfold_antiderivative": lambda q: kfold_antiderivative(q, 3),
+        "kth_derivative": lambda q: kth_derivative(q, 2),
+        "derivatives_at_one": lambda q: derivatives_at_one(q, 2),
+        "integrate_product": lambda q: integrate_product(q, q, 0, 1),
+        "integrate_product exact": lambda q: integrate_product(X, q, 0, 1),
+        "poly_divmod": lambda q: poly_divmod(q, X),
+        "sturm_chain": lambda q: sturm_chain(q),
+        "count_roots_half_open": lambda q: count_roots_half_open(q, 0, 1),
+        "strip_root": lambda q: strip_root(q, half),
+        "is_positive_on_open": lambda q: is_positive_on_open(q, 0, 1),
+        "isolate_roots": lambda q: isolate_roots(q, 0, 1),
+        "is_nonnegative_on": lambda q: is_nonnegative_on(q, 0, 1),
+        "bernstein_coefficients": lambda q: bernstein_coefficients(q, 0, 1),
+    }
+    for name, op in on_polynomials.items():
+        for q in (p, zero):
+            _raises_through_the_guard(name, op, q)
+    on_piecewise = {
+        "call": lambda f: f(half),
+        "scale": lambda f: f.scale(2),
+        "add_polynomial": lambda f: f.add_polynomial(Polynomial([1.0])),
+        "derivative": lambda f: f.derivative(),
+        "antiderivative": lambda f: f.antiderivative(),
+        "integrate01": lambda f: f.integrate01(),
+        "square_integral01": lambda f: f.square_integral01(),
+        "continuity_defects": lambda f: f.continuity_defects(1),
+        "kfold_antiderivative": lambda f: kfold_antiderivative(f, 3),
+        "kth_derivative": lambda f: kth_derivative(f, 2),
+        "pp_integrate_product": lambda f: pp_integrate_product(f, f),
+        "pp_mul": lambda f: pp_mul(f, f),
+        "pp_positive_on_open01": lambda f: pp_positive_on_open01(f),
+        "pp_grid_values_exact": lambda f: pp_grid_values_exact(f, 8),
+    }
+    for name, op in on_piecewise.items():
+        _raises_through_the_guard(name, op, pp)
+    # mixed modes meet in _refinement
+    for op in (pp_integrate_product, pp_mul, pp_equal):
+        with pytest.raises(ModeMismatchError):
+            op(exact, pp)
+    # what a float polynomial keeps
+    assert p.coeffs == p.nums == tuple(p.float_coeffs())
+    assert p.coeffs == tuple(float(c) for c in exact.pieces[1].coeffs)
+    assert p.to_float() == p and hash(p.to_float()) == hash(p)
+    assert p != exact.pieces[1]
+    assert pp == exact.to_float() and pp != exact
+    assert pp.to_float() == pp
+    points = [i / 16 for i in range(17)]
+    assert pp_values_at(pp, points) == [pp.eval_float(x) for x in points]
+    assert pp_values_at(pp, points) == pp_values_at(exact, points)
+    assert p.eval_float(0.25) == exact.pieces[1].eval_float(0.25)
+    # float-coefficient weights are built (a float screen checks their
+    # sign), but reflecting or scaling one is arithmetic on float pieces
+    weights = (
+        PolyWeight(Polynomial([1.0, -0.5])),
+        PiecewiseWeight(PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)),
+    )
+    for rho in weights:
+        with pytest.raises(ModeMismatchError):
+            reflect_weight(rho)
+        with pytest.raises(ModeMismatchError):
+            scale_weight(rho, 2)
 
 
 def test_derivatives_at_one_are_falling_factorial_sums():
@@ -202,6 +300,25 @@ def test_pp_equal_and_scale():
     tent = tent_derivative().antiderivative()
     assert pp_equal(tent.scale(3), tent.scale(3))
     assert not pp_equal(tent, tent.scale(2))
+
+
+def test_pp_equal_compares_functions_across_partitions():
+    # the same function with an extra breakpoint where the pieces coincide
+    a, b = Polynomial([F(1, 3), 2]), Polynomial([1, 0, F(-5, 7)])
+    coarse = PiecewisePolynomial([F(0), F(2, 5), F(1)], [a, b])
+    fine = PiecewisePolynomial([F(0), F(1, 7), F(2, 5), F(9, 10), F(1)], [a, a, b, b])
+    assert pp_equal(coarse, fine) and pp_equal(fine, coarse)
+    assert pp_equal(fine, fine)
+    # a change on one interval of the refined partition only
+    for i in range(4):
+        pieces = [a, a, b, b]
+        pieces[i] = pieces[i] + Polynomial([0, 0, 0, F(1, 10**9)])
+        changed = PiecewisePolynomial(fine.breakpoints, pieces)
+        assert not pp_equal(coarse, changed) and not pp_equal(changed, coarse), i
+    # float pieces compare as values, and modes do not mix
+    assert pp_equal(coarse.to_float(), fine.to_float())
+    with pytest.raises(ModeMismatchError):
+        pp_equal(coarse, fine.to_float())
 
 
 def test_pp_derivative_round_trip():

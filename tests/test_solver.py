@@ -28,7 +28,9 @@ from sobolev1d.solver import (
     LinearSystem,
     PolyPlusPower,
     ProblemSpec,
+    SingularMatrixError,
     ZeroWeightError,
+    _check_vandermonde_structure,
     _diagnostics,
     assemble_u,
     assemble_uk,
@@ -80,6 +82,47 @@ def test_build_matrix_small_cases():
     assert [list(r) for r in build_matrix(1)] == [[1]]
     assert [list(r) for r in build_matrix(2)] == [[1, 2], [1, 3]]
     assert [list(r) for r in build_matrix(3)] == [[1, 3, 6], [1, 4, 12], [1, 5, 20]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 24, 60])
+def test_build_matrix_equals_the_fraction_definition(k):
+    # built in ints, returned as Fractions so that gaussian_solve stays exact
+    A = build_matrix(k)
+    expected = tuple(
+        tuple(F(math.factorial(k + m), math.factorial(k + m - j)) for j in range(k))
+        for m in range(k)
+    )
+    assert A == expected
+    assert all(type(a) is F for row in A for a in row)
+
+
+def test_vandermonde_check_catches_one_entry_off_by_one():
+    # column j is caught by its (j+1)-th differences, which need j + 2 rows,
+    # so every column but the last is checked
+    k = 6
+    rows = [[falling_factorial(k + m, j) for j in range(k)] for m in range(k)]
+    _check_vandermonde_structure(rows, k)
+    for m in range(k):
+        for j in range(k - 1):
+            bad = [list(r) for r in rows]
+            bad[m][j] += 1
+            with pytest.raises(SingularMatrixError):
+                _check_vandermonde_structure(bad, k)
+
+
+def test_solve_seeds_takes_the_difference_route(monkeypatch):
+    from sobolev1d import solver
+
+    def refuse(*args):
+        raise AssertionError("the exact seed system needs no elimination")
+
+    monkeypatch.setattr(solver, "gaussian_solve", refuse)
+    rng = random.Random(3131)
+    for k in (1, 2, 6, 24):
+        A = build_matrix(k)
+        b = [random_fraction(rng, den_max=40) for _ in range(k)]
+        s = solve_seeds(LinearSystem(A, MomentVector(k, tuple(b)))).values
+        assert [sum(a * v for a, v in zip(row, s)) for row in A] == b, k
 
 
 def test_solve_seeds_uniform_k1():
