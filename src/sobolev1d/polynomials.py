@@ -113,15 +113,17 @@ class Polynomial:
         return not self._data
 
     def __eq__(self, other) -> bool:
+        # bytes alone are ambiguous: 256 and (0, 1) both pack to b"\x00\x01"
         return (
             isinstance(other, Polynomial)
             and self.mode == other.mode
             and self.den == other.den
+            and self._width == other._width
             and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.mode, self._data, self.den))
+        return hash((self.mode, self._width, self._data, self.den))
 
     def __repr__(self):
         if self.is_zero():

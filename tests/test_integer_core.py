@@ -15,8 +15,10 @@ from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
     exact_polynomial,
+    from_polynomial,
     integrate_product,
     kth_derivative,
+    pp_equal,
     pp_integrate_product,
     strip_root,
 )
@@ -159,6 +161,17 @@ def test_equal_values_in_unreduced_forms_are_equal_and_hash_equal():
         assert not p.nums or p.nums[-1] != 0
     assert Polynomial([]) == exact_polynomial([0, 0], 7) == Polynomial([F(0)])
     assert Polynomial([1, 2]) != Polynomial([1.0, 2.0])
+
+
+def test_numerators_of_different_widths_are_unequal_on_the_same_bytes():
+    # 256 packs at width 2 to the bytes that (0, 1) packs to at width 1
+    pairs = [([256], [0, 1]), ([-256], [0, -1]), ([2**16 + 2], [2, 0, 1])]
+    for a, b in pairs:
+        p, q = Polynomial(a), Polynomial(b)
+        assert p._data == q._data and p.den == q.den
+        assert p != q
+        assert not pp_equal(from_polynomial(p), from_polynomial(q))
+        assert pp_equal(from_polynomial(p), from_polynomial(Polynomial(a)))
 
 
 def test_integral_of_a_product_equals_a_fraction_reference():
