@@ -56,11 +56,10 @@ from .polynomials import (
     pp_values_at,
     taylor_shift,
 )
-from .scalars import EXACT, FLOAT, Fresh, coerce, record
+from .scalars import EXACT, FLOAT, Fresh, record
 from .solver import ProblemSpec
 from .weights import (
     DiracWeight,
-    HardyWeight,
     IndicatorWeight,
     PiecewiseWeight,
     PolyWeight,
@@ -69,6 +68,7 @@ from .weights import (
     Weight,
     as_piecewise,
     eval_weight,
+    monomial_moments,
 )
 
 
@@ -147,46 +147,19 @@ def gram_entry(k: int, i: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _monomial_moments(rho: Weight, lo: int, hi: int) -> list:
-    """Exact M_n = integral of x^n rho over (0, 1) for n = lo..hi, as a list
-    indexed by n - lo; a point mass at a gives a^n."""
-    if isinstance(rho, DiracWeight):
-        return [rho.a**n for n in range(lo, hi + 1)]
-    if isinstance(rho, (PowerWeight, HardyWeight)):
-        alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
-        # integral of x^(n - alpha) = 1/(n + 1 - alpha), finite for n >= k >= alpha
-        return [1 / (n + 1 - alpha) for n in range(lo, hi + 1)]
-    if not isinstance(rho, (PolyWeight, PiecewiseWeight, IndicatorWeight)):
-        raise UnsupportedWeightError(f"no load vector for {rho.kind}")
-    pp = as_piecewise(rho)
-    out = [Fraction(0)] * (hi - lo + 1)
-    for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
-        # q[j] = (b^j - a^j) / j, the integral of x^(j-1) over the piece
-        pa = pb = 1
-        q = [None]
-        for j in range(1, hi + len(p.coeffs) + 1):
-            pa, pb = pa * a, pb * b
-            q.append((pb - pa) / j)
-        for e, c in enumerate(p.coeffs):
-            if c:
-                for n in range(lo, hi + 1):
-                    out[n - lo] += c * q[n + e + 1]
-    return out
-
-
 def load_vector(rho: Weight, k: int, degree: int, mode: str) -> list:
     """r_i = integral of x^k (1-x)^k x^i rho, exact for every weight kind.
 
     Expanding the basis function gives r_i = sum_m (-1)^m C(k, m) M_(k+i+m)
     with the monomial moments M_n = integral x^n rho, computed once for
-    k <= n <= 2k + degree: piece by piece for piecewise-polynomial weights,
-    as a^n for a point mass at a and as 1/(n + 1 - alpha) for power and
-    boundary weights.  Float mode rounds the exact loads.
+    k <= n <= 2k + degree as integers over one denominator
+    (:func:`weights.monomial_moments`), so each load is an integer sum and
+    one Fraction.  Float mode rounds the exact loads.
     """
-    moments = _monomial_moments(rho, k, 2 * k + degree)
+    moments, den = monomial_moments(rho, k, 2 * k + degree)
     signed = [comb(k, m) if m % 2 == 0 else -comb(k, m) for m in range(k + 1)]
     loads = [
-        sum(c * moments[i + m] for m, c in enumerate(signed))
+        Fraction(sum(c * moments[i + m] for m, c in enumerate(signed)), den)
         for i in range(degree + 1)
     ]
     return loads if mode == EXACT else [float(r) for r in loads]
@@ -210,8 +183,7 @@ def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
     history entry is one correctly rounded int / int division, equal to the
     float of the reduced Fraction; only the last value is reduced.
     """
-    moments = [coerce(v, EXACT) for v in _monomial_moments(rho, k, 2 * k + N)]
-    a, den = integer_form(moments)  # a[j] = D M_(j+k)
+    a, den = monomial_moments(rho, k, 2 * k + N)  # a[j] = D M_(j+k)
     history = []
     p = 0
     scale = (den * factorial(2 * k - 1)) ** 2  # D^2 ((2k+n-1)!)^2 before step n

@@ -504,6 +504,10 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     c = Fraction(c)
     s, t = c.numerator, c.denominator
     nums = p.nums
+    if not s:
+        # x^m divides p exactly when its m lowest numerators vanish
+        m = next((i for i, v in enumerate(nums) if v), 0)
+        return (_make(nums[m:], p.den), m) if m else (p, 0)
     m = 0
     while nums:
         quotient = [0] * (len(nums) - 1)
@@ -581,14 +585,16 @@ def isolate_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> list[tuple[Fract
 def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     """Certified p >= 0 on [lo, hi]; touching zeros are allowed.
 
-    Strategy: strip endpoint roots, isolate the distinct interior roots of
-    the remainder, and check the sign of p at rational points separating
-    them.  Between consecutive distinct roots the sign is constant, so a
-    dip below zero would create an extra distinct root and be detected.
+    With lo >= 0 and no negative numerator, p is a sum of non-negative
+    terms on [lo, hi].  Otherwise: strip endpoint roots, isolate the
+    distinct interior roots of the remainder, and check the sign of p at
+    rational points separating them.  Between consecutive distinct roots
+    the sign is constant, so a dip below zero would create an extra
+    distinct root and be detected.
     """
     p._exact()
     lo, hi = Fraction(lo), Fraction(hi)
-    if p.is_zero():
+    if p.is_zero() or (lo >= 0 and all(c >= 0 for c in p.nums)):
         return True
     q, _ = strip_root(p, lo)
     q, m_hi = strip_root(q, hi)
@@ -623,6 +629,8 @@ BERNSTEIN_MAX_BOXES = 64
 
 def taylor_shift(c: list[int], s: int) -> None:
     """Turn the coefficients of p(x) into those of p(x + s), in place."""
+    if not s:
+        return
     n = len(c)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

@@ -3,8 +3,9 @@
 The downstream pipeline touches a weight in exactly two ways: through its
 shifted moments b_m = (-1)^(k+1) * integral of (1-t)^(k+m) rho(t) dt, and
 through the iterated integral I(x) = integral_0^x (x-t)^(k-1)/(k-1)! rho(t) dt.
-Both are exact rationals for polynomial, piecewise-polynomial, normalized
-indicator and point-mass weights.  Power weights x^(-alpha) with rational
+The Galerkin oracle reads a third, the monomial moments integral x^n rho,
+as integers over one denominator.  All are exact rationals for polynomial,
+piecewise-polynomial, normalized indicator and point-mass weights.  Power weights x^(-alpha) with rational
 alpha < 1 get exact moments through the Beta product formula and the exact
 power-law iterated integral c x^(k-alpha), so they are solved exactly too;
 only the pointwise values of that term are irrational.  The weight 1/x
@@ -243,6 +244,63 @@ def as_piecewise(rho: Weight) -> PiecewisePolynomial:
     raise UnsupportedWeightError(f"{rho.kind} weight has no piecewise-polynomial form")
 
 
+def _power_integrals(lo: Fraction, hi: Fraction, first: int, top: int) -> tuple:
+    """Integers P and den with P[e - first] / den = integral of s^(e-1)
+    over [lo, hi] = (hi^e - lo^e)/e, for e = first..top (first >= 1).
+
+    With lo = v/w and hi = u/w over one denominator and L the lcm of
+    1..top, P_e = (u^e - v^e) w^(top-e) L/e over den = L w^top.
+    """
+    (v, u), w = integer_form((lo, hi))
+    scale = lcm(*range(1, top + 1))
+    power = []
+    u_e, v_e, w_e = u ** (first - 1), v ** (first - 1), w ** (top - first + 1)
+    for e in range(first, top + 1):
+        u_e, v_e, w_e = u_e * u, v_e * v, w_e // w
+        power.append((u_e - v_e) * w_e * (scale // e))
+    return power, scale * w**top
+
+
+def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
+    """M_n = integral of x^n rho over (0, 1) for n = lo..hi (lo >= 1 for
+    the boundary weight 1/x), as integers over one denominator: (nums, den)
+    with M_n = nums[n - lo] / den.
+
+    A point mass at a = s/t gives a^n = s^n t^(hi-n) / t^hi, and x^(-alpha)
+    with alpha = p/q gives 1/(n + 1 - alpha) = q / (q (n+1) - p) over the
+    lcm of those denominators.  A piecewise-polynomial weight sums, piece by
+    piece, its numerators against the table of :func:`_power_integrals`.
+    """
+    if isinstance(rho, DiracWeight):
+        s, t = rho.a.numerator, rho.a.denominator
+        return [s**n * t ** (hi - n) for n in range(lo, hi + 1)], t**hi
+    if isinstance(rho, (PowerWeight, HardyWeight)):
+        alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
+        p, q = alpha.numerator, alpha.denominator
+        dens = [q * (n + 1) - p for n in range(lo, hi + 1)]
+        den = lcm(*dens)
+        return [q * (den // d) for d in dens], den
+    pp = as_piecewise(rho)
+    parts = []
+    for (a, b), piece in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
+        nums = piece.nums
+        if nums:
+            # integral of x^(n+i) over [a, b] is P[n - lo + i] / den
+            power, den = _power_integrals(a, b, lo + 1, hi + len(nums))
+            totals = [
+                sum(c * power[n + i] for i, c in enumerate(nums))
+                for n in range(hi - lo + 1)
+            ]
+            parts.append((totals, den * piece.den))
+    den = lcm(*(d for _, d in parts))
+    out = [0] * (hi - lo + 1)
+    for totals, d in parts:
+        f = den // d
+        for n, c in enumerate(totals):
+            out[n] += c * f
+    return out, den
+
+
 def moments(rho: Weight, k: int) -> MomentVector:
     """Exact shifted moments driving the right-hand side of the seed system."""
     if k < 1:
@@ -264,23 +322,13 @@ def moments(rho: Weight, k: int) -> MomentVector:
         totals = [Fraction(0)] * k
         for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
             # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
-            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1.
-            # In integers, with d = nums/D, 1-b = v/w, 1-a = u/w and L the
-            # lcm of 1..E, E the largest e: [s^e/e] = P_e / (L w^E) with
-            # P_e = (u^e - v^e) w^(E-e) L/e.
+            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
             mirrored = p.compose_affine(-1, 1)
             nums = mirrored.nums
-            top = 2 * k + len(nums) - 1
-            (v, u), w = integer_form((1 - b, 1 - a))
-            scale = lcm(*range(1, top + 1))
-            power = {}
-            u_e, v_e, w_e = u**k, v**k, w ** (top - k)
-            for e in range(k + 1, top + 1):
-                u_e, v_e, w_e = u_e * u, v_e * v, w_e // w
-                power[e] = (u_e - v_e) * w_e * (scale // e)
-            den = mirrored.den * scale * w**top
+            power, den = _power_integrals(1 - b, 1 - a, k + 1, 2 * k + len(nums) - 1)
+            den *= mirrored.den
             for m in range(k):
-                total = sum(c * power[k + m + i + 1] for i, c in enumerate(nums))
+                total = sum(c * power[m + i] for i, c in enumerate(nums))
                 totals[m] += Fraction(total, den)
         values = [sign * t for t in totals]
     return MomentVector(k, tuple(values))

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from sobolev1d.cli import (
 )
 from sobolev1d.closed_forms import dirac_mu
 from sobolev1d.scalars import format_rational
-from sobolev1d.solver import ProblemSpec, solve
+from sobolev1d.solver import ExtremalSolution, ProblemSpec, solve
 from sobolev1d.weights import (
     MAX_DEGREE,
     MAX_LITERAL_BITS,
@@ -288,7 +287,10 @@ def test_constant_prints_a_mu_past_the_str_digit_limit(capsys, monkeypatch):
     big = F(10**5000 + 1, 3 * 10**4999)
 
     def huge_solve(spec):
-        return replace(solve(spec), mu=big)
+        s = solve(spec)
+        return ExtremalSolution(
+            s.spec, big, s.lam, s.seeds, s.u, s.u_k, s.diagnostics, s.method
+        )
 
     monkeypatch.setattr(cli, "solve", huge_solve)
     code, out, _ = run(capsys, "constant", "--k", "1", "--weight", "poly:1")

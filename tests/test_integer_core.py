@@ -11,17 +11,21 @@ from fractions import Fraction as F
 
 import pytest
 
+from sobolev1d.oracles import load_vector
 from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
     exact_polynomial,
     from_polynomial,
     integrate_product,
+    is_nonnegative_on,
     kth_derivative,
     pp_equal,
     pp_integrate_product,
     strip_root,
+    taylor_shift,
 )
+from sobolev1d.scalars import EXACT, FLOAT
 from sobolev1d.solver import (
     LinearSystem,
     ProblemSpec,
@@ -33,10 +37,14 @@ from sobolev1d.solver import (
     solve_seeds,
 )
 from sobolev1d.weights import (
+    DiracWeight,
+    HardyWeight,
     PiecewiseWeight,
+    PowerWeight,
     as_piecewise,
     iterated_integral,
     moments,
+    monomial_moments,
     parse_weight,
 )
 
@@ -224,6 +232,7 @@ def _reference_strip_root(values, c):
 
 
 def test_strip_root_equals_fraction_synthetic_division():
+    # c = 0 takes its own path: counting the leading zero numerators
     rng = random.Random(130004)
     for _ in range(150):
         c = rng.choice([F(0), F(1), random_point(rng), F(rng.randint(1, LONG - 1), LONG)])
@@ -239,6 +248,51 @@ def test_strip_root_equals_fraction_synthetic_division():
         expected, expected_m = _reference_strip_root(product, c)
         assert m == expected_m
         assert list(stripped.coeffs) == expected
+
+
+def test_taylor_shift_by_zero_equals_the_general_shift():
+    rng = random.Random(130007)
+    for _ in range(60):
+        values = random_values(rng, 12)
+        nums = [v.numerator * (2**210 // v.denominator) for v in values]
+        for s in (0, rng.randint(-9, 9), rng.randint(1, LONG)):
+            shifted = list(nums)
+            taylor_shift(shifted, s)
+            assert _strip(shifted) == _strip(ref_compose(nums, F(1), F(s)))
+
+
+def _sturm_nonnegative(p, lo, hi):
+    """is_nonnegative_on's Sturm answer: p on [lo, hi] is p(-y) on
+    [-hi, -lo], which lies partly left of 0 (hi > 0), so the
+    non-negative-numerator shortcut cannot take it."""
+    return is_nonnegative_on(p.compose_affine(-1, 0), -hi, -lo)
+
+
+def test_nonnegativity_shortcut_agrees_with_sturm():
+    rng = random.Random(130008)
+    for _ in range(150):
+        lo = F(rng.randint(0, 20), rng.randint(1, 20)) * rng.choice([-1, 0, 1])
+        hi = abs(lo) + F(rng.randint(1, 20), rng.randint(1, 20))
+        c = lo + (hi - lo) * F(rng.randint(0, 8), 8)  # a point of [lo, hi]
+        positive = [F(rng.randint(0, 2**40), rng.randint(1, 2**40)) for _ in range(rng.randint(1, 6))]
+        if not any(positive):
+            positive[0] = F(1)
+        case = rng.choice(["positive", "touching", "negative", "dip"])
+        if case == "positive":  # no negative numerator: the shortcut decides at lo >= 0
+            values, expected = positive, True
+        elif case == "touching":  # a double root at c, negative coefficients
+            values, expected = ref_mul(positive, [c * c, -2 * c, F(1)]), True
+        elif case == "negative":  # hi - x, zero at hi only
+            values, expected = ref_mul(positive, [hi, F(-1)]), True
+        else:  # (x - c)^2 - eps: negative at c
+            eps = F(1, rng.choice([3, 2**20, LONG]))
+            values, expected = [c * c - eps, -2 * c, F(1)], False
+        if lo < 0 and case != "dip":
+            expected = None  # a positive factor may change sign left of 0
+        p = Polynomial(values)
+        got = is_nonnegative_on(p, lo, hi)
+        assert got == _sturm_nonnegative(p, lo, hi), (case, values, lo, hi)
+        assert expected is None or got == expected, (case, values, lo, hi)
 
 
 WEIGHTS = [
@@ -295,6 +349,52 @@ def test_moments_equal_a_fraction_reference():
     for rho in weights:
         for k in (1, 2, 6, 12):
             assert list(moments(rho, k).values) == _reference_moments(as_piecewise(rho), k)
+
+
+def _reference_monomial_moments(rho, lo, hi):
+    """M_n = integral of x^n rho, n = lo..hi, in Fractions."""
+    if isinstance(rho, DiracWeight):
+        return [rho.a**n for n in range(lo, hi + 1)]
+    if isinstance(rho, (PowerWeight, HardyWeight)):
+        alpha = rho.alpha if isinstance(rho, PowerWeight) else F(rho.order)
+        return [1 / (n + 1 - alpha) for n in range(lo, hi + 1)]
+    pp = as_piecewise(rho)
+    return [
+        sum(
+            (ref_integral([F(0)] * n + list(p.coeffs), a, b)
+             for a, b, p in zip(pp.breakpoints, pp.breakpoints[1:], pp.pieces)),
+            F(0),
+        )
+        for n in range(lo, hi + 1)
+    ]
+
+
+def test_monomial_moments_equal_a_fraction_reference():
+    rng = random.Random(130009)
+    weights = [parse_weight(text) for text in WEIGHTS]
+    weights += [parse_weight(text) for text in ("pow:1/2", "pow:7/9", "pow:0", "hardy:1")]
+    for _ in range(8):
+        cut = F(rng.randint(1, LONG - 1), LONG)
+        pieces = [
+            Polynomial([F(rng.randint(0, 99), rng.randint(1, 99)) for _ in range(rng.randint(0, 7))])
+            for _ in range(2)
+        ]
+        if all(p.is_zero() for p in pieces):
+            pieces[0] = Polynomial([1])
+        weights.append(PiecewiseWeight(PiecewisePolynomial([F(0), cut, F(1)], pieces)))
+    weights.append(DiracWeight(F(rng.randint(1, LONG - 1), LONG)))
+    for rho in weights:
+        for k, N in ((1, 0), (1, 12), (2, 16), (6, 24)):
+            nums, den = monomial_moments(rho, k, 2 * k + N)
+            expected = _reference_monomial_moments(rho, k, 2 * k + N)
+            assert [F(c, den) for c in nums] == expected, (rho, k, N)
+            # the loads r_i = sum_m (-1)^m C(k, m) M_(k+i+m), as before
+            loads = [
+                sum((-1) ** m * math.comb(k, m) * expected[i + m] for m in range(k + 1))
+                for i in range(N + 1)
+            ]
+            assert load_vector(rho, k, N, EXACT) == loads, (rho, k, N)
+            assert load_vector(rho, k, N, FLOAT) == [float(r) for r in loads]
 
 
 @pytest.mark.parametrize("k", [1, 6, 24])

@@ -16,6 +16,7 @@ from sobolev1d.quadrature import QuadratureResult
 from sobolev1d.scalars import EXACT, FLOAT, record
 from sobolev1d.solver import (
     DerivativeSeeds,
+    ExtremalSolution,
     LinearSystem,
     PolyPlusPower,
     ProblemSpec,
@@ -69,6 +70,12 @@ CASES = [
      None),
     (PolyPlusPower, ("poly", "term"), (Polynomial([1]), PowerLawTerm(F(1), F(1, 2))),
      (Polynomial([2]), PowerLawTerm(F(1), F(1, 2))), {}, None),
+    # diagnostics None: a SolveDiagnostics is mutable, so unhashable
+    (ExtremalSolution,
+     ("spec", "mu", "lam", "seeds", "u", "u_k", "diagnostics", "method"),
+     (ProblemSpec(1, DiracWeight(F(1, 2))), F(4), 0.5, None, PW, PW, None, "pipeline"),
+     (ProblemSpec(1, DiracWeight(F(1, 2))), F(4), 0.5, None, PW, PW, None, "closed_form"),
+     {}, None),
     (GalerkinConfig, ("degree", "mode"), (4,), (4, FLOAT), {"mode": EXACT},
      ((-1,), ValueError)),
     (OracleReport,

@@ -87,13 +87,13 @@ def test_build_matrix_small_cases():
 
 
 def test_vandermonde_check_catches_one_entry_off_by_one():
-    # column j is caught by its (j+1)-th differences, which need j + 2 rows,
-    # so every column but the last is checked
+    # column j < k - 1 is caught by its (j+1)-th differences, which need
+    # j + 2 rows; the last column is compared entry by entry
     k = 6
     rows = [[falling_factorial(k + m, j) for j in range(k)] for m in range(k)]
     _check_vandermonde_structure(rows, k)
     for m in range(k):
-        for j in range(k - 1):
+        for j in range(k):
             bad = [list(r) for r in rows]
             bad[m][j] += 1
             with pytest.raises(SingularMatrixError):
@@ -377,6 +377,34 @@ def test_pointload_deviation_is_the_513_point_maximum():
                     abs(s.eval_u(i / 512) - ref.eval_u(i / 512)) for i in range(513)
                 )
                 assert s.diagnostics.pointload_candidate_deviation.hex() == expected.hex()
+
+
+def test_first_order_point_masses_take_no_grid(monkeypatch):
+    # at k = 1 the two profiles are equal, so their deviation is 0.0 with no
+    # samples taken; at k >= 2 the 513-point grid still runs
+    from sobolev1d import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an equal point-mass profile was grid-sampled")
+
+    monkeypatch.setattr(solver, "_grid_deviation", refuse)
+    rng = random.Random(150001)
+    locations = [F(rng.randint(1, 2**64 - 2), 2**64 - 1) for _ in range(4)]
+    for a in [F(1, 3), *locations]:
+        for mode in (EXACT, FLOAT):
+            s = solve(ProblemSpec(1, DiracWeight(a), mode))
+            assert s.diagnostics.pointload_candidate_deviation == 0.0
+    calls = []
+
+    def record(f, g):
+        calls.append((f, g))
+        return 0.5
+
+    monkeypatch.setattr(solver, "_grid_deviation", record)
+    for k in (2, 3, 6):
+        s = solve(ProblemSpec(k, DiracWeight(locations[0])))
+        assert s.diagnostics.pointload_candidate_deviation == 0.5
+    assert len(calls) == 3
 
 
 def test_dirac_candidate_profile_k2_is_defective():

@@ -1,8 +1,9 @@
 """Start-up cost: a process loads only the modules its work runs.
 
 ``import sobolev1d`` and the solving subcommands leave the oracles and the
-quadrature module unloaded; the package still offers every public name,
-resolving the lazy ones on first access.
+quadrature module unloaded, and no process loads ``dataclasses``; the
+package still offers every public name, resolving the lazy ones on first
+access.
 """
 
 import os
@@ -75,6 +76,15 @@ def test_solving_subcommands_load_no_oracle_or_quadrature(argv):
     loaded = _imported(*argv)
     assert "sobolev1d.solver" in loaded
     assert not loaded & set(LAZY)
+
+
+def test_no_dataclasses_or_inspect_beyond_a_bare_interpreter():
+    # the value records are built without dataclasses (and the inspect module
+    # it loads); compared with a bare interpreter, whose site may load either
+    bare = _run_python("import sys; sys.stderr.write('\\n'.join(sys.modules))")
+    heavy = {"dataclasses", "inspect"} - set(bare.stderr.split("\n"))
+    assert not _imported() & heavy
+    assert not _imported("constant", "--k", "2", "--weight", "poly:1") & heavy
 
 
 def test_verify_loads_the_oracles_only():
