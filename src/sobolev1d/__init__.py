@@ -71,7 +71,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "oracles": (
         "GalerkinConfig",
-        "IllConditionedError",
         "OracleReport",
         "PositivityViolatedError",
         "galerkin_lambda",
@@ -108,7 +107,6 @@ __all__ = [
     "GalerkinConfig",
     "HardyExtremizer",
     "HardyWeight",
-    "IllConditionedError",
     "IndicatorWeight",
     "LinearSystem",
     "ModeMismatchError",

@@ -79,8 +79,8 @@ def __getattr__(name):
 
 
 def _oracle_errors() -> tuple:
-    """The oracles' solver errors besides ArithmeticErrors (such as
-    IllConditionedError), once loaded: before that none was raised."""
+    """The oracles' solver errors that are no ArithmeticError
+    (PositivityViolatedError), once loaded: before that none was raised."""
     oracles = sys.modules.get(f"{__package__}.oracles")
     return (oracles.PositivityViolatedError,) if oracles else ()
 
@@ -277,11 +277,11 @@ def cmd_verify(args) -> int:
     spec, rho = solution.spec, solution.spec.rho
     mu = float_mu(solution.mu)
 
-    # Galerkin lower bound; exact arithmetic whenever the load vector is exact
+    # Galerkin lower bound, an exact rational
     degree = cfg["galerkin_degree"]
     if isinstance(rho, PolyWeight):
         degree = max(degree, rho.poly.degree + spec.k)
-    gal = oracles.galerkin_lambda(spec, oracles.GalerkinConfig(degree, EXACT))
+    gal = oracles.galerkin_lambda(spec, oracles.GalerkinConfig(degree))
     gal_sq = gal.details["lambda_sq"]
     # exact gaps; in float mode mu_q is the exact value of the rounded mu
     mu_q, lam_sq = Fraction(solution.mu), gal.details["lambda_sq_exact"]

@@ -7,14 +7,12 @@ Three unrelated routes, none of which shares arithmetic with the solver:
   constant becomes the norm of the linear functional p -> integral p rho over
   trial spaces spanned by x^k (1-x)^k x^i.  With G the stiffness Gram matrix
   of k-th derivatives and r the load vector, the squared bound is r^T G^-1 r,
-  non-decreasing in the trial degree.  Exact mode spans the same spaces by
+  non-decreasing in the trial degree.  The oracle spans the same spaces by
   k-fold antiderivatives of shifted Legendre polynomials, whose Gram matrix
   is diagonal (Shen's Legendre-Galerkin basis): the bound is a plain sum of
   squared loads, built from the monomial moments of rho in integer
-  arithmetic, with no factorization.  Float mode keeps the monomial basis
-  and rounds the same exact loads: integration by parts turns each Gram
-  entry into k + 1 Beta integrals, and an incremental LDL^T of the lower
-  triangle yields the whole monotone history for the price of one solve.
+  arithmetic, with no factorization.  ``gram_entry`` and ``load_vector``
+  give G and r of the monomial basis exactly, as a reference for that sum.
 
 * ``sign_iteration`` -- Picard iteration on the finite-difference analogue
   of the nonlinear eigenproblem (-1)^k u^(2k) = mu rho sign(u): freeze the
@@ -56,7 +54,7 @@ from .polynomials import (
     pp_values_at,
     taylor_shift,
 )
-from .scalars import EXACT, FLOAT, Fresh, record
+from .scalars import Fresh, record
 from .solver import ProblemSpec
 from .weights import (
     DiracWeight,
@@ -82,11 +80,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class IllConditionedError(ArithmeticError):
-    """Float factorization of the Gram matrix broke down; lower the degree
-    or switch to exact mode."""
-
-
 class PositivityViolatedError(AssertionError):
     """The clamped polyharmonic solution dipped non-positive: a solver bug,
     since positivity is guaranteed for non-negative loads."""
@@ -102,7 +95,6 @@ class GalerkinConfig:
     """Trial space x^k (1-x)^k x^i for i = 0..degree (clamped by construction)."""
 
     degree: int
-    mode: str = EXACT
 
     def __post_init__(self):
         if self.degree < 0:
@@ -147,22 +139,21 @@ def gram_entry(k: int, i: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def load_vector(rho: Weight, k: int, degree: int, mode: str) -> list:
+def load_vector(rho: Weight, k: int, degree: int) -> list:
     """r_i = integral of x^k (1-x)^k x^i rho, exact for every weight kind.
 
     Expanding the basis function gives r_i = sum_m (-1)^m C(k, m) M_(k+i+m)
     with the monomial moments M_n = integral x^n rho, computed once for
     k <= n <= 2k + degree as integers over one denominator
     (:func:`weights.monomial_moments`), so each load is an integer sum and
-    one Fraction.  Float mode rounds the exact loads.
+    one Fraction.
     """
     moments, den = monomial_moments(rho, k, 2 * k + degree)
     signed = [comb(k, m) if m % 2 == 0 else -comb(k, m) for m in range(k + 1)]
-    loads = [
+    return [
         Fraction(sum(c * moments[i + m] for m, c in enumerate(signed)), den)
         for i in range(degree + 1)
     ]
-    return loads if mode == EXACT else [float(r) for r in loads]
 
 
 def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
@@ -200,69 +191,23 @@ def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
     return history, Fraction(p, scale)
 
 
-def _monomial_ldl_history(rho: Weight, k: int, N: int) -> tuple:
-    """Float Lambda_n^2 for n = 0..N from the monomial-basis Gram matrix.
-
-    The incremental LDL^T gives lambda_n^2 = sum_{m <= n} w_m^2 / d_m with
-    w = L^-1 r.  The monomial Gram matrix is severely ill-conditioned, so a
-    pivot that is not positive and finite raises IllConditionedError.
-    """
-    # the factorization below reads only the lower triangle j <= i
-    G = [[float(gram_entry(k, i, j)) for j in range(i + 1)] for i in range(N + 1)]
-    r = load_vector(rho, k, N, FLOAT)
-    L = [[None] * (N + 1) for _ in range(N + 1)]
-    d = [None] * (N + 1)
-    w = [None] * (N + 1)
-    history = []
-    partial = 0.0
-    for i in range(N + 1):
-        for j in range(i):
-            s = G[i][j]
-            for m in range(j):
-                s -= L[i][m] * L[j][m] * d[m]
-            L[i][j] = s / d[j]
-        s = G[i][i]
-        for m in range(i):
-            s -= L[i][m] ** 2 * d[m]
-        d[i] = s
-        if not (d[i] > 0) or not math.isfinite(d[i]):
-            raise IllConditionedError(
-                f"float LDL pivot {d[i]!r} at degree {i}; lower the degree "
-                f"or use exact mode"
-            )
-        s = r[i]
-        for m in range(i):
-            s -= L[i][m] * w[m]
-        w[i] = s
-        partial += w[i] ** 2 / d[i]
-        history.append(partial)
-    return history, partial
-
-
 def galerkin_lambda(spec: ProblemSpec, cfg: GalerkinConfig) -> OracleReport:
     """Monotone lower bounds on the squared sharp constant by trial degree.
 
-    Both modes give the value on every nested trial space
-    x^k (1-x)^k x^i, i <= n, at once, so the recorded history is monotone
-    by construction.  Exact mode sums the diagonal Legendre-antiderivative
-    form in integers and reports an exact rational; float mode factors the
-    monomial-basis Gram matrix.
+    The value on every nested trial space x^k (1-x)^k x^i, i <= n, comes
+    at once from the diagonal Legendre-antiderivative form, summed in
+    integers, so the recorded history is monotone by construction and the
+    last value is an exact rational, rounded once for ``lambda_sq``.
     """
-    k, N = spec.k, cfg.degree
-    exact = cfg.mode == EXACT
-    if exact:
-        history, lam_sq = _legendre_history(spec.rho, k, N)
-    else:
-        history, lam_sq = _monomial_ldl_history(spec.rho, k, N)
+    history, lam_sq = _legendre_history(spec.rho, spec.k, cfg.degree)
     return OracleReport(
         method="galerkin",
         lambda_estimate=math.sqrt(float(lam_sq)),
         history=list(enumerate(history)),
         details={
-            "degree": N,
+            "degree": cfg.degree,
             "lambda_sq": float(lam_sq),
-            "lambda_sq_exact": lam_sq if exact else None,
-            "mode": cfg.mode,
+            "lambda_sq_exact": lam_sq,
         },
     )
 
@@ -588,19 +533,16 @@ def max_principle_check(
         f, (PolyWeight, PiecewiseWeight, IndicatorWeight)
     ):
         load = as_piecewise(f)
-        if load.mode == EXACT:
-            w = _solve_clamped_bvp_exact(k, load)
-            ok = pp_positive_on_open01(w)
-            if not ok:
-                worst = min(
-                    (w.eval_float(i / 512), i / 512) for i in range(1, 512)
-                )
-                raise PositivityViolatedError(worst[1], worst[0])
-            return OracleReport(
-                method="max_principle",
-                sign_definite=True,
-                details={"route": "exact", "order": k, "solution": w},
-            )
+        w = _solve_clamped_bvp_exact(k, load)
+        ok = pp_positive_on_open01(w)
+        if not ok:
+            worst = min((w.eval_float(i / 512), i / 512) for i in range(1, 512))
+            raise PositivityViolatedError(worst[1], worst[0])
+        return OracleReport(
+            method="max_principle",
+            sign_definite=True,
+            details={"route": "exact", "order": k, "solution": w},
+        )
     if route == "exact":
         raise UnsupportedWeightError("exact route needs a piecewise-polynomial load")
     if k not in (1, 2):

@@ -106,8 +106,7 @@ class ClosedFormMismatchError(SolverError):
 class ProblemSpec:
     """Order k, weight rho, and the output mode: exact, or rounded to floats.
 
-    Power weights are float mode only (u is no piecewise polynomial);
-    weights with float coefficients are rejected in both modes.
+    Power weights are float mode only (u is no piecewise polynomial).
     """
 
     k: int
@@ -119,13 +118,8 @@ class ProblemSpec:
             raise ValueError(f"derivative order must be a positive integer, got {self.k}")
         if self.mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if isinstance(self.rho, PowerWeight):
-            if self.mode == EXACT:
-                raise ModeMismatchError("power weights are solved in float mode")
-        elif not self.rho.exact_capable:
-            raise ModeMismatchError(
-                "weights with float coefficients have no exact pipeline"
-            )
+        if isinstance(self.rho, PowerWeight) and self.mode == EXACT:
+            raise ModeMismatchError("power weights are solved in float mode")
 
 
 @record

@@ -60,17 +60,11 @@ class UnsupportedWeightError(ValueError):
 
 
 def _require_nonnegative(kind: str, p: Polynomial, a: Scalar, b: Scalar):
-    """Reject a weight that is negative on [a, b] where it equals p: exact
-    pieces by a Sturm certificate, float ones by their minimum over 1,001
-    evenly spaced points (a NaN sample passes)."""
-    if p.mode == EXACT:
-        if not is_nonnegative_on(p, a, b):
-            raise WeightDomainError(f"{kind} weight is negative on [{a}, {b}]")
-        return
-    af, bf = float(a), float(b)
-    lows = min(p.eval_float(af + (bf - af) * i / 1000) for i in range(1001))
-    if lows < -1e-12:
-        raise WeightDomainError(f"{kind} weight dips to {lows:.3e} on [{a}, {b}]")
+    """Reject a weight that is negative on [a, b] where it equals p, by a
+    Sturm certificate.  Weights are exact: a piece with float coefficients
+    raises ModeMismatchError there."""
+    if not is_nonnegative_on(p, a, b):
+        raise WeightDomainError(f"{kind} weight is negative on [{a}, {b}]")
 
 
 @record
@@ -79,7 +73,7 @@ class PolyWeight:
 
     kind = "poly"
     outside_theorem_scope = False
-    exact_capable = property(lambda self: self.poly.mode == EXACT)  # float coefficients
+    exact_capable = True
 
     def __post_init__(self):
         _require_nonnegative("polynomial", self.poly, Fraction(0), Fraction(1))
@@ -94,7 +88,7 @@ class PiecewiseWeight:
 
     kind = "pw"
     outside_theorem_scope = False
-    exact_capable = property(lambda self: self.pp.mode == EXACT)
+    exact_capable = True
 
     def __post_init__(self):
         cuts = self.pp.breakpoints
@@ -261,6 +255,18 @@ def _power_integrals(lo: Fraction, hi: Fraction, first: int, top: int) -> tuple:
     return power, scale * w**top
 
 
+def _over_one_denominator(parts: list, count: int) -> tuple:
+    """The sums of the pieces' integer lists, each of length count over its
+    own denominator, as integers over the lcm: parts = [(totals, d), ...]."""
+    den = lcm(*(d for _, d in parts))
+    out = [0] * count
+    for totals, d in parts:
+        f = den // d
+        for n, c in enumerate(totals):
+            out[n] += c * f
+    return out, den
+
+
 def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
     """M_n = integral of x^n rho over (0, 1) for n = lo..hi (lo >= 1 for
     the boundary weight 1/x), as integers over one denominator: (nums, den)
@@ -292,13 +298,7 @@ def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
                 for n in range(hi - lo + 1)
             ]
             parts.append((totals, den * piece.den))
-    den = lcm(*(d for _, d in parts))
-    out = [0] * (hi - lo + 1)
-    for totals, d in parts:
-        f = den // d
-        for n, c in enumerate(totals):
-            out[n] += c * f
-    return out, den
+    return _over_one_denominator(parts, hi - lo + 1)
 
 
 def moments(rho: Weight, k: int) -> MomentVector:
@@ -319,18 +319,21 @@ def moments(rho: Weight, k: int) -> MomentVector:
             values.append(sign * beta_product(rho.alpha, k + m))
     else:
         pp = as_piecewise(rho)
-        totals = [Fraction(0)] * k
+        parts = []
         for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
             # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
             # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
             mirrored = p.compose_affine(-1, 1)
             nums = mirrored.nums
+            if not nums:
+                continue
             power, den = _power_integrals(1 - b, 1 - a, k + 1, 2 * k + len(nums) - 1)
-            den *= mirrored.den
-            for m in range(k):
-                total = sum(c * power[m + i] for i, c in enumerate(nums))
-                totals[m] += Fraction(total, den)
-        values = [sign * t for t in totals]
+            totals = [
+                sum(c * power[m + i] for i, c in enumerate(nums)) for m in range(k)
+            ]
+            parts.append((totals, den * mirrored.den))
+        totals, den = _over_one_denominator(parts, k)
+        values = [sign * Fraction(t, den) for t in totals]
     return MomentVector(k, tuple(values))
 
 
@@ -701,7 +704,7 @@ def format_poly(p: Polynomial) -> str:
     for i, c in enumerate(p.coeffs):
         if c == 0:
             continue
-        mag = format_rational(abs(c)) if p.mode == EXACT else repr(abs(c))
+        mag = format_rational(abs(c))
         if i == 0:
             term = mag
         elif i == 1:

@@ -9,7 +9,6 @@ from conftest import frac_solve, random_fraction
 from sobolev1d import oracles
 from sobolev1d.oracles import (
     GalerkinConfig,
-    IllConditionedError,
     galerkin_lambda,
     gram_entry,
     load_vector,
@@ -79,33 +78,16 @@ def test_load_vector_matches_direct_integration():
                     else:
                         pp = as_piecewise(rho)
                         expected.append(pp_mul(from_polynomial(phi), pp).integrate01())
-                got = load_vector(rho, k, N, EXACT)
+                got = load_vector(rho, k, N)
                 assert got == expected, (dsl, k, N)
                 assert all(isinstance(v, F) for v in got)
-
-
-def test_galerkin_assembles_lower_triangle_once(monkeypatch):
-    calls = []
-
-    def counting(k, i, j):
-        calls.append((i, j))
-        return gram_entry(k, i, j)
-
-    monkeypatch.setattr(oracles, "gram_entry", counting)
-    for N in (0, 5, 12):
-        calls.clear()
-        galerkin_lambda(
-            ProblemSpec(2, parse_weight("chi:1/4,3/4")), GalerkinConfig(N, FLOAT)
-        )
-        assert len(calls) == (N + 1) * (N + 2) // 2
-        assert sorted(calls) == [(i, j) for i in range(N + 1) for j in range(i + 1)]
 
 
 def _ldl_reference_history(rho, k, N):
     """Exact Lambda_n^2, n = 0..N, by an LDL^T of the monomial-basis Gram
     matrix: the trial spaces x^k (1-x)^k x^i in their original basis."""
     G = [[gram_entry(k, i, j) for j in range(N + 1)] for i in range(N + 1)]
-    r = load_vector(rho, k, N, EXACT)
+    r = load_vector(rho, k, N)
     L = [[F(0)] * (N + 1) for _ in range(N + 1)]
     d, w, out = [], [], []
     total = F(0)
@@ -245,32 +227,6 @@ def test_galerkin_hardy_approaches_one():
     assert F(9, 10) < lam_sq < 1
 
 
-def test_galerkin_float_mode_small_degree():
-    exact = galerkin_lambda(ProblemSpec(1, parse_weight("poly:1")), GalerkinConfig(8))
-    floaty = galerkin_lambda(
-        ProblemSpec(1, parse_weight("poly:1")), GalerkinConfig(8, FLOAT)
-    )
-    assert floaty.details["lambda_sq"] == pytest.approx(
-        exact.details["lambda_sq"], rel=1e-9
-    )
-
-
-def test_galerkin_float_mode_ill_conditioned():
-    with pytest.raises(IllConditionedError):
-        galerkin_lambda(ProblemSpec(1, parse_weight("poly:1")), GalerkinConfig(24, FLOAT))
-
-
-def test_galerkin_power_weight_float_quadrature_route():
-    # float mode rounds the exact loads into the monomial-basis LDL^T; at a
-    # modest degree it must agree with the exact Legendre route
-    spec = ProblemSpec(1, parse_weight("pow:1/2"), FLOAT)
-    exact = galerkin_lambda(spec, GalerkinConfig(8))
-    floaty = galerkin_lambda(spec, GalerkinConfig(8, FLOAT))
-    assert floaty.details["lambda_sq"] == pytest.approx(
-        exact.details["lambda_sq"], rel=1e-9
-    )
-
-
 SIX_KINDS = (
     "poly:1 + x^2",
     "pw:[0,1/3]=1+x;[1/3,1]=2-x",
@@ -281,14 +237,22 @@ SIX_KINDS = (
 )
 
 
-def test_float_load_vector_rounds_the_exact_loads():
+def test_galerkin_lambda_sq_is_an_exact_fraction_for_every_kind():
+    # one exact route for every kind and mode: lambda_sq is the exact
+    # value rounded once, and no mode is reported
     for text in SIX_KINDS:
         rho = parse_weight(text)
-        for k in (1, 2, 3):
-            for N in (0, 4, 12):
-                exact = load_vector(rho, k, N, EXACT)
-                rounded = [float(r) for r in exact]
-                assert load_vector(rho, k, N, FLOAT) == rounded, (text, k, N)
+        modes = (FLOAT,) if rho.kind == "pow" else (EXACT, FLOAT)
+        for mode in modes:
+            for k in (1, 2):
+                report = galerkin_lambda(ProblemSpec(k, rho, mode), GalerkinConfig(6))
+                lam_sq = report.details["lambda_sq_exact"]
+                assert type(lam_sq) is F and lam_sq > 0, (text, mode, k)
+                assert report.details == {
+                    "degree": 6,
+                    "lambda_sq": float(lam_sq),
+                    "lambda_sq_exact": lam_sq,
+                }
 
 
 def test_float_galerkin_and_solves_run_no_quadrature(monkeypatch):
@@ -303,7 +267,7 @@ def test_float_galerkin_and_solves_run_no_quadrature(monkeypatch):
         rho = parse_weight(text)
         for k in (1, 2):
             spec = ProblemSpec(k, rho, FLOAT)
-            assert galerkin_lambda(spec, GalerkinConfig(6, FLOAT)).lambda_estimate > 0
+            assert galerkin_lambda(spec, GalerkinConfig(6)).lambda_estimate > 0
             if text != "hardy:1" or k == 1:  # 1/x is served at order 1 only
                 assert solve(spec).mu > 0
 

@@ -33,7 +33,6 @@ from sobolev1d.polynomials import (
     sturm_chain,
 )
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
-from sobolev1d.weights import PiecewiseWeight, PolyWeight, reflect_weight, scale_weight
 
 X = Polynomial([0, 1])
 ONE = Polynomial([1])
@@ -191,17 +190,6 @@ def test_float_polynomials_are_values():
     assert pp_values_at(pp, points) == [pp.eval_float(x) for x in points]
     assert pp_values_at(pp, points) == pp_values_at(exact, points)
     assert p.eval_float(0.25) == exact.pieces[1].eval_float(0.25)
-    # float-coefficient weights are built (a float screen checks their
-    # sign), but reflecting or scaling one is arithmetic on float pieces
-    weights = (
-        PolyWeight(Polynomial([1.0, -0.5])),
-        PiecewiseWeight(PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)),
-    )
-    for rho in weights:
-        with pytest.raises(ModeMismatchError):
-            reflect_weight(rho)
-        with pytest.raises(ModeMismatchError):
-            scale_weight(rho, 2)
 
 
 def test_derivatives_at_one_are_falling_factorial_sums():

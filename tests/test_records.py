@@ -13,7 +13,7 @@ from sobolev1d.closed_forms import HardyExtremizer
 from sobolev1d.oracles import GalerkinConfig, OracleReport
 from sobolev1d.polynomials import PiecewisePolynomial, Polynomial
 from sobolev1d.quadrature import QuadratureResult
-from sobolev1d.scalars import EXACT, FLOAT, record
+from sobolev1d.scalars import EXACT, record
 from sobolev1d.solver import (
     DerivativeSeeds,
     ExtremalSolution,
@@ -76,8 +76,7 @@ CASES = [
      (ProblemSpec(1, DiracWeight(F(1, 2))), F(4), 0.5, None, PW, PW, None, "pipeline"),
      (ProblemSpec(1, DiracWeight(F(1, 2))), F(4), 0.5, None, PW, PW, None, "closed_form"),
      {}, None),
-    (GalerkinConfig, ("degree", "mode"), (4,), (4, FLOAT), {"mode": EXACT},
-     ((-1,), ValueError)),
+    (GalerkinConfig, ("degree",), (4,), (5,), {}, ((-1,), ValueError)),
     (OracleReport,
      ("method", "lambda_estimate", "history", "sign_definite", "details"),
      ("galerkin",), ("galerkin", 0.5),

@@ -683,14 +683,18 @@ def test_power_weight_solve_runs_no_quadrature(monkeypatch):
 
 
 def test_problem_spec_rejects_float_coefficient_weights():
-    weights = (
-        PolyWeight(Polynomial([1.0, -0.5])),
-        PiecewiseWeight(PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)),
+    # a float-coefficient weight never reaches ProblemSpec, in either mode:
+    # building it already raises
+    builds = (
+        lambda: PolyWeight(Polynomial([1.0, -0.5])),
+        lambda: PiecewiseWeight(
+            PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)
+        ),
     )
-    for rho in weights:
+    for build in builds:
         for mode in (EXACT, FLOAT):
             with pytest.raises(ModeMismatchError):
-                ProblemSpec(1, rho, mode)
+                ProblemSpec(1, build(), mode)
 
 
 def test_extremizers_certify_without_sturm_fallback(monkeypatch):

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sobolev1d.polynomials import Polynomial, from_polynomial, pp_equal
+from sobolev1d.polynomials import PiecewisePolynomial, Polynomial, from_polynomial, pp_equal
 from sobolev1d.quadrature import quad_numeric
+from sobolev1d.scalars import ModeMismatchError
 from sobolev1d.weights import (
     DiracWeight,
     HardyWeight,
@@ -127,10 +128,27 @@ def test_format_parse_round_trip(text):
 
 
 def test_float_mode_weight_validation():
-    # float weights are screened by dense sampling instead of Sturm
-    PolyWeight(Polynomial([1.0, -0.5]))  # 1 - x/2 >= 0: accepted
+    # weights are exact: a float piece raises through the polynomial guard
+    # before any sign is checked, whatever its sign
+    floats = (
+        lambda: PolyWeight(Polynomial([1.0, -0.5])),
+        lambda: PolyWeight(Polynomial([-0.25, 1.0])),
+        lambda: PiecewiseWeight(
+            PiecewisePolynomial([0.0, 0.5, 1.0], [Polynomial([1.0])] * 2)
+        ),
+    )
+    for build in floats:
+        with pytest.raises(ModeMismatchError):
+            build()
+    # a negative exact weight is still refused by its sign
     with pytest.raises(WeightDomainError):
-        PolyWeight(Polynomial([-0.25, 1.0]))  # dips to -1/4 at 0
+        PolyWeight(Polynomial([F(-1, 4), 1]))  # dips to -1/4 at 0
+    with pytest.raises(WeightDomainError):
+        PiecewiseWeight(
+            PiecewisePolynomial(
+                [0, F(1, 2), 1], [Polynomial([1]), Polynomial([F(1, 2), -1])]
+            )
+        )
 
 
 def test_piecewise_breakpoint_invariants():
