@@ -19,9 +19,9 @@ read through ``coeffs``, ``nums`` and ``float_coeffs``, and sampled by
 :class:`ModeMismatchError` on them.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
-one polynomial per interval.  Continuity is deliberately not an invariant:
-derivatives of extremizers for point masses jump, and a separate predicate
-checks C^m smoothness where a caller needs it.
+one polynomial per interval; the constructor validates them, and rebuilds
+on an existing instance's breakpoints reuse them.  Continuity is
+deliberately not an invariant: derivatives of point-mass extremizers jump.
 
 Exact values other than polynomials enter integer arithmetic through
 :func:`integer_form`, and piecewise polynomials are sampled at float points
@@ -346,7 +346,7 @@ def kfold_antiderivative(p: Polynomial | PiecewisePolynomial, m: int):
             nums, den = _add_taylor_correction(nums, den, prev, a, m)
         prev = nums, den
         pieces.append(exact_polynomial(nums, den))
-    return PiecewisePolynomial(p.breakpoints, pieces)
+    return p._rebuild(pieces)
 
 
 def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
@@ -727,6 +727,14 @@ class PiecewisePolynomial:
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "pieces", pieces)
 
+    def _rebuild(self, pieces: Sequence[Polynomial]) -> "PiecewisePolynomial":
+        """New pieces, of the same mode, on this instance's breakpoints: they
+        are already validated, so the tuple is reused as it is."""
+        pp = object.__new__(PiecewisePolynomial)
+        object.__setattr__(pp, "breakpoints", self.breakpoints)
+        object.__setattr__(pp, "pieces", tuple(pieces))
+        return pp
+
     def __setattr__(self, name, value):
         raise AttributeError("PiecewisePolynomial is immutable")
 
@@ -767,7 +775,8 @@ class PiecewisePolynomial:
         return float(self.pieces[self.piece_index(x)].eval_float(x))
 
     def map_pieces(self, f: Callable[[Polynomial], Polynomial]) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints, [f(p) for p in self.pieces])
+        """f applied to every piece; f must keep the pieces' mode."""
+        return self._rebuild([f(p) for p in self.pieces])
 
     def add_polynomial(self, q: Polynomial) -> "PiecewisePolynomial":
         return self.map_pieces(lambda p: p + q)
@@ -787,7 +796,7 @@ class PiecewisePolynomial:
             shift = carry - anti(a)
             pieces.append(anti + constant(shift))
             carry = pieces[-1](b)
-        return PiecewisePolynomial(self.breakpoints, pieces)
+        return self._rebuild(pieces)
 
     def integrate01(self) -> Fraction:
         total = Fraction(0)
@@ -803,19 +812,6 @@ class PiecewisePolynomial:
             [float(b) for b in self.breakpoints], [p.to_float() for p in self.pieces]
         )
 
-    def continuity_defects(self, order: int) -> list[Scalar]:
-        """Jumps of the j-th derivatives (j <= order) at interior breakpoints."""
-        defects = []
-        for j in range(order + 1):
-            d = kth_derivative(self, j)
-            for i in range(1, len(self.breakpoints) - 1):
-                t = self.breakpoints[i]
-                defects.append(d.pieces[i](t) - d.pieces[i - 1](t))
-        return defects
-
-    def is_continuous(self, order: int = 0, tol: float = 0.0) -> bool:
-        return all(abs(d) <= tol for d in self.continuity_defects(order))
-
 
 def from_polynomial(p: Polynomial) -> PiecewisePolynomial:
     return PiecewisePolynomial([0, 1], [p])
@@ -826,6 +822,8 @@ def _refinement(f: PiecewisePolynomial, g: PiecewisePolynomial) -> tuple[list, l
     and the pair of f's and g's pieces on each of its intervals."""
     if f.mode != g.mode:
         raise ModeMismatchError("piecewise modes differ")
+    if f.breakpoints == g.breakpoints:
+        return f.breakpoints, list(zip(f.pieces, g.pieces))
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
     pairs = []
     for a, b in zip(cuts, cuts[1:]):

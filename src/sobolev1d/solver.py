@@ -13,12 +13,14 @@ Those conditions form the k x k falling-factorial system
     b[m] = (-1)^(k+1) * integral (1-t)^(k+m) rho(t) dt,
 
 whose matrix depends only on k and is invertible (Vandermonde-type).  Seeds
-are stored mu-normalized (s = A^(-1) b), so the whole pipeline stays linear
-until the single division
-
-    1/mu = integral v^2,   v = u^(k)/mu,
-
-after which u = mu * (k-fold antiderivative of v) and Lambda = mu^(-1/2).
+are stored mu-normalized (s = A^(-1) b): v = u^(k)/mu, and its k-fold
+antiderivative w = u/mu solves (-1)^k w^(2k) = rho with clamped ends, so
+k integrations by parts give 1/mu = integral v^2 = integral w rho, a linear
+functional of w; then u = mu w and Lambda = mu^(-1/2).  The normalization
+integral u rho = 1 holds by construction (normalization_residual is 0).
+mu is checked by the exact boundary check u^(j)(1) = 0, j < k, which
+raises, by the exact closed-form cross-check, and in the tests by the
+energy identity integral (u^(k))^2 = mu.
 
 Every stage is exact rational arithmetic.  A piecewise-polynomial weight
 (point masses included) gives a piecewise-polynomial u; x^(-alpha) with
@@ -40,10 +42,9 @@ from . import closed_forms
 from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
-    derivatives_at_one,
+    exact_polynomial,
     from_polynomial,
     integer_form,
-    integrate_product,
     kfold_antiderivative,
     kth_derivative,
     pp_equal,
@@ -295,13 +296,6 @@ class PolyPlusPower:
         term = PowerLawTerm(float(self.term.coefficient), float(self.term.exponent))
         return PolyPlusPower(self.poly.to_float(), term)
 
-    def square_integral01(self) -> Fraction:
-        """integral of (p + c x^e)^2 = integral p^2 + 2c sum a_i/(i+e+1) + c^2/(2e+1)."""
-        c, e = self.term.coefficient, self.term.exponent
-        cross = sum(a / (i + e + 1) for i, a in enumerate(self.poly.coeffs))
-        square = integrate_product(self.poly, self.poly, 0, 1)
-        return square + 2 * c * cross + c * c / (2 * e + 1)
-
     def power_moment(self, alpha: Fraction) -> Fraction:
         """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha)."""
         c, e = self.term.coefficient, self.term.exponent
@@ -326,12 +320,12 @@ class PolyPlusPower:
 
 
 def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:
-    """sum_j s[j] x^(k-1-j)/(k-1-j)!, the polynomial part of u^(k)/mu."""
-    coeffs = [0] * seeds.k
-    for j, s in enumerate(seeds.values):
-        power = seeds.k - 1 - j
-        coeffs[power] = s / Fraction(factorial(power))
-    return Polynomial(coeffs, EXACT)
+    """sum_j s[j] x^(k-1-j)/(k-1-j)!, the polynomial part of u^(k)/mu, in
+    integers over one denominator: s_j/(k-1-j)! = s_j j! C(k-1, j)/(k-1)!."""
+    n = seeds.k - 1
+    nums, den = integer_form(seeds.values)
+    coeffs = [a * factorial(j) * comb(n, j) for j, a in enumerate(nums)]
+    return exact_polynomial(coeffs[::-1], den * factorial(n))
 
 
 def assemble_uk(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
@@ -371,65 +365,62 @@ def float_mu(mu) -> float:
         ) from None
 
 
-def compute_mu(v) -> Fraction:
-    """mu = 1 / integral of v^2, exact."""
-    energy = v.square_integral01()
-    if energy == 0:
-        raise ZeroWeightError("weight has no mass: v vanishes identically")
-    return Fraction(1) / energy
-
-
-def assemble_u(spec: ProblemSpec, seeds: DerivativeSeeds, mu: Fraction, v):
-    """u = mu * (k-fold antiderivative of v), plus residual diagnostics.
-
-    A piecewise v takes one integer pass of kfold_antiderivative; the power
-    term of a PolyPlusPower integrates step by step."""
+def _assemble_w(v, k: int):
+    """w = u/mu, the k-fold antiderivative of v: one integer pass for a
+    piecewise v; a PolyPlusPower integrates step by step."""
     if isinstance(v, PolyPlusPower):
-        anti = v
-        for _ in range(spec.k):
-            anti = anti.antiderivative()
+        for _ in range(k):
+            v = v.antiderivative()
+        return v
+    return kfold_antiderivative(v, k)
+
+
+def compute_mu(w, rho: Weight) -> Fraction:
+    """mu = 1 / integral of w rho for w = u/mu, exact: w(a) for a point
+    mass, the power moment for x^(-alpha), else over the pieces of rho."""
+    if isinstance(rho, DiracWeight):
+        dual = w(rho.a)
+    elif isinstance(w, PolyPlusPower):
+        dual = w.power_moment(rho.alpha)
     else:
-        anti = kfold_antiderivative(v, spec.k)
-    u = anti.scale(mu)
+        dual = pp_integrate_product(w, as_piecewise(rho))
+    if dual == 0:
+        raise ZeroWeightError("weight has no mass: w vanishes identically")
+    return Fraction(1) / dual
+
+
+def assemble_u(spec: ProblemSpec, seeds: DerivativeSeeds, mu: Fraction, w):
+    """u = mu w, plus its diagnostics."""
+    u = w.scale(mu)
     return u, _diagnostics(spec, u)
 
 
-def _derivatives_at_one(u, k: int) -> list:
-    """u^(j)(1) for j < k from the last piece, or from the polynomial part
-    plus c x^e, whose j-th derivative at 1 is the same falling factorial
-    c e(e-1)...(e-j+1)."""
-    if isinstance(u, PiecewisePolynomial):
-        return derivatives_at_one(u.pieces[-1], k)
-    values = derivatives_at_one(u.poly, k)
-    c, e = u.term.coefficient, u.term.exponent
-    for j in range(k):
-        values[j] += c
-        c *= e - j
-    return values
-
-
 def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
-    """Exact boundary and normalization residuals and, for a piecewise
-    polynomial, the positivity certificate.  A power-weight extremizer has
-    no certificate; it reports the float minimum over the interior grid
-    instead."""
-    rho = spec.rho
-    diags = SolveDiagnostics()
-    for j, value in enumerate(_derivatives_at_one(u, spec.k)):
-        if value != 0:
+    """The exact boundary check, which raises, and the positivity
+    certificate; a power-weight extremizer has none and reports the float
+    minimum over the interior grid instead.
+
+    u^(j)(1), j < k, is sum_{i >= j} c_i i!/(i-j)! over the integer
+    numerators of the last piece (or of the polynomial part, plus
+    c e(e-1)...(e-j+1) for c x^e); a Fraction is built only for the message.
+    """
+    piecewise = isinstance(u, PiecewisePolynomial)
+    p = u.pieces[-1] if piecewise else u.poly
+    terms, den = p.nums, p.den
+    c = Fraction(0) if piecewise else u.term.coefficient
+    for j in range(spec.k):
+        residual = sum(terms) * c.denominator + c.numerator * den
+        if residual:
+            value = Fraction(residual, den * c.denominator)
             raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
-    # normalization: integral of u rho must be 1 (point mass: u(a) = 1)
-    if isinstance(rho, DiracWeight):
-        norm = u(rho.a)
-    elif isinstance(u, PolyPlusPower):
-        norm = u.power_moment(rho.alpha)
-    else:
-        norm = pp_integrate_product(u, as_piecewise(rho))
-    diags.normalization_residual = abs(float(norm) - 1.0)
-    if isinstance(u, PolyPlusPower):
-        diags.min_interior_value = u.min_on_grid()
-    else:
+        terms = [a * (i - j) for i, a in enumerate(terms)]
+        if not piecewise:
+            c *= u.term.exponent - j
+    diags = SolveDiagnostics()
+    if piecewise:
         diags.positivity_certified = pp_positive_on_open01(u)
+    else:
+        diags.min_interior_value = u.min_on_grid()
     return diags
 
 
@@ -586,8 +577,9 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     seeds = solve_seeds(LinearSystem(build_matrix(spec.k), b))
     iterated = iterated_integral(spec.rho, spec.k)
     v = assemble_uk(spec, seeds, iterated)
-    mu = compute_mu(v)
-    u, diags = assemble_u(spec, seeds, mu, v)
+    w = _assemble_w(v, spec.k)
+    mu = compute_mu(w, spec.rho)
+    u, diags = assemble_u(spec, seeds, mu, w)
     solution = ExtremalSolution(
         spec=spec,
         mu=mu,

@@ -28,6 +28,7 @@ from sobolev1d.polynomials import (
 from sobolev1d.solver import (
     LinearSystem,
     ProblemSpec,
+    _assemble_w,
     assemble_u,
     assemble_uk,
     build_matrix,
@@ -311,11 +312,15 @@ def test_assemble_u_equals_the_kfold_antiderivative_loop(k):
         spec = ProblemSpec(k, parse_weight(text))
         seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
         v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
-        mu = compute_mu(v)
-        u, _ = assemble_u(spec, seeds, mu, v)
         anti = v
         for _ in range(k):
             anti = anti.antiderivative()
+        w = _assemble_w(v, k)
+        assert w == anti, text
+        mu = compute_mu(w, spec.rho)
+        # 1/mu = integral w rho, and the quadratic route agrees
+        assert 1 / mu == pp_integrate_product(v, v), text
+        u, _ = assemble_u(spec, seeds, mu, w)
         assert u == anti.scale(mu), text
 
 

@@ -7,6 +7,7 @@ import pytest
 from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
+    _refinement,
     bernstein_coefficients,
     bernstein_positive,
     bridge_poly,
@@ -165,7 +166,7 @@ def test_float_polynomials_are_values():
         "antiderivative": lambda f: f.antiderivative(),
         "integrate01": lambda f: f.integrate01(),
         "square_integral01": lambda f: f.square_integral01(),
-        "continuity_defects": lambda f: f.continuity_defects(1),
+        "continuity_defects": lambda f: continuity_defects(f, 1),
         "kfold_antiderivative": lambda f: kfold_antiderivative(f, 3),
         "kth_derivative": lambda f: kth_derivative(f, 2),
         "pp_integrate_product": lambda f: pp_integrate_product(f, f),
@@ -256,14 +257,94 @@ def tent_derivative():
     )
 
 
+def continuity_defects(f: PiecewisePolynomial, order: int) -> list:
+    """Jumps of the j-th derivatives (j <= order) at interior breakpoints."""
+    defects = []
+    for j in range(order + 1):
+        d = kth_derivative(f, j)
+        for i in range(1, len(f.breakpoints) - 1):
+            t = f.breakpoints[i]
+            defects.append(d.pieces[i](t) - d.pieces[i - 1](t))
+    return defects
+
+
+def is_continuous(f: PiecewisePolynomial, order: int = 0) -> bool:
+    """f^(j), j <= order, has no jump at an interior breakpoint."""
+    return all(d == 0 for d in continuity_defects(f, order))
+
+
 def test_pp_antiderivative_is_continuous():
     tent = tent_derivative().antiderivative()
     assert tent(F(0)) == 0
     assert tent(F(1, 2)) == F(1, 2)
     assert tent(F(1)) == 0
-    assert tent.is_continuous(0)
+    assert is_continuous(tent, 0)
     # the derivative jumps, and the continuity predicate says so
-    assert not tent.is_continuous(1)
+    assert not is_continuous(tent, 1)
+
+
+def test_public_constructor_validates_breakpoints_and_modes():
+    one = Polynomial([1])
+    for cuts, pieces, error in [
+        ([F(0), F(1, 2), F(1, 2), F(1)], [one] * 3, ValueError),  # repeated
+        ([F(0), F(2, 3), F(1, 3), F(1)], [one] * 3, ValueError),  # decreasing
+        ([F(0), F(1, 2)], [one], ValueError),  # stops short of 1
+        ([F(1, 4), F(1)], [one], ValueError),  # starts past 0
+        ([F(0), F(1)], [one, one], ValueError),  # one breakpoint short
+        ([F(0), F(1, 2), F(1)], [one, Polynomial([1.0])], ModeMismatchError),
+    ]:
+        with pytest.raises(error):
+            PiecewisePolynomial(cuts, pieces)
+
+
+def test_rebuilds_equal_the_validated_build_and_share_its_breakpoints():
+    # map_pieces and antiderivative, and through them scale, add_polynomial,
+    # derivative, kth_derivative and kfold_antiderivative, reuse the
+    # breakpoint tuple they were given instead of validating it again
+    rng = random.Random(1717)
+    q = Polynomial([F(1, 3), F(-2, 5), 1])
+    rebuilds = {
+        "map_pieces": lambda f: f.map_pieces(lambda p: p * q),
+        "scale": lambda f: f.scale(F(-7, 3)),
+        "add_polynomial": lambda f: f.add_polynomial(q),
+        "derivative": lambda f: f.derivative(),
+        "antiderivative": lambda f: f.antiderivative(),
+        "kth_derivative": lambda f: kth_derivative(f, 2),
+        "kfold_antiderivative": lambda f: kfold_antiderivative(f, 5),
+    }
+    for trial in range(10):
+        f = _random_piecewise(rng, 1 + trial % 4, 6)
+        for name, rebuild in rebuilds.items():
+            got = rebuild(f)
+            assert got.breakpoints is f.breakpoints, name
+            validated = PiecewisePolynomial([F(b) for b in f.breakpoints], list(got.pieces))
+            assert got == validated and hash(got) == hash(validated), name
+        assert f.scale(3) == PiecewisePolynomial(f.breakpoints, [p.scale(3) for p in f.pieces])
+        assert f.add_polynomial(q) == PiecewisePolynomial(f.breakpoints, [p + q for p in f.pieces])
+        assert kth_derivative(f, 2) == PiecewisePolynomial(
+            f.breakpoints, [kth_derivative(p, 2) for p in f.pieces]
+        )
+
+
+def test_refinement_pairs_pieces_directly_on_shared_breakpoints():
+    rng = random.Random(1718)
+    for trial in range(12):
+        f = _random_piecewise(rng, 1 + trial % 4, 6)
+        # equal breakpoints in a tuple of their own
+        g = PiecewisePolynomial(
+            [F(b) for b in f.breakpoints], _random_piecewise(rng, len(f.pieces), 6).pieces
+        )
+        cuts, pairs = _refinement(f, g)
+        assert tuple(cuts) == f.breakpoints
+        assert pairs == list(zip(f.pieces, g.pieces))
+        # g with one more cut, inside its first piece, takes the general route
+        cut = f.breakpoints[1] / 2
+        finer = PiecewisePolynomial(
+            [F(0), cut, *g.breakpoints[1:]], [g.pieces[0], *g.pieces]
+        )
+        assert pp_integrate_product(f, g) == pp_integrate_product(f, finer)
+        assert pp_equal(pp_mul(f, g), pp_mul(f, finer))
+        assert pp_equal(g, finer) and pp_equal(finer, g)
 
 
 def test_pp_square_integral():

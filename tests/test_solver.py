@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,21 +18,26 @@ from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
     from_polynomial,
+    integrate_product,
     kth_derivative,
     pp_equal,
+    pp_integrate_product,
     pp_mul,
 )
 from sobolev1d.quadrature import quad_numeric
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError
 from sobolev1d.solver import (
     BoundaryResidualError,
+    DerivativeSeeds,
     LinearSystem,
     PolyPlusPower,
     ProblemSpec,
     SingularMatrixError,
     ZeroWeightError,
+    _assemble_w,
     _check_vandermonde_structure,
     _diagnostics,
+    _seed_polynomial,
     assemble_u,
     assemble_uk,
     build_matrix,
@@ -194,28 +200,60 @@ def test_assemble_uk_dirac_step():
 # -- mu ----------------------------------------------------------------------
 
 
+def _v_and_w(spec):
+    """v = u^(k)/mu and w = u/mu, its k-fold antiderivative, stage by stage."""
+    k = spec.k
+    seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
+    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+    return seeds, v, _assemble_w(v, k)
+
+
 def test_compute_mu_uniform():
     spec = ProblemSpec(1, parse_weight("poly:1"))
-    seeds = solve_seeds(LinearSystem(build_matrix(1), moments(spec.rho, 1)))
-    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, 1))
-    assert compute_mu(v) == 12  # integral of (1/2 - x)^2 = 1/12
+    _, v, w = _v_and_w(spec)
+    assert compute_mu(w, spec.rho) == 12
+    # the quadratic route: integral of (1/2 - x)^2 = 1/12
+    assert v.square_integral01() == F(1, 12)
 
     spec = ProblemSpec(2, parse_weight("poly:1"))
-    seeds = solve_seeds(LinearSystem(build_matrix(2), moments(spec.rho, 2)))
-    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, 2))
-    assert compute_mu(v) == 720
+    _, v, w = _v_and_w(spec)
+    assert compute_mu(w, spec.rho) == 720
+    assert pp_integrate_product(w, from_polynomial(Polynomial([1]))) == F(1, 720)
+    assert pp_integrate_product(v, v) == F(1, 720)
 
 
 def test_compute_mu_half_indicator():
     # independent route: v = 3/4 - 2x on [0,1/2], -1/4 after; squares
     # integrate to 7/96 + 1/32 = 5/48, so mu = 48/5
     spec = ProblemSpec(1, parse_weight("chi:0,1/2"))
-    seeds = solve_seeds(LinearSystem(build_matrix(1), moments(spec.rho, 1)))
-    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, 1))
+    _, v, w = _v_and_w(spec)
     assert v(F(1, 4)) == F(1, 4)
     assert v(F(3, 4)) == F(-1, 4)
-    assert compute_mu(v) == F(48, 5)
+    assert v.square_integral01() == F(5, 48)
+    # the dual route: the indicator's height 2 times the integral of w over
+    # [0, 1/2]
+    assert 2 * w.pieces[0].integrate(F(0), F(1, 2)) == F(5, 48)
+    assert compute_mu(w, spec.rho) == F(48, 5)
     assert indicator_mu(F(0), F(1, 2)) == F(48, 5)
+
+
+def test_compute_mu_point_mass_reads_w_at_the_mass():
+    for k in (1, 2, 3):
+        spec = ProblemSpec(k, DiracWeight(F(2, 7)))
+        _, v, w = _v_and_w(spec)
+        assert compute_mu(w, spec.rho) == 1 / w(F(2, 7)) == 1 / v.square_integral01()
+        assert compute_mu(w, spec.rho) == dirac_mu(k, F(2, 7))
+
+
+def test_seed_polynomial_equals_the_fraction_sum():
+    rng = random.Random(170)
+    for k in (1, 2, 3, 6, 12, 24):
+        values = tuple(random_fraction(rng, -9, 9, 40) for _ in range(k))
+        got = _seed_polynomial(DerivativeSeeds(k, values))
+        expected = [F(0)] * k
+        for j, s in enumerate(values):
+            expected[k - 1 - j] = s / math.factorial(k - 1 - j)
+        assert got == Polynomial(expected), k
 
 
 # -- full solves ---------------------------------------------------------
@@ -460,6 +498,46 @@ def test_dual_mu_identity_exact():
         assert uk.square_integral01() == s.mu
 
 
+def _energy_identity_weights(rng):
+    """Seeded pw (one with 64-bit breakpoints), chi and dirac weights."""
+    long = 2**64 - 1
+    cut = F(rng.randint(1, 9), 10)
+    pw = f"pw:[0,{cut}]={rng.randint(1, 4)}+x;[{cut},1]={rng.randint(1, 4)}*x^2+1"
+    a, b = F(1, long), F(rng.randint(2, long - 2), long)
+    pw_long = f"pw:[0,{a}]=1;[{a},{b}]={rng.randint(1, 3)};[{b},1]=1+x"
+    lo = F(rng.randint(0, 5), 11)
+    chi = f"chi:{lo},{lo + F(rng.randint(1, 5), 11)}"
+    dirac = f"dirac:{F(rng.randint(1, 12), 13)}"
+    return [pw, pw_long, chi, dirac]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24])
+def test_energy_identity_for_every_exact_kind(k):
+    # solve takes 1/mu = integral w rho; the energy of u^(k), reconstructed
+    # from u, must come out as mu: integral (u^(k))^2 = mu^2 / mu
+    rng = random.Random(1700 + k)
+    for text in _energy_identity_weights(rng):
+        s = solve(ProblemSpec(k, parse_weight(text)))
+        uk = kth_derivative(s.u, k)
+        assert uk == s.u_k, text
+        assert pp_integrate_product(uk, uk) == s.mu, text
+
+
+def _raise_if_squared(self):
+    raise AssertionError("a solve squared a function")
+
+
+def test_solve_takes_no_square(monkeypatch):
+    monkeypatch.setattr(PiecewisePolynomial, "square_integral01", _raise_if_squared)
+    monkeypatch.setattr(PolyPlusPower, "square_integral01", _raise_if_squared, raising=False)
+    for k in (1, 2, 6):
+        for text in ("poly:1 + x", "pw:[0,1/3]=1;[1/3,1]=x", "chi:1/4,3/4", "dirac:1/3"):
+            for mode in (EXACT, FLOAT):
+                assert solve(ProblemSpec(k, parse_weight(text), mode)).mu > 0
+        assert solve(ProblemSpec(k, parse_weight("pow:1/3"), FLOAT)).mu > 0
+    assert solve(ProblemSpec(1, parse_weight("hardy:1"))).mu == 1
+
+
 def test_boundary_conditions_exact():
     rng = random.Random(31337)
     for k in (1, 2, 3):
@@ -472,12 +550,21 @@ def test_boundary_conditions_exact():
             d = d.derivative()
 
 
+def _power_square_integral(v):
+    """integral of (p + c x^e)^2 = integral p^2 + 2c sum a_i/(i+e+1) + c^2/(2e+1)."""
+    c, e = v.term.coefficient, v.term.exponent
+    cross = sum(a / (i + e + 1) for i, a in enumerate(v.poly.coeffs))
+    return integrate_product(v.poly, v.poly, 0, 1) + 2 * c * cross + c * c / (2 * e + 1)
+
+
 def _exact_power_extremizer(k, alpha):
     """The exact PolyPlusPower u that solve rounds for pow:alpha."""
     spec = ProblemSpec(k, parse_weight(f"pow:{alpha}"), FLOAT)
-    seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
-    v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
-    u, _ = assemble_u(spec, seeds, compute_mu(v), v)
+    seeds, v, w = _v_and_w(spec)
+    mu = compute_mu(w, spec.rho)
+    # the dual route, integral w x^(-alpha), against the quadratic one
+    assert 1 / mu == _power_square_integral(v)
+    u, _ = assemble_u(spec, seeds, mu, w)
     return spec, u
 
 
@@ -494,12 +581,15 @@ def test_a_nonzero_boundary_derivative_at_one_raises():
             bump = Polynomial([1])
             for _ in range(j):
                 bump = bump * Polynomial([-1, 1])
-            bump = bump.scale(random_fraction(rng, 1, 3))
+            c = random_fraction(rng, 1, 3)
+            bump = bump.scale(c)
+            # the message names the exact value u^(j)(1) = c j!
+            message = re.escape(f"u^({j})(1) = {c * math.factorial(j)}, not 0")
             bad = PiecewisePolynomial(u.breakpoints, [*u.pieces[:-1], u.pieces[-1] + bump])
-            with pytest.raises(BoundaryResidualError, match=rf"u\^\({j}\)\(1\)"):
+            with pytest.raises(BoundaryResidualError, match=f"^{message}$"):
                 _diagnostics(spec, bad)
             bad_power = PolyPlusPower(power_u.poly + bump, power_u.term)
-            with pytest.raises(BoundaryResidualError, match=rf"u\^\({j}\)\(1\)"):
+            with pytest.raises(BoundaryResidualError, match=f"^{message}$"):
                 _diagnostics(power_spec, bad_power)
 
 
