@@ -296,17 +296,15 @@ def cmd_verify(args) -> int:
     if spec.k in (1, 2):
         report = oracles.sign_iteration(spec, n=cfg["grid"])
         mu_h = report.details["mu_h"]
-        sign_ok = bool(
-            report.sign_definite and abs(mu_h - mu) / mu <= 0.05
-        )
+        within = abs(mu_h - mu) / mu <= 0.05
+        sign_ok = bool(report.sign_definite and within)
         sign_section = {
             "grid": cfg["grid"],
             "mu_h": mu_h,
             "sign_definite": report.sign_definite,
-            "within_5pct": abs(mu_h - mu) / mu <= 0.05,
+            "within_5pct": within,
         }
 
-    mp_section = "skipped"
     mp_ok = True
     try:
         oracles.max_principle_check(spec.k, rho, n=cfg["grid"])

@@ -1,6 +1,12 @@
 """Independent verification of the pipeline's sharp constants.
 
-Three unrelated routes, none of which shares arithmetic with the solver:
+Three routes.  None runs the solver's seed system or reads its moment
+vector b; each reaches its answer by its own equations.  They share
+primitives with the solver: the Galerkin loads come from
+``weights.monomial_moments``, whose per-piece integer loop the solver's
+``moments`` runs on the mirrored weight, and the maximum-principle route
+uses ``kfold_antiderivative``, ``derivatives_at_one`` (the boundary sums at
+1) and the positivity certificate ``pp_positive_on_open01``.
 
 * ``galerkin_lambda`` -- a dual-norm lower bound.  Because the extremizer is
   sign-definite, the absolute value can be dropped and the reciprocal sharp
@@ -48,7 +54,6 @@ from .polynomials import (
     Polynomial,
     derivatives_at_one,
     exact_polynomial,
-    integer_form,
     kfold_antiderivative,
     pp_positive_on_open01,
     pp_values_at,
@@ -495,20 +500,19 @@ def _solve_clamped_bvp_exact(k: int, load: PiecewisePolynomial) -> PiecewisePoly
     solution's derivatives at 1 off its last piece.
     """
     particular = kfold_antiderivative(load.scale(Fraction((-1) ** k)), 2 * k)
-    targets = derivatives_at_one(particular.pieces[-1], k)
-    return particular.add_polynomial(_right_boundary_correction(k, targets))
+    nums, den = derivatives_at_one(particular.pieces[-1], k)
+    return particular.add_polynomial(_right_boundary_correction(k, nums, den))
 
 
-def _right_boundary_correction(k: int, targets: Sequence[Fraction]) -> Polynomial:
-    """H = x^k R(x), deg R < k, with H^(j)(1) = -targets[j] for j < k.
+def _right_boundary_correction(k: int, nums: Sequence[int], den: int) -> Polynomial:
+    """H = x^k R(x), deg R < k, with H^(j)(1) = -nums[j]/den for j < k.
 
     In y = x - 1, H(1 + y) = (1 + y)^k R(1 + y) has the Taylor coefficients
-    -targets[j]/j! below y^k, so R(1 + y) is their series times
+    -nums[j]/(den j!) below y^k, so R(1 + y) is their series times
     (1 + y)^(-k) = sum_n (-1)^n C(k-1+n, n) y^n, cut below y^k; a Taylor
     shift by -1 gives R(x).  Everything is integer arithmetic over
-    D (k-1)!, with D the targets' common denominator.
+    den (k-1)!.
     """
-    nums, den = integer_form(targets)
     top = factorial(k - 1)
     tau = [-c * (top // factorial(j)) for j, c in enumerate(nums)]
     series = [(-1) ** n * comb(k - 1 + n, n) for n in range(k)]

@@ -410,20 +410,20 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def derivatives_at_one(p: Polynomial, count: int) -> list[Fraction]:
-    """p^(j)(1) = sum_{i >= j} c_i i!/(i-j)! for j < count, for an exact p.
+def derivatives_at_one(p: Polynomial, count: int) -> tuple[list[int], int]:
+    """Integers nums and p.den with p^(j)(1) = nums[j] / p.den for j < count,
+    for an exact p: nums[j] = sum_{i >= j} c_i i!/(i-j)! over the numerators.
 
-    The falling factorials are stepped in integers over one denominator:
-    the i-th term picks up the factor (i - j) on the way from order j to
-    order j + 1.
+    The falling factorials are stepped in integers: the i-th term picks up
+    the factor (i - j) on the way from order j to order j + 1.
     """
     p._exact()
-    terms, den = p.nums, p.den
+    terms = p.nums
     out = []
     for j in range(count):
-        out.append(Fraction(sum(terms), den))
+        out.append(sum(terms))
         terms = [c * (i - j) for i, c in enumerate(terms)]
-    return out
+    return out, p.den
 
 
 def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):

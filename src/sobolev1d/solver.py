@@ -42,6 +42,7 @@ from . import closed_forms
 from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
+    derivatives_at_one,
     exact_polynomial,
     from_polynomial,
     integer_form,
@@ -92,7 +93,7 @@ class ZeroWeightError(SolverError):
 
 
 class SingularMatrixError(SolverError):
-    """The seed system lost its pivot; must not happen for a valid order."""
+    """The seed matrix broke its falling-factorial pattern; must not happen."""
 
 
 class BoundaryResidualError(SolverError):
@@ -190,17 +191,16 @@ class ExtremalSolution:
 
 @lru_cache(maxsize=64)
 def build_matrix(k: int) -> tuple:
-    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact integers
-    held as Fractions, so that :func:`gaussian_solve` on it stays exact.
+    """Falling-factorial matrix A[m][j] = (k+m)!/(k+m-j)!, exact ints.
 
-    Built and structure-checked in ints once per k; the tuple is immutable,
-    so every solve of that order shares it.
+    Built and structure-checked once per k; the tuple is immutable, so
+    every solve of that order shares it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = [[perm(k + m, j) for j in range(k)] for m in range(k)]
     _check_vandermonde_structure(rows, k)
-    return tuple(tuple(Fraction(a) for a in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 def _check_vandermonde_structure(matrix, k: int):
@@ -218,40 +218,16 @@ def _check_vandermonde_structure(matrix, k: int):
         raise SingularMatrixError(f"column {k - 1} broke the falling-factorial pattern")
 
 
-def gaussian_solve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list:
-    """Dense linear solve with partial pivoting; exact over Fractions."""
-    n = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise SingularMatrixError("zero pivot in seed system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            f = aug[r][col] / aug[col][col]
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                aug[r][c] -= f * aug[col][c]
-    out = [rhs[0] * 0] * n
-    for r in range(n - 1, -1, -1):
-        s = aug[r][n]
-        for c in range(r + 1, n):
-            s -= aug[r][c] * out[c]
-        out[r] = s / aug[r][r]
-    return out
-
-
 def solve_seeds(system: LinearSystem) -> DerivativeSeeds:
-    """s = A^(-1) b: by finite differences for exact b and the falling-factorial
-    matrix, otherwise by :func:`gaussian_solve`."""
+    """s = A^(-1) b by finite differences, for A = build_matrix(k) and an
+    exact b; another matrix raises ValueError, a float b ModeMismatchError."""
     k = system.moments.k
     b = system.moments.values
-    if all(isinstance(v, Fraction) for v in b) and system.matrix == build_matrix(k):
-        values = _difference_solve(k, b)
-    else:
-        values = gaussian_solve(system.matrix, list(b))
-    return DerivativeSeeds(k, tuple(values))
+    if system.matrix != build_matrix(k):
+        raise ValueError("the seed system's matrix is not build_matrix(k)")
+    if not all(isinstance(v, (int, Fraction)) for v in b):
+        raise ModeMismatchError("the seed system's right-hand side is not exact")
+    return DerivativeSeeds(k, tuple(_difference_solve(k, b)))
 
 
 def _difference_solve(k: int, b: Sequence[Fraction]) -> list:
@@ -400,20 +376,18 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     certificate; a power-weight extremizer has none and reports the float
     minimum over the interior grid instead.
 
-    u^(j)(1), j < k, is sum_{i >= j} c_i i!/(i-j)! over the integer
-    numerators of the last piece (or of the polynomial part, plus
-    c e(e-1)...(e-j+1) for c x^e); a Fraction is built only for the message.
+    u^(j)(1), j < k, is read off the last piece (or the polynomial part) by
+    :func:`derivatives_at_one`, as integers over its denominator; c x^e adds
+    c e(e-1)...(e-j+1).  A Fraction is built only for the message.
     """
     piecewise = isinstance(u, PiecewisePolynomial)
-    p = u.pieces[-1] if piecewise else u.poly
-    terms, den = p.nums, p.den
+    nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, spec.k)
     c = Fraction(0) if piecewise else u.term.coefficient
-    for j in range(spec.k):
-        residual = sum(terms) * c.denominator + c.numerator * den
+    for j, a in enumerate(nums):
+        residual = a * c.denominator + c.numerator * den
         if residual:
             value = Fraction(residual, den * c.denominator)
             raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
-        terms = [a * (i - j) for i, a in enumerate(terms)]
         if not piecewise:
             c *= u.term.exponent - j
     diags = SolveDiagnostics()

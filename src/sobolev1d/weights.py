@@ -267,28 +267,12 @@ def _over_one_denominator(parts: list, count: int) -> tuple:
     return out, den
 
 
-def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
-    """M_n = integral of x^n rho over (0, 1) for n = lo..hi (lo >= 1 for
-    the boundary weight 1/x), as integers over one denominator: (nums, den)
-    with M_n = nums[n - lo] / den.
-
-    A point mass at a = s/t gives a^n = s^n t^(hi-n) / t^hi, and x^(-alpha)
-    with alpha = p/q gives 1/(n + 1 - alpha) = q / (q (n+1) - p) over the
-    lcm of those denominators.  A piecewise-polynomial weight sums, piece by
-    piece, its numerators against the table of :func:`_power_integrals`.
-    """
-    if isinstance(rho, DiracWeight):
-        s, t = rho.a.numerator, rho.a.denominator
-        return [s**n * t ** (hi - n) for n in range(lo, hi + 1)], t**hi
-    if isinstance(rho, (PowerWeight, HardyWeight)):
-        alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
-        p, q = alpha.numerator, alpha.denominator
-        dens = [q * (n + 1) - p for n in range(lo, hi + 1)]
-        den = lcm(*dens)
-        return [q * (den // d) for d in dens], den
-    pp = as_piecewise(rho)
+def _piecewise_moments(breakpoints, pieces, lo: int, hi: int) -> tuple:
+    """The integrals of x^n times the piecewise polynomial over (0, 1) for
+    n = lo..hi, as (nums, den): each piece's numerators against the table of
+    :func:`_power_integrals`, summed over one denominator."""
     parts = []
-    for (a, b), piece in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
+    for (a, b), piece in zip(zip(breakpoints, breakpoints[1:]), pieces):
         nums = piece.nums
         if nums:
             # integral of x^(n+i) over [a, b] is P[n - lo + i] / den
@@ -301,8 +285,42 @@ def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
     return _over_one_denominator(parts, hi - lo + 1)
 
 
+def _mirror(pp: PiecewisePolynomial) -> tuple:
+    """Breakpoints and pieces of x -> pp(1 - x)."""
+    cuts = [1 - b for b in reversed(pp.breakpoints)]
+    return cuts, [p.compose_affine(-1, 1) for p in reversed(pp.pieces)]
+
+
+def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
+    """M_n = integral of x^n rho over (0, 1) for n = lo..hi (lo >= 1 for
+    the boundary weight 1/x), as integers over one denominator: (nums, den)
+    with M_n = nums[n - lo] / den.
+
+    A point mass at a = s/t gives a^n = s^n t^(hi-n) / t^hi, and x^(-alpha)
+    with alpha = p/q gives 1/(n + 1 - alpha) = q / (q (n+1) - p) over the
+    lcm of those denominators.  A piecewise-polynomial weight sums over its
+    pieces (:func:`_piecewise_moments`).
+    """
+    if isinstance(rho, DiracWeight):
+        s, t = rho.a.numerator, rho.a.denominator
+        return [s**n * t ** (hi - n) for n in range(lo, hi + 1)], t**hi
+    if isinstance(rho, (PowerWeight, HardyWeight)):
+        alpha = rho.alpha if isinstance(rho, PowerWeight) else Fraction(rho.order)
+        p, q = alpha.numerator, alpha.denominator
+        dens = [q * (n + 1) - p for n in range(lo, hi + 1)]
+        den = lcm(*dens)
+        return [q * (den // d) for d in dens], den
+    pp = as_piecewise(rho)
+    return _piecewise_moments(pp.breakpoints, pp.pieces, lo, hi)
+
+
 def moments(rho: Weight, k: int) -> MomentVector:
-    """Exact shifted moments driving the right-hand side of the seed system."""
+    """Exact shifted moments driving the right-hand side of the seed system.
+
+    With s = 1 - t, integral (1-t)^(k+m) rho(t) dt is the (k+m)-th monomial
+    moment of the mirrored weight; x^(-alpha) steps B(1-alpha, n+1) to
+    B(1-alpha, n+2) = B(1-alpha, n+1) (n+1)/(n+2-alpha).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(rho, HardyWeight):
@@ -315,24 +333,13 @@ def moments(rho: Weight, k: int) -> MomentVector:
         for m in range(k):
             values.append(sign * (1 - rho.a) ** (k + m))
     elif isinstance(rho, PowerWeight):
-        for m in range(k):
-            values.append(sign * beta_product(rho.alpha, k + m))
+        beta = beta_product(rho.alpha, k)
+        values.append(sign * beta)
+        for n in range(k, 2 * k - 1):
+            beta = beta * (n + 1) / (n + 2 - rho.alpha)
+            values.append(sign * beta)
     else:
-        pp = as_piecewise(rho)
-        parts = []
-        for (a, b), p in zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces):
-            # s = 1 - t turns p(t) (1-t)^(k+m) into sum_i d_i s^(k+m+i), whose
-            # integral over [1-b, 1-a] is sum_i d_i [s^(e)/e], e = k+m+i+1
-            mirrored = p.compose_affine(-1, 1)
-            nums = mirrored.nums
-            if not nums:
-                continue
-            power, den = _power_integrals(1 - b, 1 - a, k + 1, 2 * k + len(nums) - 1)
-            totals = [
-                sum(c * power[m + i] for i, c in enumerate(nums)) for m in range(k)
-            ]
-            parts.append((totals, den * mirrored.den))
-        totals, den = _over_one_denominator(parts, k)
+        totals, den = _piecewise_moments(*_mirror(as_piecewise(rho)), k, 2 * k - 1)
         values = [sign * Fraction(t, den) for t in totals]
     return MomentVector(k, tuple(values))
 
@@ -413,10 +420,7 @@ def reflect_weight(rho: Weight) -> Weight:
     if isinstance(rho, PolyWeight):
         return PolyWeight(rho.poly.compose_affine(-1, 1))
     if isinstance(rho, PiecewiseWeight):
-        pp = rho.pp
-        cuts = [1 - b for b in reversed(pp.breakpoints)]
-        pieces = [p.compose_affine(-1, 1) for p in reversed(pp.pieces)]
-        return PiecewiseWeight(PiecewisePolynomial(cuts, pieces))
+        return PiecewiseWeight(PiecewisePolynomial(*_mirror(rho.pp)))
     if isinstance(rho, IndicatorWeight):
         return IndicatorWeight(1 - rho.b, 1 - rho.a)
     if isinstance(rho, DiracWeight):

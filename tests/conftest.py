@@ -1,8 +1,9 @@
 """Shared helpers for the test suite.
 
-The exact linear solver here is deliberately independent of the library's
-own elimination code so that beam/boundary-value cross-checks do not share
-an arithmetic path with what they verify.
+The library solves its seed system by finite differences and has no
+elimination code; the exact linear solver here is plain elimination, so the
+seed-solve and beam/boundary-value cross-checks do not share an arithmetic
+path with what they verify.
 """
 
 from fractions import Fraction

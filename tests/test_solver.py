@@ -43,7 +43,6 @@ from sobolev1d.solver import (
     build_matrix,
     closed_form,
     compute_mu,
-    gaussian_solve,
     sharp_constant,
     solve,
     solve_seeds,
@@ -78,12 +77,12 @@ def falling_factorial(n, j):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 24, 60])
 def test_build_matrix_is_falling_factorial(k):
-    # built in ints, returned as Fractions so that gaussian_solve stays exact
+    # the checked int rows, as the difference solve reads them
     A = build_matrix(k)
     for m in range(k):
         for j in range(k):
             assert A[m][j] == falling_factorial(k + m, j)
-            assert type(A[m][j]) is F
+            assert type(A[m][j]) is int
 
 
 def test_build_matrix_small_cases():
@@ -139,17 +138,9 @@ def test_seeds_satisfy_system_exactly():
         del q
 
 
-def test_difference_solve_matches_gaussian_elimination(monkeypatch):
-    # exact b takes the O(k^2) difference solve, so the solver's own
-    # elimination refuses.  A is invertible, so an exact zero residual pins
-    # the solution; the dense elimination on the same matrix is the
-    # reference where it stays cheap
-    from sobolev1d import solver
-
-    def refuse(*args):
-        raise AssertionError("the exact seed system needs no elimination")
-
-    monkeypatch.setattr(solver, "gaussian_solve", refuse)
+def test_difference_solve_matches_gaussian_elimination():
+    # A is invertible, so an exact zero residual pins the solution; plain
+    # elimination over Fractions is the reference where it stays cheap
     rng = random.Random(4040)
     for k in range(1, 41):
         A = build_matrix(k)
@@ -158,17 +149,23 @@ def test_difference_solve_matches_gaussian_elimination(monkeypatch):
         assert all(type(v) is F for v in s)
         assert [sum(a * v for a, v in zip(row, s)) for row in A] == b, k
         if k <= 16:
-            assert list(s) == gaussian_solve(A, b), k
+            assert list(s) == frac_solve(A, b), k
 
 
-def test_solve_seeds_float_and_foreign_systems_use_elimination():
+def test_solve_seeds_rejects_float_and_foreign_systems():
+    # a float right-hand side is not exact
     b = MomentVector(3, (0.25, -1.5, 2.0))
+    with pytest.raises(ModeMismatchError, match="not exact"):
+        solve_seeds(LinearSystem(build_matrix(3), b))
+    # a float copy of A(k) is A(k) entry for entry, so only b decides
     A = tuple(tuple(float(x) for x in row) for row in build_matrix(3))
-    assert solve_seeds(LinearSystem(A, b)).values == tuple(gaussian_solve(A, b.values))
-    # an exact matrix other than A(k) is solved as given
-    M = ((F(2), F(0)), (F(1), F(1)))
-    s = solve_seeds(LinearSystem(M, MomentVector(2, (F(1), F(1)))))
-    assert s.values == (F(1, 2), F(1, 2))
+    with pytest.raises(ModeMismatchError):
+        solve_seeds(LinearSystem(A, b))
+    # an exact matrix other than A(k) is not the seed system
+    exact = MomentVector(2, (F(1), F(1)))
+    for M in (((F(2), F(0)), (F(1), F(1))), build_matrix(3), ((1, 2),)):
+        with pytest.raises(ValueError, match="not build_matrix"):
+            solve_seeds(LinearSystem(M, exact))
 
 
 # -- u^(k)/mu assembly -------------------------------------------------------

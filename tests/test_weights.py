@@ -209,6 +209,18 @@ def test_beta_product_half():
     assert beta_product(F(1, 2), 1) == F(4, 3)
 
 
+@pytest.mark.parametrize("k", [1, 2, 6, 24, 40])
+def test_power_moments_step_the_beta_product(k):
+    # the seed moments step B(1-alpha, n+1) by a ratio; each must equal the
+    # product formula afresh
+    for alpha in (F(0), F(1, 3), F(1, 2), F(999, 1000)):
+        sign = (-1) ** (k + 1)
+        expected = tuple(sign * beta_product(alpha, k + m) for m in range(k))
+        values = moments(PowerWeight(alpha), k).values
+        assert values == expected, (alpha, k)
+        assert all(type(v) is F for v in values)
+
+
 def test_moments_linear_in_weight():
     rng = random.Random(7)
     w = parse_weight("poly:1 + x^2")
