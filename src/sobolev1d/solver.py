@@ -142,7 +142,8 @@ class DerivativeSeeds:
 class SolveDiagnostics:
     boundary_residual: float = 0.0
     normalization_residual: float = 0.0
-    # float grid minimum, only where no positivity certificate runs
+    # no solve sets it: every kind has a positivity certificate; kept as a
+    # JSON key of `constant`, where it reads null
     min_interior_value: Optional[float] = None
     positivity_certified: Optional[bool] = None
     closed_form_mu_checked: bool = False
@@ -254,16 +255,14 @@ def _difference_solve(k: int, b: Sequence[Fraction]) -> list:
 @record
 class PolyPlusPower:
     """poly(x) + c x^e for a power weight: every integral the pipeline needs
-    is a sum of 1/(e + 1) terms, so it is exact; pointwise values are floats."""
+    is a sum of 1/(e + 1) terms, and positivity is certified from poly, c
+    and e (see _diagnostics), all exact; pointwise values are floats."""
 
     poly: Polynomial
     term: PowerLawTerm
 
     def __call__(self, x: float) -> float:
         return self.poly.eval_float(x) + self.term(x)
-
-    def antiderivative(self) -> "PolyPlusPower":
-        return PolyPlusPower(self.poly.antiderivative(), self.term.antiderivative())
 
     def scale(self, c) -> "PolyPlusPower":
         return PolyPlusPower(self.poly.scale(c), self.term.scale(c))
@@ -277,22 +276,6 @@ class PolyPlusPower:
         c, e = self.term.coefficient, self.term.exponent
         poly_part = sum(a / (i + 1 - alpha) for i, a in enumerate(self.poly.coeffs))
         return poly_part + c / (e + 1 - alpha)
-
-    def min_on_grid(self, n: int = 4096) -> float:
-        """Float minimum over the interior grid points i/n, coefficients
-        converted once."""
-        coeffs = [float(a) for a in reversed(self.poly.coeffs)]
-        c, e = float(self.term.coefficient), float(self.term.exponent)
-        best = float("inf")
-        for i in range(1, n):
-            x = i / n
-            acc = 0.0
-            for a in coeffs:
-                acc = acc * x + a
-            acc += c * x**e
-            if acc < best:
-                best = acc
-        return best
 
 
 def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:
@@ -342,12 +325,13 @@ def float_mu(mu) -> float:
 
 
 def _assemble_w(v, k: int):
-    """w = u/mu, the k-fold antiderivative of v: one integer pass for a
-    piecewise v; a PolyPlusPower integrates step by step."""
+    """w = u/mu, the k-fold antiderivative of v, in one pass: one integer
+    pass for a piecewise v or a power weight's polynomial part, and for c x^e
+    the term c/((e+1)...(e+k)) x^(e+k)."""
     if isinstance(v, PolyPlusPower):
-        for _ in range(k):
-            v = v.antiderivative()
-        return v
+        c, e = v.term.coefficient, v.term.exponent
+        rising = math.prod(e + i for i in range(1, k + 1))
+        return PolyPlusPower(kfold_antiderivative(v.poly, k), PowerLawTerm(c / rising, e + k))
     return kfold_antiderivative(v, k)
 
 
@@ -373,15 +357,24 @@ def assemble_u(spec: ProblemSpec, seeds: DerivativeSeeds, mu: Fraction, w):
 
 def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     """The exact boundary check, which raises, and the positivity
-    certificate; a power-weight extremizer has none and reports the float
-    minimum over the interior grid instead.
+    certificate.
 
     u^(j)(1), j < k, is read off the last piece (or the polynomial part) by
     :func:`derivatives_at_one`, as integers over its denominator; c x^e adds
     c e(e-1)...(e-j+1).  A Fraction is built only for the message.
+
+    A piecewise u is certified by :func:`pp_positive_on_open01`; u = P + c x^e
+    by Boggio's theorem, as the clamped Green's function of (-1)^k d^2k/dx^2k
+    is positive on (0, 1)^2 (Gazzola, Grunau & Sweers, LNM 1991, section
+    2.6).  Its hypotheses are checked exactly: e = 2k - alpha makes every
+    factor of e(e-1)...(e-2k+1) positive, deg P < 2k and (-1)^k c > 0, so
+    (-1)^k u^(2k) is a positive multiple of x^(-alpha); P's coefficients
+    below x^k vanish, so u^(j)(0) = 0 for j < k (x^e adds nothing there);
+    and the boundary check gives u^(j)(1) = 0.
     """
+    k = spec.k
     piecewise = isinstance(u, PiecewisePolynomial)
-    nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, spec.k)
+    nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, k)
     c = Fraction(0) if piecewise else u.term.coefficient
     for j, a in enumerate(nums):
         residual = a * c.denominator + c.numerator * den
@@ -390,12 +383,16 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
             raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
         if not piecewise:
             c *= u.term.exponent - j
-    diags = SolveDiagnostics()
     if piecewise:
-        diags.positivity_certified = pp_positive_on_open01(u)
+        certified = pp_positive_on_open01(u)
     else:
-        diags.min_interior_value = u.min_on_grid()
-    return diags
+        certified = (
+            u.term.exponent == 2 * k - spec.rho.alpha
+            and u.poly.degree < 2 * k
+            and not any(u.poly.nums[:k])
+            and (-1) ** k * u.term.coefficient > 0
+        )
+    return SolveDiagnostics(positivity_certified=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -356,10 +356,6 @@ class PowerLawTerm:
             return 0.0 if self.exponent > 0 else float(self.coefficient)
         return float(self.coefficient) * x ** float(self.exponent)
 
-    def antiderivative(self) -> "PowerLawTerm":
-        e = self.exponent + 1
-        return PowerLawTerm(self.coefficient / e, e)
-
     def scale(self, c) -> "PowerLawTerm":
         return PowerLawTerm(self.coefficient * c, self.exponent)
 
@@ -553,10 +549,10 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
 
     def multiply(p: Polynomial, q: Polynomial, position: int) -> Polynomial:
         # over one denominator, a product's coefficient is a sum of at most
-        # m = min(len) products, each below 2^(pn + qn): below 2^(pn + qn)
+        # m = min(deg) + 1 products, each below 2^(pn + qn): below 2^(pn + qn)
         # times m <= 2^bits(m - 1)
         (pn, pd), (qn, qd) = _poly_bits(p), _poly_bits(q)
-        terms = min(len(p.coeffs), len(q.coeffs))
+        terms = min(p.degree, q.degree) + 1
         check_bits(pn + qn + (terms - 1).bit_length(), pd + qd, position)
         return p * q
 

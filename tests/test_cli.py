@@ -187,7 +187,7 @@ def test_verify_dirac(capsys):
 def test_constant_reports_a_grid_minimum_only_without_a_certificate(capsys, k):
     # a float grid scan of a certified extremizer only adds cancellation
     # noise (about -9.2e9 for chi:1/4,3/4 at k = 24), so none is reported;
-    # x^(k - alpha) terms have no certificate and keep the grid minimum
+    # every kind has a certificate, x^(k - alpha) terms by Boggio's theorem
     weights = ["poly:1 + x", "pw:[0,1/2]=2*x;[1/2,1]=2-2*x", "chi:1/4,3/4", "dirac:1/3"]
     if k == 1:
         weights.append("hardy:1")
@@ -195,12 +195,8 @@ def test_constant_reports_a_grid_minimum_only_without_a_certificate(capsys, k):
         code, out, _ = run(capsys, "constant", "--k", str(k), "--weight", weight)
         assert code == 0
         diagnostics = json.loads(out)["diagnostics"]
-        if weight == "pow:1/2":
-            assert isinstance(diagnostics["min_interior_value"], float)
-            assert diagnostics["positivity_certified"] is None
-        else:
-            assert diagnostics["min_interior_value"] is None, weight
-            assert diagnostics["positivity_certified"] is True, weight
+        assert diagnostics["min_interior_value"] is None, weight
+        assert diagnostics["positivity_certified"] is True, weight
 
 
 def test_verify_reports_the_exact_galerkin_gap(capsys):

@@ -25,8 +25,10 @@ from sobolev1d.polynomials import (
     strip_root,
     taylor_shift,
 )
+from sobolev1d.scalars import FLOAT
 from sobolev1d.solver import (
     LinearSystem,
+    PolyPlusPower,
     ProblemSpec,
     _assemble_w,
     assemble_u,
@@ -40,6 +42,7 @@ from sobolev1d.weights import (
     DiracWeight,
     HardyWeight,
     PiecewiseWeight,
+    PowerLawTerm,
     PowerWeight,
     as_piecewise,
     iterated_integral,
@@ -322,6 +325,27 @@ def test_assemble_u_equals_the_kfold_antiderivative_loop(k):
         assert 1 / mu == pp_integrate_product(v, v), text
         u, _ = assemble_u(spec, seeds, mu, w)
         assert u == anti.scale(mu), text
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24, 40])
+def test_assemble_w_of_a_power_weight_equals_the_step_loop(k):
+    # one pass: the polynomial part's k-fold antiderivative, and c x^e
+    # becomes c/((e+1)...(e+k)) x^(e+k); the loop integrates step by step
+    for text in ("pow:1/2", "pow:7/9", "pow:0", "pow:1/3", "pow:999/1000"):
+        spec = ProblemSpec(k, parse_weight(text), FLOAT)
+        seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
+        v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+        poly, c, e = v.poly, v.term.coefficient, v.term.exponent
+        for _ in range(k):
+            poly = poly.antiderivative()
+            e += 1
+            c /= e
+        w = _assemble_w(v, k)
+        assert w == PolyPlusPower(poly, PowerLawTerm(c, e)), text
+        mu = compute_mu(w, spec.rho)
+        u, diagnostics = assemble_u(spec, seeds, mu, w)
+        assert u == w.scale(mu), text
+        assert diagnostics.positivity_certified is True, text
 
 
 def _reference_moments(pp, k):

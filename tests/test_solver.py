@@ -754,7 +754,79 @@ def test_power_weight_residuals_are_exact_zeros():
             d = solve(ProblemSpec(k, PowerWeight(alpha), FLOAT)).diagnostics
             assert d.boundary_residual == 0.0
             assert d.normalization_residual == 0.0
-            assert d.positivity_certified is None  # no certificate for x^(k-alpha)
+            assert d.positivity_certified is True  # Boggio's theorem
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24, 40, 60])
+def test_power_weight_positivity_is_certified_by_boggio(k):
+    # power weights solve in float mode only; the certificate reads the
+    # exact extremizer, which the float solve rounds at output
+    for alpha in ("0", "1/3", "1/2", "999/1000"):
+        spec, u = _exact_power_extremizer(k, alpha)
+        assert _diagnostics(spec, u).positivity_certified is True, alpha
+        d = solve(spec).diagnostics
+        assert d.positivity_certified is True, alpha
+        assert d.min_interior_value is None, alpha
+        with pytest.raises(ModeMismatchError):
+            ProblemSpec(k, spec.rho, EXACT)
+
+
+def _vanishing_at_one(k, j, degree):
+    """x^j (x - 1)^k x^(degree - j - k): a bump that leaves u^(i)(1), i < k,
+    at 0 and starts at x^j."""
+    p = Polynomial([0] * j + [1])
+    for _ in range(k):
+        p = p * Polynomial([-1, 1])
+    return p * Polynomial([0] * (degree - j - k) + [1])
+
+
+def test_boggio_certificate_refuses_each_broken_hypothesis():
+    # each tampered u still passes the exact boundary check at 1, so only the
+    # broken hypothesis can refuse it
+    for k in (1, 2, 3, 6):
+        spec, u = _exact_power_extremizer(k, "1/3")
+        assert _diagnostics(spec, u).positivity_certified is True
+        # (a) the exponent: another alpha's extremizer under this weight
+        other_spec, other = _exact_power_extremizer(k, "1/2")
+        assert _diagnostics(other_spec, other).positivity_certified is True
+        assert _diagnostics(spec, other).positivity_certified is False
+        # (b) deg P < 2k: a bump x^k (x - 1)^k of degree 2k, or higher
+        for degree in (2 * k, 2 * k + 1, 3 * k):
+            for t in (F(1, 10**6), F(-1, 3)):
+                bump = _vanishing_at_one(k, k, degree).scale(t)
+                bad = PolyPlusPower(u.poly + bump, u.term)
+                assert _diagnostics(spec, bad).positivity_certified is False, (k, degree)
+        # (c) u^(j)(0) = 0: a bump x^j (x - 1)^k of degree < 2k
+        for j in range(k):
+            for t in (F(1, 10**6), F(-1, 3)):
+                bump = _vanishing_at_one(k, j, j + k).scale(t)
+                bad = PolyPlusPower(u.poly + bump, u.term)
+                assert _diagnostics(spec, bad).positivity_certified is False, (k, j)
+        # (d) the sign of (-1)^k c
+        assert _diagnostics(spec, u.scale(-1)).positivity_certified is False
+        assert _diagnostics(spec, u.scale(F(1, 7))).positivity_certified is True
+
+
+def test_certified_power_extremizers_are_positive_at_50_digits():
+    # an independent check of the certificate: P exact, x^e = x^2k x^(-alpha)
+    # with x^(-alpha) = exp(-alpha ln x) in 50-digit decimal arithmetic
+    import decimal
+
+    def dec(q):
+        return decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for k in (1, 2, 3):
+            for alpha in ("0", "1/3", "1/2", "999/1000"):
+                spec, u = _exact_power_extremizer(k, alpha)
+                assert _diagnostics(spec, u).positivity_certified is True
+                c, a = u.term.coefficient, spec.rho.alpha
+                for i in range(1, 100):
+                    x = F(i, 100)
+                    power = dec(x ** (2 * k)) * (-dec(a) * dec(x).ln()).exp()
+                    value = dec(u.poly(x)) + dec(c) * power
+                    assert value > 0, (k, alpha, x, value)
 
 
 def test_power_weight_solve_runs_no_quadrature(monkeypatch):
