@@ -29,7 +29,7 @@ from .polynomials import (
     exact_polynomial,
     monomial,
 )
-from .scalars import EXACT, record
+from .scalars import record
 
 
 def uniform_mu(k: int) -> Fraction:
@@ -80,7 +80,7 @@ def pointload_series_profile(k: int, a: Fraction) -> PiecewisePolynomial:
     k = 1 only; retained as a documented negative cross-check for k >= 2.
     """
     a = Fraction(a)
-    one_minus_x_k = Polynomial([(-1) ** j * comb(k, j) for j in range(k + 1)], EXACT)
+    one_minus_x_k = Polynomial([(-1) ** j * comb(k, j) for j in range(k + 1)])
     mirrored = _series_factor(k, 1 - a).compose_affine(-1, 1)
     left = (monomial(k) * mirrored).scale((1 - a) ** k)
     right = (one_minus_x_k * _series_factor(k, a)).scale(a**k)

@@ -1,22 +1,20 @@
 """Dense polynomial and piecewise-polynomial algebra on [0, 1].
 
-Every arithmetic, calculus and certificate routine here is exact.  An
-exact polynomial is stored as integer numerators over one positive
-denominator, in lowest terms with trailing zeros stripped: the fraction-free
-form (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  It is
-canonical, so equality and hashing read it directly, and every operation
-here runs on those integers, with one gcd per result rather than one per
-coefficient: arithmetic, evaluation at rational points, integrals of
-products, root stripping and the positivity certificates (a Bernstein
-certificate with Sturm fallback for strict positivity, and Sturm sequences
-for the non-negativity of weights).  ``coeffs`` is the read-only
-coefficient view; it builds Fractions on each access.
+Every polynomial here is exact.  It is stored as integer numerators over
+one positive denominator, in lowest terms with trailing zeros stripped: the
+fraction-free form (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 6).  It is canonical, so equality and hashing read it directly, and
+every operation here runs on those integers, with one gcd per result rather
+than one per coefficient: arithmetic, evaluation at rational points,
+integrals of products, root stripping and the positivity certificates (a
+Bernstein certificate with Sturm fallback for strict positivity, and Sturm
+sequences for the non-negativity of weights).  ``coeffs`` is the read-only
+coefficient view; it builds Fractions on each access.  A float coefficient
+raises :class:`ModeMismatchError` when the polynomial is built.
 
-Float polynomials are output values: ``to_float`` rounds an exact result,
-and float literals build one.  They are constructed, compared and hashed,
-read through ``coeffs``, ``nums`` and ``float_coeffs``, and sampled by
-``eval_float`` and :func:`pp_values_at`; every other operation raises
-:class:`ModeMismatchError` on them.
+Floats are output values: ``to_float`` rounds an exact polynomial to a
+:class:`FloatPolynomial`, which is compared, hashed and sampled by
+``eval_float`` and :func:`pp_values_at`, and has no arithmetic.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval; the constructor validates them, and rebuilds
@@ -35,40 +33,31 @@ from fractions import Fraction
 from math import ceil, comb, factorial, gcd, lcm, perm
 from typing import Callable, Iterable, Sequence
 
-from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, coerce
+from .scalars import ModeMismatchError, Scalar, coerce
 
 
 class Polynomial:
-    """Immutable dense polynomial sum(c[i] * x**i).
+    """Immutable exact dense polynomial sum(c[i] * x**i).
 
-    Exact: c[i] = nums[i] / den with integer ``nums``, den > 0, no common
-    factor of den and all of nums, and no trailing zero in nums; the zero
-    polynomial is ``nums == ()`` with den 1.  The numerators are held as one
-    byte string of ``_width``-byte two's-complement integers, the width the
-    least that fits the largest, which takes a fraction of the memory of a
-    tuple of int objects.  Float polynomials are output values, with no
-    arithmetic: ``nums`` holds the float coefficients, without trailing
-    zeros, ``_width`` is 0 and den is 1.
+    c[i] = nums[i] / den with integer ``nums``, den > 0, no common factor of
+    den and all of nums, and no trailing zero in nums; the zero polynomial
+    is ``nums == ()`` with den 1.  The numerators are held as one byte
+    string of ``_width``-byte two's-complement integers, the width the least
+    that fits the largest, which takes a fraction of the memory of a tuple
+    of int objects.
     """
 
-    __slots__ = ("_data", "_width", "den", "mode")
+    __slots__ = ("_data", "_width", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), mode: str | None = None):
-        coeffs = list(coeffs)
-        if mode is None:
-            mode = FLOAT if any(isinstance(c, float) for c in coeffs) else EXACT
-        if mode == EXACT:
-            # ints stay as they are: integer_form reads their numerator and
-            # denominator like a Fraction's
-            coeffs = [c if type(c) is int else coerce(c, mode) for c in coeffs]
-        else:
-            coeffs = [coerce(c, mode) for c in coeffs]
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        # ints stay as they are: integer_form reads their numerator and
+        # denominator like a Fraction's
+        coeffs = [c if type(c) is int else coerce(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         # the least common denominator of reduced fractions leaves no
         # common factor, so integer_form is already in lowest terms
-        nums, den = integer_form(coeffs) if mode == EXACT else (coeffs, 1)
-        _store(self, tuple(nums), den, mode)
+        _store(self, *integer_form(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -77,11 +66,8 @@ class Polynomial:
 
     @property
     def nums(self) -> tuple:
-        """The integer numerators over den (exact), or the float
-        coefficients (float)."""
+        """The integer numerators over den."""
         data, width = self._data, self._width
-        if not width:
-            return data
         return tuple(
             [
                 int.from_bytes(data[i : i + width], "little", signed=True)
@@ -91,23 +77,20 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients, ascending: Fractions built on each access in
-        exact mode, the stored floats in float mode."""
-        if self.mode == EXACT:
-            den = self.den
-            return tuple(Fraction(c, den) for c in self.nums)
-        return self.nums
+        """The coefficients, ascending, as Fractions built on each access."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     def float_coeffs(self) -> list:
         """[float(c) for c in self.coeffs], each a correctly rounded
-        int / int division in exact mode."""
+        int / int division."""
         den = self.den
         return [c / den for c in self.nums]
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) == -1."""
-        return len(self._data) // (self._width or 1) - 1
+        return len(self._data) // self._width - 1
 
     def is_zero(self) -> bool:
         return not self._data
@@ -116,34 +99,23 @@ class Polynomial:
         # bytes alone are ambiguous: 256 and (0, 1) both pack to b"\x00\x01"
         return (
             isinstance(other, Polynomial)
-            and self.mode == other.mode
             and self.den == other.den
             and self._width == other._width
             and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.mode, self._width, self._data, self.den))
+        return hash((self._width, self._data, self.den))
 
     def __repr__(self):
         if self.is_zero():
-            return f"Polynomial(0, mode={self.mode})"
+            return "Polynomial(0)"
         terms = " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"Polynomial({terms})"
-
-    def _exact(self, other: "Polynomial | None" = None) -> None:
-        """Raise ModeMismatchError unless self, and other if given, are
-        exact: the one guard of every arithmetic, calculus and certificate
-        routine."""
-        if self.mode != EXACT or (other is not None and other.mode != EXACT):
-            raise ModeMismatchError(
-                "float polynomials are output values, with no arithmetic"
-            )
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._exact(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         a, b = [c * fa for c in self.nums], [c * fb for c in other.nums]
@@ -154,14 +126,12 @@ class Polynomial:
         return exact_polynomial(a, den)
 
     def __neg__(self) -> "Polynomial":
-        self._exact()
         return _make(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._exact(other)
         if self.is_zero() or other.is_zero():
             return Polynomial(())
         # content(a b) = content(a) content(b) (Gauss's lemma), and each
@@ -176,8 +146,7 @@ class Polynomial:
         return _make(tuple(out), self.den * other.den // common)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        self._exact()
-        c = coerce(c, EXACT)
+        c = coerce(c)
         if not c or self.is_zero():
             return Polynomial(())
         # with nums/den and c = p/q both in lowest terms, the product's only
@@ -197,9 +166,8 @@ class Polynomial:
         coefficient by (t a)^i, over den t^n times a power of a's
         denominator.
         """
-        self._exact()
-        a = coerce(a, EXACT)
-        b = coerce(b, EXACT)
+        a = coerce(a)
+        b = coerce(b)
         if self.is_zero():
             return self
         n = self.degree
@@ -214,13 +182,11 @@ class Polynomial:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        self._exact()
         out = [c * i for i, c in enumerate(self.nums)][1:]
         return exact_polynomial(out, self.den)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative P with P(0) = 0."""
-        self._exact()
         return exact_polynomial(*_integer_antiderivative(self.nums, self.den))
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
@@ -229,37 +195,68 @@ class Polynomial:
         return anti(hi) - anti(lo)
 
     def __call__(self, x: Scalar) -> Fraction:
-        self._exact()
-        x = coerce(x, EXACT)
+        x = coerce(x)
         value, scale = _homogeneous_horner(self.nums, x.numerator, x.denominator)
         return Fraction(value, self.den * scale)
 
     def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.float_coeffs()):
-            acc = acc * x + c
-        return acc
+        return _horner_float(self.float_coeffs(), x)
 
-    def to_float(self) -> "Polynomial":
-        return Polynomial(self.float_coeffs(), FLOAT)
+    def to_float(self) -> "FloatPolynomial":
+        return FloatPolynomial(self.float_coeffs())
 
 
-def _store(p: Polynomial, nums: tuple, den, mode: str) -> None:
-    if mode == EXACT:
-        width = max(map(abs, nums), default=0).bit_length() // 8 + 1
-        data = b"".join([c.to_bytes(width, "little", signed=True) for c in nums])
-    else:
-        width, data = 0, nums
+class FloatPolynomial:
+    """An exact polynomial's coefficients rounded to floats, ascending and
+    without trailing zeros: an output value, compared, hashed and sampled,
+    with no arithmetic."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Iterable[float]):
+        coeffs = [float(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FloatPolynomial is immutable")
+
+    def float_coeffs(self) -> list:
+        return list(self._coeffs)
+
+    def eval_float(self, x: float) -> float:
+        return _horner_float(self._coeffs, x)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FloatPolynomial) and self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(self._coeffs)
+
+    def __repr__(self):
+        return f"FloatPolynomial({list(self._coeffs)})"
+
+
+def _horner_float(coeffs: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _store(p: Polynomial, nums: Sequence[int], den: int) -> None:
+    width = max(map(abs, nums), default=0).bit_length() // 8 + 1
+    data = b"".join([c.to_bytes(width, "little", signed=True) for c in nums])
     object.__setattr__(p, "_data", data)
     object.__setattr__(p, "_width", width)
     object.__setattr__(p, "den", den)
-    object.__setattr__(p, "mode", mode)
 
 
 def _make(nums: tuple, den) -> Polynomial:
     """An exact polynomial from a representation already in canonical form."""
     p = object.__new__(Polynomial)
-    _store(p, nums, den, EXACT)
+    _store(p, nums, den)
     return p
 
 
@@ -353,7 +350,6 @@ def _plain_antiderivative(p: Polynomial, m: int) -> tuple[list[int], int]:
     """sum c_i i!/(i+m)! x^(i+m) as integer numerators over one denominator:
     with c_i = N_i / D and n = deg p, the x^(i+m) numerator is
     N_i i! (n+m)!/(i+m)! over D (n+m)!."""
-    p._exact()
     n = p.degree
     if n < 0:
         return [], 1
@@ -417,7 +413,6 @@ def derivatives_at_one(p: Polynomial, count: int) -> tuple[list[int], int]:
     The falling factorials are stepped in integers: the i-th term picks up
     the factor (i - j) on the way from order j to order j + 1.
     """
-    p._exact()
     terms = p.nums
     out = []
     for j in range(count):
@@ -431,7 +426,6 @@ def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
     polynomial in one integer pass, c_i x^i -> c_i i!/(i-k)! x^(i-k)."""
     if isinstance(p, PiecewisePolynomial):
         return p.map_pieces(lambda q: kth_derivative(q, k))
-    p._exact()
     return exact_polynomial([c * perm(i, k) for i, c in enumerate(p.nums)][k:], p.den)
 
 
@@ -441,7 +435,6 @@ def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
 
 
 def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    num._exact(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(0, num.degree - den.degree + 1)
@@ -460,11 +453,10 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
         for i, c in enumerate(divisor):
             rem[shift + i] -= factor * c
         rem.pop()
-    return Polynomial(q, EXACT), Polynomial(rem, EXACT)
+    return Polynomial(q), Polynomial(rem)
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    p._exact()
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
         _, rem = poly_divmod(chain[-2], chain[-1])
@@ -500,7 +492,6 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     non-zero remainder P[0] + s Q[0].  As x - c = (t x - s)/t, stripping
     m roots leaves t^m Q over p's denominator.
     """
-    p._exact()
     c = Fraction(c)
     s, t = c.numerator, c.denominator
     nums = p.nums
@@ -536,7 +527,6 @@ def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     Endpoint roots are divided out first; an interior root of any
     multiplicity disqualifies (a touching zero is not strict positivity).
     """
-    p._exact()
     lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero():
         return False
@@ -551,34 +541,32 @@ def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 
 
 def isolate_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (a, b] each holding one distinct root.
+    """Disjoint rational intervals (a, b] each holding one distinct root of
+    p in (lo, hi), for p non-zero at lo and hi.
 
-    Endpoints are adjusted so p does not vanish at any interval boundary
-    except possibly at an exactly-hit root, which is returned degenerate.
+    One Sturm chain serves every count.  No interval boundary is a root: a
+    bisection midpoint that is one moves halfway towards a, and p has at
+    most deg p roots, so a non-root comes within deg p moves.
     """
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def rec(a: Fraction, b: Fraction):
-        n = count_roots_half_open(p, a, b)
-        if n == 0:
-            return
-        if n == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while p(mid) == 0:
-            # exact hit: report the point itself and recurse around it
-            out.append((mid, mid))
-            eps = (b - a) / 1024
-            rec(a, mid - eps)
-            rec(mid + eps, b)
-            return
-        rec(a, mid)
-        rec(mid, b)
-
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("isolate_roots needs non-root endpoints")
-    rec(Fraction(lo), Fraction(hi))
+    chain = sturm_chain(p)
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def rec(a: Fraction, var_a: int, b: Fraction, var_b: int):
+        # var_a - var_b distinct roots lie in (a, b]
+        if var_a - var_b == 1:
+            out.append((a, b))
+        elif var_a - var_b > 1:
+            mid = (a + b) / 2
+            while p(mid) == 0:
+                mid = (a + mid) / 2
+            var_mid = _sign_variations(chain, mid)
+            rec(a, var_a, mid, var_mid)
+            rec(mid, var_mid, b, var_b)
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    rec(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))
     return out
 
 
@@ -586,13 +574,12 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     """Certified p >= 0 on [lo, hi]; touching zeros are allowed.
 
     With lo >= 0 and no negative numerator, p is a sum of non-negative
-    terms on [lo, hi].  Otherwise: strip endpoint roots, isolate the
-    distinct interior roots of the remainder, and check the sign of p at
-    rational points separating them.  Between consecutive distinct roots
-    the sign is constant, so a dip below zero would create an extra
-    distinct root and be detected.
+    terms on [lo, hi].  Otherwise: strip endpoint roots, and isolate the
+    distinct interior roots of the remainder q.  Its sign is constant
+    between consecutive distinct roots, and each such stretch, the two
+    outer ones included, holds lo, hi or a box boundary, none of them a
+    root: so q >= 0 exactly when it is positive at all of those points.
     """
-    p._exact()
     lo, hi = Fraction(lo), Fraction(hi)
     if p.is_zero() or (lo >= 0 and all(c >= 0 for c in p.nums)):
         return True
@@ -601,20 +588,8 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     if m_hi % 2:
         # (x - hi)^m is negative on the interval for odd m; fold the sign in
         q = -q
-    samples = [lo, hi]
     boxes = isolate_roots(q, lo, hi)
-    samples.extend(a for a, _ in boxes)
-    samples.extend(b for _, b in boxes)
-    for x in samples:
-        if q(x) < 0:
-            return False
-    # also probe between box boundaries and the outer endpoints
-    flat = sorted({lo, hi, *[a for a, _ in boxes], *[b for _, b in boxes]})
-    for a, b in zip(flat, flat[1:]):
-        x = (a + b) / 2
-        if q(x) < 0:
-            return False
-    return True
+    return all(q(x) > 0 for x in {lo, hi, *[t for box in boxes for t in box]})
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +619,6 @@ def bernstein_coefficients(p: Polynomial, lo: Fraction, hi: Fraction) -> list[in
     subdivision intact.  The first and last equal p(lo) and p(hi) times that
     constant.
     """
-    p._exact()
     n = p.degree
     if n < 0:
         return [0]
@@ -701,10 +675,14 @@ def bernstein_positive(beta: list[int]) -> bool | None:
 
 
 class PiecewisePolynomial:
-    """Breakpoints 0 = t_0 < ... < t_n = 1 with one polynomial per piece.
+    """Breakpoints 0 = t_0 < ... < t_n = 1 with one exact polynomial per
+    piece.
 
     Evaluation at an interior breakpoint uses the right piece; the last
-    interval is closed at 1.
+    interval is closed at 1.  ``to_float`` gives the output copy: float
+    breakpoints, which distinct exact ones may round onto, and
+    :class:`FloatPolynomial` pieces; it is compared and sampled, and every
+    exact routine raises on it.
     """
 
     __slots__ = ("breakpoints", "pieces")
@@ -714,11 +692,9 @@ class PiecewisePolynomial:
         pieces = tuple(pieces)
         if len(breakpoints) < 2 or len(pieces) != len(breakpoints) - 1:
             raise ValueError("need n+1 breakpoints for n pieces")
-        mode = pieces[0].mode
-        for p in pieces:
-            if p.mode != mode:
-                raise ModeMismatchError("pieces have mixed modes")
-        breakpoints = tuple(coerce(b, mode) for b in breakpoints)
+        if not all(isinstance(p, Polynomial) for p in pieces):
+            raise ModeMismatchError("pieces must be exact Polynomials")
+        breakpoints = tuple(coerce(b) for b in breakpoints)
         if breakpoints[0] != 0 or breakpoints[-1] != 1:
             raise ValueError("breakpoints must span [0, 1]")
         for a, b in zip(breakpoints, breakpoints[1:]):
@@ -728,8 +704,8 @@ class PiecewisePolynomial:
         object.__setattr__(self, "pieces", pieces)
 
     def _rebuild(self, pieces: Sequence[Polynomial]) -> "PiecewisePolynomial":
-        """New pieces, of the same mode, on this instance's breakpoints: they
-        are already validated, so the tuple is reused as it is."""
+        """New pieces on this instance's breakpoints: they are already
+        validated, so the tuple is reused as it is."""
         pp = object.__new__(PiecewisePolynomial)
         object.__setattr__(pp, "breakpoints", self.breakpoints)
         object.__setattr__(pp, "pieces", tuple(pieces))
@@ -737,10 +713,6 @@ class PiecewisePolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("PiecewisePolynomial is immutable")
-
-    @property
-    def mode(self) -> str:
-        return self.pieces[0].mode
 
     def __eq__(self, other) -> bool:
         return (
@@ -775,7 +747,7 @@ class PiecewisePolynomial:
         return float(self.pieces[self.piece_index(x)].eval_float(x))
 
     def map_pieces(self, f: Callable[[Polynomial], Polynomial]) -> "PiecewisePolynomial":
-        """f applied to every piece; f must keep the pieces' mode."""
+        """f applied to every piece."""
         return self._rebuild([f(p) for p in self.pieces])
 
     def add_polynomial(self, q: Polynomial) -> "PiecewisePolynomial":
@@ -808,9 +780,10 @@ class PiecewisePolynomial:
         return pp_integrate_product(self, self)
 
     def to_float(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            [float(b) for b in self.breakpoints], [p.to_float() for p in self.pieces]
-        )
+        pp = self._rebuild([p.to_float() for p in self.pieces])
+        # not validated again: the floats of two breakpoints may be equal
+        object.__setattr__(pp, "breakpoints", tuple(float(b) for b in self.breakpoints))
+        return pp
 
 
 def from_polynomial(p: Polynomial) -> PiecewisePolynomial:
@@ -820,8 +793,6 @@ def from_polynomial(p: Polynomial) -> PiecewisePolynomial:
 def _refinement(f: PiecewisePolynomial, g: PiecewisePolynomial) -> tuple[list, list]:
     """The breakpoints of the common refinement of f's and g's partitions,
     and the pair of f's and g's pieces on each of its intervals."""
-    if f.mode != g.mode:
-        raise ModeMismatchError("piecewise modes differ")
     if f.breakpoints == g.breakpoints:
         return f.breakpoints, list(zip(f.pieces, g.pieces))
     cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
@@ -840,7 +811,6 @@ def integrate_product(p: Polynomial, q: Polynomial, lo: Scalar, hi: Scalar) -> F
     homogeneous Horner gives G at lo = s/t and hi = S/T as integers over
     t^N and T^N, so the integral is one Fraction.
     """
-    p._exact(q)
     if p.is_zero() or q.is_zero():
         return Fraction(0)
     a = p.nums
@@ -955,7 +925,6 @@ def pp_grid_values_exact(pp: PiecewisePolynomial, n: int) -> list:
     i/n: an integer Horner sum over one integer denominator.  int / int is
     correctly rounded, so every value equals the float of the exact rational.
     """
-    pp.pieces[0]._exact()  # all pieces share one mode
     out = []
     # first index of each later piece: the smallest i with i/n >= t
     cuts = [ceil(t * n) for t in pp.breakpoints[1:-1]]

@@ -22,21 +22,13 @@ class ModeMismatchError(TypeError):
     """Raised when a float value reaches an exact-only computation."""
 
 
-def coerce(value, mode: str) -> Scalar:
-    """Coerce ``value`` into the given mode.
-
-    Integers are valid in both modes.  Floats are rejected in exact mode
-    (there is no safe implicit promotion of a rounded value to an exact one).
+def coerce(value) -> Fraction:
+    """``value`` as an exact Fraction.  A float raises ModeMismatchError:
+    there is no safe implicit promotion of a rounded value to an exact one.
     """
-    if mode == EXACT:
-        if isinstance(value, float):
-            raise ModeMismatchError(
-                f"float value {value!r} cannot enter an exact computation"
-            )
-        return Fraction(value)
-    if mode == FLOAT:
-        return float(value)
-    raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(value, float):
+        raise ModeMismatchError(f"float value {value!r} cannot enter an exact computation")
+    return Fraction(value)
 
 
 class Fresh:

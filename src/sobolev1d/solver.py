@@ -402,7 +402,8 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
 
 def _round_at_output(solution: ExtremalSolution) -> ExtremalSolution:
     """Float mode is the exact result rounded: mu to a float, u and u_k to
-    float coefficients.  Exact mode returns the solution unchanged."""
+    their float copies (FloatPolynomial pieces).  Exact mode returns the
+    solution unchanged."""
     if solution.spec.mode == EXACT:
         return solution
 

@@ -35,7 +35,7 @@ from .polynomials import (
     is_nonnegative_on,
     kfold_antiderivative,
 )
-from .scalars import EXACT, Scalar, format_rational, parse_rational, record
+from .scalars import Scalar, format_rational, parse_rational, record
 
 
 class WeightSyntaxError(ValueError):
@@ -61,8 +61,8 @@ class UnsupportedWeightError(ValueError):
 
 def _require_nonnegative(kind: str, p: Polynomial, a: Scalar, b: Scalar):
     """Reject a weight that is negative on [a, b] where it equals p, by a
-    Sturm certificate.  Weights are exact: a piece with float coefficients
-    raises ModeMismatchError there."""
+    Sturm certificate.  Weights are exact: a float coefficient has already
+    raised ModeMismatchError when its polynomial was built."""
     if not is_nonnegative_on(p, a, b):
         raise WeightDomainError(f"{kind} weight is negative on [{a}, {b}]")
 
@@ -385,7 +385,7 @@ def iterated_integral(rho: Weight, k: int):
             t**n * factorial(n),
         )
         return PiecewisePolynomial(
-            [Fraction(0), a, Fraction(1)], [Polynomial((), EXACT), shifted]
+            [Fraction(0), a, Fraction(1)], [Polynomial(), shifted]
         )
     return kfold_antiderivative(as_piecewise(rho), k)
 
@@ -576,7 +576,7 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
                     f"exponent must be an integer in 0..{MAX_DEGREE}", tok[2]
                 )
             check_degree(node.degree * int(exp), tok[2])
-            result = Polynomial([1], EXACT)
+            result = Polynomial([1])
             for _ in range(int(exp)):
                 result = multiply(result, node, tok[2])
             return result
@@ -586,10 +586,10 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
         tok = peek()
         if tok[0] == "num":
             take()
-            return Polynomial([tok[1]], EXACT)
+            return Polynomial([tok[1]])
         if tok[0] == "x":
             take()
-            return Polynomial([0, 1], EXACT)
+            return Polynomial([0, 1])
         if tok[0] == "(":
             take()
             inner = parse_expr()

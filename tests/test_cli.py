@@ -345,6 +345,46 @@ def test_exit_code_solver_error(capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize(
+    "weight", ["poly:(x-1/2)*(x-2047/4096)", "poly:(x-1/2)*(x-1/2+1/1025)"]
+)
+def test_weights_negative_between_close_roots_exit_2(capsys, weight):
+    code, out, err = run(capsys, "constant", "--k", "1", "--weight", weight)
+    assert (code, out) == (2, "")
+    assert "weight is negative" in err
+
+
+# 1/3 and 1/3 + 1/(2^64 - 1), two breakpoints that round to one float
+_THIRD = "6148914691236517205/18446744073709551615"
+_THIRD_AND_A_BIT = "6148914691236517206/18446744073709551615"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "constant",
+            "--weight",
+            f"pw:[0,1/3]=1;[1/3,{_THIRD_AND_A_BIT}]=2;[{_THIRD_AND_A_BIT},1]=1",
+        ],
+        ["minimizer", "--samples", "4", "--weight", f"chi:{_THIRD},{_THIRD_AND_A_BIT}"],
+    ],
+    ids=["constant-pw", "minimizer-chi"],
+)
+def test_float_mode_on_breakpoints_that_round_to_one_float(capsys, argv):
+    # the float copy of u keeps two equal float breakpoints around a piece
+    # that no float point falls in
+    code, out, err = run(capsys, *argv, "--k", "1", "--mode", "float")
+    assert (code, err) == (0, "")
+    exact_mu = solve(ProblemSpec(1, parse_weight(argv[-1]))).mu
+    if argv[0] == "constant":
+        assert json.loads(out)["mu_float"] == float(exact_mu) == 12.0
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 4 and rows[0][1] == "0"
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 @pytest.mark.parametrize("name", ["galerkin_lambda", "sign_iteration"])
 def test_oracle_errors_exit_3(capsys, monkeypatch, name):
     from sobolev1d import oracles

@@ -15,19 +15,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "sobolev1d"
 
 ALLOWED = {
-    # the one place a value is converted to a mode
-    "scalars.coerce",
-    # the polynomial types, which carry the mode of their coefficients
-    "polynomials.Polynomial.__init__",
-    "polynomials.Polynomial.coeffs",
-    "polynomials.Polynomial.__eq__",
-    "polynomials.Polynomial.__hash__",
-    "polynomials.Polynomial.__repr__",
-    "polynomials.Polynomial._exact",
-    "polynomials.Polynomial.to_float",
-    "polynomials.PiecewisePolynomial.__init__",
-    "polynomials.PiecewisePolynomial.mode",
-    "polynomials._refinement",
     # the output mode of a solve, and its rounding at output
     "solver.ProblemSpec.__post_init__",
     "solver._round_at_output",

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from sobolev1d.polynomials import (
+    FloatPolynomial,
     PiecewisePolynomial,
     Polynomial,
     _refinement,
@@ -33,7 +34,7 @@ from sobolev1d.polynomials import (
     strip_root,
     sturm_chain,
 )
-from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
+from sobolev1d.scalars import ModeMismatchError, coerce, parse_rational
 
 X = Polynomial([0, 1])
 ONE = Polynomial([1])
@@ -109,24 +110,33 @@ def test_kfold_antiderivative_equals_successive_antiderivatives(m):
     assert kfold_antiderivative(pp, 0) == pp
 
 
-def _raises_through_the_guard(name, op, arg):
-    try:
-        op(arg)
-    except ModeMismatchError as exc:
-        assert "output values" in str(exc), name
-    else:
-        pytest.fail(f"{name} accepted a float polynomial")
-
-
 def test_float_polynomials_are_values():
-    # float polynomials are output values: every arithmetic, calculus and
-    # certificate routine raises through the one guard, and construction,
-    # equality, the coefficient views and float sampling still work
+    # to_float rounds an exact polynomial to a FloatPolynomial, a value with
+    # equality, hashing, its float coefficients and float sampling; it has
+    # no arithmetic, and no exact routine computes on it: each one raises
     exact = _random_piecewise(random.Random(77), 3, 4)
     pp = exact.to_float()
     p = pp.pieces[1]
-    assert p.mode == FLOAT and p == exact.pieces[1].to_float()
-    zero = Polynomial([0.0])
+    assert type(p) is FloatPolynomial and p == exact.pieces[1].to_float()
+    assert all(type(q) is FloatPolynomial for q in pp.pieces)
+    assert pp.breakpoints == tuple(float(b) for b in exact.breakpoints)
+    assert p.float_coeffs() == exact.pieces[1].float_coeffs()
+    assert p.float_coeffs() == [float(c) for c in exact.pieces[1].coeffs]
+    assert hash(p) == hash(exact.pieces[1].to_float()) and p != exact.pieces[1]
+    assert p != Polynomial([1]).to_float()
+    assert repr(p) == f"FloatPolynomial({p.float_coeffs()})"
+    with pytest.raises(AttributeError):
+        p._coeffs = ()
+    # trailing zeros go, so the rounding of a tiny coefficient to 0.0 too
+    tiny = Polynomial([1, F(1, 10**400)]).to_float()
+    assert tiny == Polynomial([1]).to_float() and tiny.float_coeffs() == [1.0]
+    zero = Polynomial().to_float()
+    assert zero.float_coeffs() == [] and zero.eval_float(0.5) == 0.0
+    assert pp == exact.to_float() and pp != exact
+    points = [i / 16 for i in range(17)]
+    assert pp_values_at(pp, points) == [pp.eval_float(x) for x in points]
+    assert pp_values_at(pp, points) == pp_values_at(exact, points)
+    assert p.eval_float(0.25) == exact.pieces[1].eval_float(0.25)
     half = F(1, 2)
     on_polynomials = {
         "+": lambda q: q + q,
@@ -154,14 +164,12 @@ def test_float_polynomials_are_values():
         "isolate_roots": lambda q: isolate_roots(q, 0, 1),
         "is_nonnegative_on": lambda q: is_nonnegative_on(q, 0, 1),
         "bernstein_coefficients": lambda q: bernstein_coefficients(q, 0, 1),
+        "from_polynomial": lambda q: from_polynomial(q),
     }
-    for name, op in on_polynomials.items():
-        for q in (p, zero):
-            _raises_through_the_guard(name, op, q)
     on_piecewise = {
         "call": lambda f: f(half),
         "scale": lambda f: f.scale(2),
-        "add_polynomial": lambda f: f.add_polynomial(Polynomial([1.0])),
+        "add_polynomial": lambda f: f.add_polynomial(ONE),
         "derivative": lambda f: f.derivative(),
         "antiderivative": lambda f: f.antiderivative(),
         "integrate01": lambda f: f.integrate01(),
@@ -170,27 +178,22 @@ def test_float_polynomials_are_values():
         "kfold_antiderivative": lambda f: kfold_antiderivative(f, 3),
         "kth_derivative": lambda f: kth_derivative(f, 2),
         "pp_integrate_product": lambda f: pp_integrate_product(f, f),
+        "pp_integrate_product exact": lambda f: pp_integrate_product(exact, f),
         "pp_mul": lambda f: pp_mul(f, f),
+        "pp_mul exact": lambda f: pp_mul(exact, f),
         "pp_positive_on_open01": lambda f: pp_positive_on_open01(f),
         "pp_grid_values_exact": lambda f: pp_grid_values_exact(f, 8),
     }
-    for name, op in on_piecewise.items():
-        _raises_through_the_guard(name, op, pp)
-    # mixed modes meet in _refinement
-    for op in (pp_integrate_product, pp_mul, pp_equal):
-        with pytest.raises(ModeMismatchError):
-            op(exact, pp)
-    # what a float polynomial keeps
-    assert p.coeffs == p.nums == tuple(p.float_coeffs())
-    assert p.coeffs == tuple(float(c) for c in exact.pieces[1].coeffs)
-    assert p.to_float() == p and hash(p.to_float()) == hash(p)
-    assert p != exact.pieces[1]
-    assert pp == exact.to_float() and pp != exact
-    assert pp.to_float() == pp
-    points = [i / 16 for i in range(17)]
-    assert pp_values_at(pp, points) == [pp.eval_float(x) for x in points]
-    assert pp_values_at(pp, points) == pp_values_at(exact, points)
-    assert p.eval_float(0.25) == exact.pieces[1].eval_float(0.25)
+    cases = [(name, op, q) for name, op in on_polynomials.items() for q in (p, zero)]
+    cases += [(name, op, pp) for name, op in on_piecewise.items()]
+    for name, op, arg in cases:
+        try:
+            op(arg)
+        except (TypeError, AttributeError):
+            continue
+        pytest.fail(f"{name} accepted a float polynomial")
+    # an exact function and its float copy are different values
+    assert not pp_equal(exact, pp)
 
 
 def test_derivatives_at_one_are_falling_factorial_sums():
@@ -223,15 +226,23 @@ def test_exact_ring_identities():
 
 
 def test_mode_mismatch_rejected():
+    # a float never enters an exact polynomial: building one from a float
+    # coefficient, or passing a float scalar, raises ModeMismatchError
     p = Polynomial([1, 2])
-    q = Polynomial([1.0, 2.0])
-    assert p.mode == EXACT and q.mode == FLOAT
-    with pytest.raises(ModeMismatchError):
-        p + q
-    with pytest.raises(ModeMismatchError):
-        p * q
-    with pytest.raises(ModeMismatchError):
-        Polynomial([0.5], EXACT)
+    for build in (
+        lambda: Polynomial([1.0, 2.0]),
+        lambda: Polynomial([F(1, 2), 0.5]),
+        lambda: Polynomial([1, 0.0]),
+        lambda: p.scale(0.5),
+        lambda: p.compose_affine(0.5, 0),
+        lambda: p.compose_affine(1, 0.5),
+        lambda: p(0.5),
+        lambda: coerce(0.5),
+    ):
+        with pytest.raises(ModeMismatchError):
+            build()
+    assert coerce(3) == 3 and type(coerce(3)) is F
+    assert coerce(F(1, 3)) == F(1, 3)
 
 
 def test_zero_polynomial_canonical():
@@ -294,7 +305,9 @@ def test_public_constructor_validates_breakpoints_and_modes():
         ([F(0), F(1, 2)], [one], ValueError),  # stops short of 1
         ([F(1, 4), F(1)], [one], ValueError),  # starts past 0
         ([F(0), F(1)], [one, one], ValueError),  # one breakpoint short
-        ([F(0), F(1, 2), F(1)], [one, Polynomial([1.0])], ModeMismatchError),
+        ([F(0), F(1, 2), F(1)], [one, one.to_float()], ModeMismatchError),
+        ([F(0), F(1, 2), F(1)], [one, 1], ModeMismatchError),  # not a Polynomial
+        ([0.0, 0.5, 1.0], [one, one], ModeMismatchError),  # float breakpoints
     ]:
         with pytest.raises(error):
             PiecewisePolynomial(cuts, pieces)
@@ -387,10 +400,10 @@ def test_pp_equal_compares_functions_across_partitions():
         pieces[i] = pieces[i] + Polynomial([0, 0, 0, F(1, 10**9)])
         changed = PiecewisePolynomial(fine.breakpoints, pieces)
         assert not pp_equal(coarse, changed) and not pp_equal(changed, coarse), i
-    # float pieces compare as values, and modes do not mix
+    # float copies compare as values, and never equal an exact function
     assert pp_equal(coarse.to_float(), fine.to_float())
-    with pytest.raises(ModeMismatchError):
-        pp_equal(coarse, fine.to_float())
+    assert not pp_equal(coarse, fine.to_float())
+    assert not pp_equal(coarse.to_float(), changed.to_float())
 
 
 def test_pp_derivative_round_trip():
@@ -431,6 +444,33 @@ def test_nonnegative_many_roots():
     # flipping one factor introduces a genuine sign change
     q = Polynomial([F(1, 16), -F(1, 2), 1]) * Polynomial([F(3, 4), -1])
     assert not is_nonnegative_on(q, F(0), F(1))
+
+
+
+def test_isolate_roots_splits_beside_a_root_hit_by_bisection(monkeypatch):
+    from sobolev1d import polynomials
+
+    calls = []
+    sturm = polynomials.sturm_chain
+    monkeypatch.setattr(polynomials, "sturm_chain", lambda r: calls.append(r) or sturm(r))
+    # roots at 1/2, the first bisection midpoint, and within 1/1024 of it;
+    # then the touching roots of the fifths and sevenths, which bisection
+    # hits too, as the squarefree parts
+    close = [[F(1, 2), F(2047, 4096)], [F(1, 2), F(1, 2) - F(1, 1025)]]
+    for roots in close + [[F(i, 5) for i in range(1, 5)], [F(i, 7) for i in range(1, 7)]]:
+        p = ONE
+        for r in roots:
+            p = p * Polynomial([-r, 1])
+        calls.clear()
+        boxes = isolate_roots(p, F(0), F(1))
+        assert len(calls) == 1, roots  # one Sturm chain per call
+        assert len(boxes) == len(roots)
+        for a, b in boxes:
+            assert a < b and p(a) != 0 and p(b) != 0
+            assert sum(a < r <= b for r in roots) == 1
+        # the product is negative between each pair of its simple roots
+        assert not is_nonnegative_on(p, F(0), F(1))
+        assert is_nonnegative_on(p * p, F(0), F(1))
 
 
 def test_pp_positivity_certificate():
@@ -638,7 +678,7 @@ def test_exact_grid_values_match_fraction_evaluation():
             assert [v.hex() for v in got] == [v.hex() for v in expected]
     zero_piece = PiecewisePolynomial([F(0), F(1, 3), F(1)], [Polynomial([]), ONE])
     assert pp_grid_values_exact(zero_piece, 6) == [0.0, 0.0] + [1.0] * 5
-    with pytest.raises(ModeMismatchError):
+    with pytest.raises(AttributeError):  # a float copy has no numerators
         pp_grid_values_exact(pp.to_float(), 4)
 
 

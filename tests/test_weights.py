@@ -84,6 +84,35 @@ def test_syntax_errors_carry_positions():
         parse_weight("chi:1/4")
 
 
+def test_weight_screen_refuses_a_dip_between_close_roots():
+    # (x - 1/2)(x - 2047/4096) is -369/25600000000 at 4999/10000; both
+    # weights dip below 0 between a root at the first bisection midpoint
+    # and one within 1/1024 of it
+    for text in ("poly:(x-1/2)*(x-2047/4096)", "poly:(x-1/2)*(x-1/2+1/1025)"):
+        with pytest.raises(WeightDomainError):
+            parse_weight(text)
+    assert Polynomial([F(2047, 8192), F(-4095, 4096), 1])(F(4999, 10000)) == F(-369, 25600000000)
+
+
+def test_weight_screen_accepts_touching_double_roots():
+    # seeded products of squares (x - r)^2, with roots on dyadic points that
+    # bisection hits and close to each other, are non-negative weights;
+    # splitting one square into two simple roots makes them negative
+    rng = random.Random(2020)
+    for _ in range(40):
+        roots = [F(rng.randint(1, 15), 16) for _ in range(rng.randint(1, 4))]
+        roots.append(roots[0] + F(1, rng.choice([1025, 2**20, 3 * 2**30])))
+        p = Polynomial([F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(0, 9), 7)])
+        for r in roots:
+            p = p * Polynomial([r * r, -2 * r, 1])
+        PolyWeight(p)
+        cut = F(rng.randint(1, 15), 16)
+        PiecewiseWeight(PiecewisePolynomial([0, cut, 1], [p, p.scale(2)]))
+        r = roots[-1]
+        with pytest.raises(WeightDomainError):
+            PolyWeight(p * Polynomial([r * (r + F(1, 2**40)), -2 * r - F(1, 2**40), 1]))
+
+
 def test_domain_errors():
     with pytest.raises(WeightDomainError):
         parse_weight("chi:3/4,1/4")
