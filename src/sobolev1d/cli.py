@@ -294,16 +294,20 @@ def cmd_verify(args) -> int:
     sign_section = None
     sign_ok = True
     if spec.k in (1, 2):
-        report = oracles.sign_iteration(spec, n=cfg["grid"])
-        mu_h = report.details["mu_h"]
-        within = abs(mu_h - mu) / mu <= 0.05
-        sign_ok = bool(report.sign_definite and within)
-        sign_section = {
-            "grid": cfg["grid"],
-            "mu_h": mu_h,
-            "sign_definite": report.sign_definite,
-            "within_5pct": within,
-        }
+        try:
+            report = oracles.sign_iteration(spec, n=cfg["grid"])
+        except UnsupportedWeightError:
+            sign_section = "skipped"  # the grid cannot see the weight
+        else:
+            mu_h = report.details["mu_h"]
+            within = abs(mu_h - mu) / mu <= 0.05
+            sign_ok = bool(report.sign_definite and within)
+            sign_section = {
+                "grid": cfg["grid"],
+                "mu_h": mu_h,
+                "sign_definite": report.sign_definite,
+                "within_5pct": within,
+            }
 
     mp_ok = True
     try:

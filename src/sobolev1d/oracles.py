@@ -447,11 +447,17 @@ def sign_iteration(
     ``numpy.random.default_rng(seed).random(n) < 0.5`` gives, bit for bit,
     without importing numpy (:func:`_random_signs`).  ``details["solution"]``
     is the final grid solution as a list of floats.
+
+    A weight that vanishes at every node, such as an indicator narrower
+    than the grid spacing, raises :class:`UnsupportedWeightError`: the grid
+    cannot see it.
     """
     k = spec.k
     h = 1.0 / (n + 1)
     A = _fd_factor(k, n)
     rho_vec = _weight_on_grid(spec.rho, [(i + 1) * h for i in range(n)], h)
+    if not any(rho_vec):
+        raise UnsupportedWeightError(f"the weight vanishes at all {n} grid nodes")
     if initial_signs is not None:
         signs = [1.0 if s >= 0 else -1.0 for s in initial_signs]
     elif seed is not None:

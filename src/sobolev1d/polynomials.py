@@ -3,8 +3,10 @@
 Every polynomial here is exact.  It is stored as integer numerators over
 one positive denominator, in lowest terms with trailing zeros stripped: the
 fraction-free form (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 6).  It is canonical, so equality and hashing read it directly, and
-every operation here runs on those integers, with one gcd per result rather
+ch. 6).  The numerators are kept as the interpreter's ``marshal`` encoding
+of their tuple, written and read back in C.  The form and its encoding are
+canonical, so equality and hashing read the bytes directly, and every
+operation here runs on the decoded integers, with one gcd per result rather
 than one per coefficient: arithmetic, evaluation at rational points,
 integrals of products, root stripping and the positivity certificates (a
 Bernstein certificate with Sturm fallback for strict positivity, and Sturm
@@ -28,9 +30,11 @@ by :func:`pp_values_at`.
 
 from __future__ import annotations
 
+import marshal
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, comb, factorial, gcd, lcm, perm
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .scalars import ModeMismatchError, Scalar, coerce
@@ -41,13 +45,14 @@ class Polynomial:
 
     c[i] = nums[i] / den with integer ``nums``, den > 0, no common factor of
     den and all of nums, and no trailing zero in nums; the zero polynomial
-    is ``nums == ()`` with den 1.  The numerators are held as one byte
-    string of ``_width``-byte two's-complement integers, the width the least
-    that fits the largest, which takes a fraction of the memory of a tuple
-    of int objects.
+    is ``nums == ()`` with den 1.  The numerators are held as the bytes of
+    ``marshal.dumps(nums, 2)``, a fraction of the memory of a tuple of int
+    objects, with their count in ``_size``.  Version 2 writes no
+    back-references and one encoding per int, so equal numerators give equal
+    bytes.
     """
 
-    __slots__ = ("_data", "_width", "den")
+    __slots__ = ("_data", "_size", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         # ints stay as they are: integer_form reads their numerator and
@@ -67,13 +72,7 @@ class Polynomial:
     @property
     def nums(self) -> tuple:
         """The integer numerators over den."""
-        data, width = self._data, self._width
-        return tuple(
-            [
-                int.from_bytes(data[i : i + width], "little", signed=True)
-                for i in range(0, len(data), width)
-            ]
-        )
+        return marshal.loads(self._data)
 
     @property
     def coeffs(self) -> tuple:
@@ -90,22 +89,20 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) == -1."""
-        return len(self._data) // self._width - 1
+        return self._size - 1
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._size
 
     def __eq__(self, other) -> bool:
-        # bytes alone are ambiguous: 256 and (0, 1) both pack to b"\x00\x01"
         return (
             isinstance(other, Polynomial)
             and self.den == other.den
-            and self._width == other._width
             and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self._width, self._data, self.den))
+        return hash((self._data, self.den))
 
     def __repr__(self):
         if self.is_zero():
@@ -246,10 +243,8 @@ def _horner_float(coeffs: Sequence[float], x: float) -> float:
 
 
 def _store(p: Polynomial, nums: Sequence[int], den: int) -> None:
-    width = max(map(abs, nums), default=0).bit_length() // 8 + 1
-    data = b"".join([c.to_bytes(width, "little", signed=True) for c in nums])
-    object.__setattr__(p, "_data", data)
-    object.__setattr__(p, "_width", width)
+    object.__setattr__(p, "_data", marshal.dumps(tuple(nums), 2))
+    object.__setattr__(p, "_size", len(nums))
     object.__setattr__(p, "den", den)
 
 
@@ -263,8 +258,9 @@ def _make(nums: tuple, den) -> Polynomial:
 def exact_polynomial(nums: Sequence[int], den: int) -> Polynomial:
     """The exact polynomial sum(nums[i] / den * x**i) for integers nums and
     den > 0, reduced to lowest terms: the inverse of reading ``p.nums`` and
-    ``p.den``."""
-    nums = list(nums)
+    ``p.den``.  The numerators are stored as plain ints: ``marshal`` would
+    write a bool differently from the equal int."""
+    nums = list(map(index, nums))
     while nums and nums[-1] == 0:
         nums.pop()
     if not nums:

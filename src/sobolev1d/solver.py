@@ -272,10 +272,22 @@ class PolyPlusPower:
         return PolyPlusPower(self.poly.to_float(), term)
 
     def power_moment(self, alpha: Fraction) -> Fraction:
-        """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha)."""
+        """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha).
+
+        With alpha = s/t, a_i = n_i/d and the gaps g_i = (i+1)t - s, the
+        sum is t sum n_i (L/g_i) over d L for L = lcm of the gaps, and the
+        last term is c t e_d / (c_d ((e_n + e_d) t - s e_d)): integers over
+        one denominator, and one Fraction.
+        """
         c, e = self.term.coefficient, self.term.exponent
-        poly_part = sum(a / (i + 1 - alpha) for i, a in enumerate(self.poly.coeffs))
-        return poly_part + c / (e + 1 - alpha)
+        s, t = alpha.numerator, alpha.denominator
+        nums, den = self.poly.nums, self.poly.den
+        gaps = [(i + 1) * t - s for i in range(len(nums))]
+        scale = math.lcm(*gaps)
+        top = t * sum(a * (scale // g) for a, g in zip(nums, gaps))
+        tail_top = c.numerator * e.denominator * t
+        tail_den = c.denominator * ((e.numerator + e.denominator) * t - s * e.denominator)
+        return Fraction(top * tail_den + tail_top * den * scale, den * scale * tail_den)
 
 
 def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:

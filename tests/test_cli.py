@@ -183,6 +183,36 @@ def test_verify_dirac(capsys):
     assert doc["sign_iteration"]["within_5pct"] is True
 
 
+@pytest.mark.parametrize(
+    "k, weight",
+    [
+        (1, "chi:331/1000,332/1000"),
+        (
+            2,
+            "chi:6148914691236517205/18446744073709551615,"
+            "6148914691236517206/18446744073709551615",
+        ),
+    ],
+)
+def test_verify_skips_the_sign_iteration_on_an_indicator_between_nodes(
+    capsys, k, weight
+):
+    # no node of the default 199-node grid lies in the indicator, so the
+    # sampled weight has no mass; the other two oracles still decide
+    code, out, err = run(capsys, "verify", "--k", str(k), "--weight", weight)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["sign_iteration"] == "skipped"
+    assert doc["max_principle"] == "pass"
+    assert 0 < doc["galerkin"]["relative_gap"] < 0.05
+    assert doc["verdict"] == "agree"
+    # a grid fine enough to place a node inside runs the iteration again
+    if k == 1:
+        argv = ["verify", "--k", "1", "--weight", weight, "--grid", "2000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["sign_iteration"]["grid"] == 2000
+
+
 @pytest.mark.parametrize("k", [1, 6, 24])
 def test_constant_reports_a_grid_minimum_only_without_a_certificate(capsys, k):
     # a float grid scan of a certified extremizer only adds cancellation

@@ -174,15 +174,48 @@ def test_equal_values_in_unreduced_forms_are_equal_and_hash_equal():
     assert Polynomial([1, 2]) != Polynomial([1, 2]).to_float()
 
 
-def test_numerators_of_different_widths_are_unequal_on_the_same_bytes():
-    # 256 packs at width 2 to the bytes that (0, 1) packs to at width 1
-    pairs = [([256], [0, 1]), ([-256], [0, -1]), ([2**16 + 2], [2, 0, 1])]
-    for a, b in pairs:
+def test_equal_numerators_encode_to_equal_bytes_and_distinct_to_distinct():
+    # the numerators are held as marshal version 2 bytes, which == and hash
+    # read: the encoding must be one per value.  The pool straddles 2^31,
+    # where marshal switches from its 32-bit to its digit encoding.
+    rng = random.Random(210001)
+    edge = [2**31 - 1, 2**31, 2**31 + 1, 2**62, 2**64 + 3, 10**40]
+    pool = [0, 1, 2, 255, 256, 2**15, *edge, *(-c for c in edge)]
+    seen = {}
+    for _ in range(400):
+        nums = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        den = rng.choice([1, 3, 2**31 + 11])
+        p = exact_polynomial(nums, den)
+        # the same values as distinct int objects
+        q = exact_polynomial([int(str(c)) for c in nums], int(str(den)))
+        assert p == q and p._data == q._data and hash(p) == hash(q)
+        assert seen.setdefault(p._data, p.nums) == p.nums
+    assert len(seen) > 200
+    # the zero polynomial has one encoding
+    zero = Polynomial([])
+    assert exact_polynomial([0, 0], 7)._data == zero._data and zero.is_zero()
+    assert zero.degree == -1 and exact_polynomial([-(2**31), 0], 1).degree == 0
+    # one int object used twice against two equal, distinct int objects:
+    # version 4 would write a back-reference for the first
+    for a in (2**31, -(2**31) - 1, 10**40):
+        b = int(str(a))
+        assert a is not b
+        assert exact_polynomial([a, a], 1)._data == exact_polynomial([a, b], 1)._data
+    # the widths that a fixed-width packing confused stay apart
+    for a, b in [([256], [0, 1]), ([-256], [0, -1]), ([2**16 + 2], [2, 0, 1])]:
         p, q = Polynomial(a), Polynomial(b)
-        assert p._data == q._data and p.den == q.den
-        assert p != q
+        assert p != q and p._data != q._data
         assert not pp_equal(from_polynomial(p), from_polynomial(q))
         assert pp_equal(from_polynomial(p), from_polynomial(Polynomial(a)))
+
+
+def test_a_bool_numerator_is_stored_as_the_equal_int():
+    # marshal writes True as b"T", so the constructors store plain ints
+    for p in (exact_polynomial([True, 2], 1), Polynomial([True, 2])):
+        assert p == Polynomial([1, 2]) and hash(p) == hash(Polynomial([1, 2]))
+        assert [type(c) for c in p.nums] == [int, int]
+    with pytest.raises(TypeError):
+        exact_polynomial([1.0, 2], 1)
 
 
 def test_integral_of_a_product_equals_a_fraction_reference():
@@ -346,6 +379,31 @@ def test_assemble_w_of_a_power_weight_equals_the_step_loop(k):
         u, diagnostics = assemble_u(spec, seeds, mu, w)
         assert u == w.scale(mu), text
         assert diagnostics.positivity_certified is True, text
+
+
+def test_power_moment_equals_the_fraction_sum():
+    # sum a_i/(i+1-alpha) + c/(e+1-alpha), one Fraction per term, against
+    # the sum over one integer denominator; the last cases are solves' w
+    rng = random.Random(210002)
+    cases = []
+    for _ in range(150):
+        q = rng.choice([1000, 7, 3, 2**61 - 1])
+        alpha = F(rng.randrange(q), q)
+        c = F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**40))
+        e = rng.randint(1, 80) - alpha  # a solve's exponents are n - alpha
+        cases.append((PolyPlusPower(Polynomial(random_values(rng)), PowerLawTerm(c, e)), alpha))
+    for k in (1, 6, 24):
+        for text in ("pow:1/3", "pow:999/1000", "pow:0"):
+            spec = ProblemSpec(k, parse_weight(text), FLOAT)
+            seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
+            v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+            cases.append((_assemble_w(v, k), spec.rho.alpha))
+    for w, alpha in cases:
+        c, e = w.term.coefficient, w.term.exponent
+        expected = sum(a / (i + 1 - alpha) for i, a in enumerate(w.poly.coeffs))
+        expected += c / (e + 1 - alpha)
+        assert w.power_moment(alpha) == expected, (w, alpha)
+        assert type(w.power_moment(alpha)) is F
 
 
 def _reference_moments(pp, k):

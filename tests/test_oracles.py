@@ -437,6 +437,14 @@ def test_sign_iteration_keeps_a_lower_energy_sign_changing_run(monkeypatch):
     assert report.details["mu_h"] == 3.0
 
 
+def test_sign_iteration_rejects_a_weight_with_no_mass_on_the_grid():
+    # no node (i + 1)/200 lies in [331/1000, 332/1000]
+    spec = ProblemSpec(1, parse_weight("chi:331/1000,332/1000"))
+    with pytest.raises(UnsupportedWeightError, match="199 grid nodes"):
+        sign_iteration(spec, n=199)
+    assert sign_iteration(spec, n=999).details["converged"]
+
+
 def test_sign_iteration_rejects_high_order():
     with pytest.raises(ValueError):
         sign_iteration(ProblemSpec(3, parse_weight("poly:1")), n=49)
