@@ -26,8 +26,11 @@ Every stage is exact rational arithmetic.  A piecewise-polynomial weight
 (point masses included) gives a piecewise-polynomial u; x^(-alpha) with
 rational alpha gives u = polynomial + c x^(2k-alpha), whose integrals are
 exact too, so no quadrature runs.  Float mode rounds mu, u and u^(k) of the
-same exact result at output.  Known closed forms are computed alongside and
-compared exactly; a mismatch is an internal error.
+same exact result at output.  Each solve of a weight with a known closed
+form compares mu with it exactly, and u too where the closed-form profile
+is the extremizer; a mismatch is an internal error.  A point mass at k >= 2
+is checked by its mu alone, and its series profile's deviation from u is
+computed when that diagnostic is first read.
 """
 
 from __future__ import annotations
@@ -147,7 +150,29 @@ class SolveDiagnostics:
     min_interior_value: Optional[float] = None
     positivity_certified: Optional[bool] = None
     closed_form_mu_checked: bool = False
+    # (u, spec) until first read after a point-mass solve at k >= 2
     pointload_candidate_deviation: Optional[float] = None
+
+
+def _read_deviation(diags: SolveDiagnostics) -> Optional[float]:
+    """pointload_candidate_deviation, computed on first read where a
+    point-mass solve at k >= 2 left (exact u, spec) in its place; the float
+    then replaces the pair, dropping u."""
+    state = diags.__dict__
+    value = state["pointload_candidate_deviation"]
+    if isinstance(value, tuple):
+        u, spec = value
+        reference = closed_form(ProblemSpec(spec.k, spec.rho, EXACT))
+        value = state["pointload_candidate_deviation"] = _grid_deviation(u, reference.u)
+    return value
+
+
+# installed after @record, which takes the class attribute None as the
+# field's default and writes fields straight into the instance __dict__
+SolveDiagnostics.pointload_candidate_deviation = property(
+    _read_deviation,
+    lambda diags, value: diags.__dict__.update(pointload_candidate_deviation=value),
+)
 
 
 @record
@@ -339,11 +364,14 @@ def float_mu(mu) -> float:
 def _assemble_w(v, k: int):
     """w = u/mu, the k-fold antiderivative of v, in one pass: one integer
     pass for a piecewise v or a power weight's polynomial part, and for c x^e
-    the term c/((e+1)...(e+k)) x^(e+k)."""
+    the term c/((e+1)...(e+k)) x^(e+k), the rising product in integers:
+    with e = r/d it is prod (r + id) / d^k."""
     if isinstance(v, PolyPlusPower):
         c, e = v.term.coefficient, v.term.exponent
-        rising = math.prod(e + i for i in range(1, k + 1))
-        return PolyPlusPower(kfold_antiderivative(v.poly, k), PowerLawTerm(c / rising, e + k))
+        r, d = e.numerator, e.denominator
+        rising = math.prod(r + i * d for i in range(1, k + 1))
+        term = PowerLawTerm(c * Fraction(d**k, rising), e + k)
+        return PolyPlusPower(kfold_antiderivative(v.poly, k), term)
     return kfold_antiderivative(v, k)
 
 
@@ -373,7 +401,8 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
 
     u^(j)(1), j < k, is read off the last piece (or the polynomial part) by
     :func:`derivatives_at_one`, as integers over its denominator; c x^e adds
-    c e(e-1)...(e-j+1).  A Fraction is built only for the message.
+    c e(e-1)...(e-j+1), stepped as an integer top over an integer bottom.
+    A Fraction is built only for the message.
 
     A piecewise u is certified by :func:`pp_positive_on_open01`; u = P + c x^e
     by Boggio's theorem, as the clamped Green's function of (-1)^k d^2k/dx^2k
@@ -387,14 +416,15 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     k = spec.k
     piecewise = isinstance(u, PiecewisePolynomial)
     nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, k)
-    c = Fraction(0) if piecewise else u.term.coefficient
+    c, e = (Fraction(0), Fraction(0)) if piecewise else (u.term.coefficient, u.term.exponent)
+    top, bottom = c.numerator, c.denominator
     for j, a in enumerate(nums):
-        residual = a * c.denominator + c.numerator * den
+        residual = a * bottom + top * den
         if residual:
-            value = Fraction(residual, den * c.denominator)
+            value = Fraction(residual, den * bottom)
             raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
-        if not piecewise:
-            c *= u.term.exponent - j
+        top *= e.numerator - j * e.denominator
+        bottom *= e.denominator
     if piecewise:
         certified = pp_positive_on_open01(u)
     else:
@@ -465,7 +495,9 @@ def closed_form(spec: ProblemSpec) -> Optional[ExtremalSolution]:
     point masses (any k), and the first-order boundary weight 1/x.  The
     point-mass profile for k >= 2 comes from the series candidate, which is
     known to be defective; its mu is still exact and the pipeline result is
-    authoritative for the profile itself (see README).
+    authoritative for the profile itself (see README).  `solve` calls this
+    for a point mass only at k = 1; at k >= 2 it checks dirac_mu, and the
+    first read of pointload_candidate_deviation builds this profile.
     """
     rho = spec.rho
     k = spec.k
@@ -520,32 +552,35 @@ def _grid_deviation(
     return None
 
 
-def _compare_with_closed_form(
-    spec: ProblemSpec, solution: ExtremalSolution, reference: ExtremalSolution
-):
-    diags = solution.diagnostics
-    if solution.mu != reference.mu:
-        raise ClosedFormMismatchError(
-            f"pipeline mu {solution.mu} != closed form {reference.mu}"
-        )
+def _compare_with_closed_form(spec: ProblemSpec, solution: ExtremalSolution):
+    """Compare mu, and u where the closed-form profile is the extremizer,
+    exactly; a mismatch raises ClosedFormMismatchError.  A point mass at
+    k >= 2 is checked against dirac_mu alone: its series profile is
+    defective there, and its deviation from u is computed on first read."""
+    rho, diags = spec.rho, solution.diagnostics
+    deferred = isinstance(rho, DiracWeight) and spec.k > 1
+    if deferred:
+        reference, mu = None, closed_forms.dirac_mu(spec.k, rho.a)
+    else:
+        reference = closed_form(ProblemSpec(spec.k, rho, EXACT))
+        if reference is None:
+            return
+        mu = reference.mu
+    if solution.mu != mu:
+        raise ClosedFormMismatchError(f"pipeline mu {solution.mu} != closed form {mu}")
     diags.closed_form_mu_checked = True
-    if reference.u is None:
+    if deferred:
+        diags.pointload_candidate_deviation = (solution.u, spec)
+    elif reference.u is None:
         return
-    if isinstance(spec.rho, DiracWeight):
-        # The series profile is only trustworthy at k = 1, where the two
-        # must be equal, and equal canonical pieces sample to the same
-        # floats, so their deviation is 0.0 without a grid.  For k >= 2
-        # record its deviation from the authoritative pipeline extremizer
-        # instead of failing (its one-sided derivatives disagree at the mass
-        # point).
-        if spec.k > 1:
-            diags.pointload_candidate_deviation = _grid_deviation(solution.u, reference.u)
-        elif pp_equal(solution.u, reference.u):
-            diags.pointload_candidate_deviation = 0.0
-        else:
+    elif isinstance(rho, DiracWeight):
+        # at k = 1 the series profile is the tent extremizer, and equal
+        # canonical pieces sample to the same floats, so their deviation is
+        # 0.0 without a grid
+        if not pp_equal(solution.u, reference.u):
             raise ClosedFormMismatchError("first-order point-mass extremizers disagree")
-        return
-    if not pp_equal(solution.u, reference.u):
+        diags.pointload_candidate_deviation = 0.0
+    elif not pp_equal(solution.u, reference.u):
         raise ClosedFormMismatchError("pipeline extremizer != closed form")
 
 
@@ -575,7 +610,5 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
         method="pipeline",
     )
     if spec.rho.exact_capable:  # power weights have no closed form
-        reference = closed_form(ProblemSpec(spec.k, spec.rho, EXACT))
-        if reference is not None:
-            _compare_with_closed_form(spec, solution, reference)
+        _compare_with_closed_form(spec, solution)
     return _round_at_output(solution)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Union
 
 from .polynomials import (
@@ -214,11 +214,10 @@ class MomentVector:
 
 
 def beta_product(alpha: Fraction, n: int) -> Fraction:
-    """B(1 - alpha, n + 1) = n! / prod_{i=1..n+1} (i - alpha), exact."""
-    denom = Fraction(1)
-    for i in range(1, n + 2):
-        denom *= i - alpha
-    return Fraction(factorial(n)) / denom
+    """B(1 - alpha, n + 1) = n! / prod_{i=1..n+1} (i - alpha), exact: with
+    alpha = p/q it is n! q^(n+1) / prod (iq - p), one Fraction."""
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction(factorial(n) * q ** (n + 1), prod(i * q - p for i in range(1, n + 2)))
 
 
 def as_piecewise(rho: Weight) -> PiecewisePolynomial:
@@ -318,8 +317,10 @@ def moments(rho: Weight, k: int) -> MomentVector:
     """Exact shifted moments driving the right-hand side of the seed system.
 
     With s = 1 - t, integral (1-t)^(k+m) rho(t) dt is the (k+m)-th monomial
-    moment of the mirrored weight; x^(-alpha) steps B(1-alpha, n+1) to
-    B(1-alpha, n+2) = B(1-alpha, n+1) (n+1)/(n+2-alpha).
+    moment of the mirrored weight.  For x^(-alpha), alpha = p/q, it is
+    B(1-alpha, n+1) = n! q^(n+1) / prod_{i=1..n+1} (iq - p), n = k+m: over
+    D = prod_{i=1..2k} (iq - p) the numerator is n! q^(n+1) times the
+    factors i = n+2..2k, which are stepped from the top.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -327,20 +328,22 @@ def moments(rho: Weight, k: int) -> MomentVector:
         raise UnsupportedWeightError(
             "1/x has an infinite zeroth moment; use the closed-form route"
         )
-    sign = Fraction((-1) ** (k + 1))
+    sign = (-1) ** (k + 1)
     values = []
     if isinstance(rho, DiracWeight):
         for m in range(k):
             values.append(sign * (1 - rho.a) ** (k + m))
     elif isinstance(rho, PowerWeight):
-        beta = beta_product(rho.alpha, k)
-        values.append(sign * beta)
-        for n in range(k, 2 * k - 1):
-            beta = beta * (n + 1) / (n + 2 - rho.alpha)
-            values.append(sign * beta)
+        p, q = rho.alpha.numerator, rho.alpha.denominator
+        den = prod(i * q - p for i in range(1, 2 * k + 1))
+        tail = sign
+        for n in range(2 * k - 1, k - 1, -1):
+            values.append(Fraction(factorial(n) * q ** (n + 1) * tail, den))
+            tail *= (n + 1) * q - p
+        values.reverse()
     else:
         totals, den = _piecewise_moments(*_mirror(as_piecewise(rho)), k, 2 * k - 1)
-        values = [sign * Fraction(t, den) for t in totals]
+        values = [Fraction(sign * t, den) for t in totals]
     return MomentVector(k, tuple(values))
 
 

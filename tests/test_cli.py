@@ -20,7 +20,7 @@ from sobolev1d.cli import (
 )
 from sobolev1d.closed_forms import dirac_mu
 from sobolev1d.scalars import format_rational
-from sobolev1d.solver import ExtremalSolution, ProblemSpec, solve
+from sobolev1d.solver import ExtremalSolution, ProblemSpec, closed_form, solve
 from sobolev1d.weights import (
     MAX_DEGREE,
     MAX_LITERAL_BITS,
@@ -55,6 +55,20 @@ def test_constant_dirac_k2(capsys):
     doc = json.loads(out)
     assert doc["mu_exact"] == "192"
     assert doc["outside_theorem_scope"] is True
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("k", [2, 6])
+def test_constant_prints_the_point_mass_deviation(capsys, k, mode):
+    # `constant` reads the series-profile deviation, which a solve leaves
+    # uncomputed until read: it prints the 513-point maximum, bit for bit
+    code, out, _ = run(capsys, "constant", "--k", str(k), "--weight", "dirac:2/7", "--mode", mode)
+    assert code == 0
+    deviation = json.loads(out)["diagnostics"]["pointload_candidate_deviation"]
+    spec = ProblemSpec(k, parse_weight("dirac:2/7"), mode)
+    s, ref = solve(spec), closed_form(spec)
+    expected = max(abs(s.eval_u(i / 512) - ref.eval_u(i / 512)) for i in range(513))
+    assert deviation.hex() == expected.hex()
 
 
 def test_constant_exact_fraction_round_trip(capsys):

@@ -28,6 +28,7 @@ from sobolev1d.quadrature import quad_numeric
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError
 from sobolev1d.solver import (
     BoundaryResidualError,
+    ClosedFormMismatchError,
     DerivativeSeeds,
     LinearSystem,
     PolyPlusPower,
@@ -457,6 +458,86 @@ def test_dirac_candidate_profile_k2_is_defective():
     # true extremizer is smooth at the peak
     assert s.u.pieces[0].derivative()(a) == 0
     assert s.u.pieces[1].derivative()(a) == 0
+
+
+def test_solves_build_and_sample_no_series_profile_past_first_order(monkeypatch):
+    # a point mass at k >= 2 checks mu alone; its series profile is neither
+    # built nor grid-sampled until the deviation is read.  At k = 1 the
+    # profile is the tent extremizer and is still compared piece for piece,
+    # so only that order may build it.
+    from sobolev1d import closed_forms, solver
+
+    series = closed_forms.pointload_series_profile
+    built = []
+
+    def first_order_only(k, a):
+        built.append(k)
+        if k > 1:
+            raise AssertionError("a series profile was built during a solve")
+        return series(k, a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve grid-sampled a profile")
+
+    monkeypatch.setattr(closed_forms, "pointload_series_profile", first_order_only)
+    monkeypatch.setattr(solver, "pp_grid_values", refuse)
+    monkeypatch.setattr(solver, "pp_grid_values_exact", refuse)
+    weights = ["poly:1 + x^2", "pw:[0,1/2]=1;[1/2,1]=2", "chi:1/4,3/4", "dirac:2/7", "pow:1/3"]
+    solutions = []
+    for text in weights:
+        rho = parse_weight(text)
+        for k in (1, 2, 6):
+            for mode in (EXACT, FLOAT) if rho.exact_capable else (FLOAT,):
+                solutions.append(solve(ProblemSpec(k, rho, mode)))
+    assert built == [1, 1]
+    monkeypatch.undo()
+
+    for s in solutions:
+        deviation = s.diagnostics.pointload_candidate_deviation
+        if not isinstance(s.spec.rho, DiracWeight):
+            assert deviation is None
+            continue
+        assert s.diagnostics.closed_form_mu_checked
+        ref = closed_form(s.spec)
+        expected = max(abs(s.eval_u(i / 512) - ref.eval_u(i / 512)) for i in range(513))
+        assert deviation.hex() == expected.hex(), (s.spec.k, s.spec.mode)
+
+
+def test_deferred_deviation_is_computed_once(monkeypatch):
+    from sobolev1d import solver
+
+    calls = []
+    grid_deviation = solver._grid_deviation
+
+    def counted(f, g):
+        calls.append(f)
+        return grid_deviation(f, g)
+
+    monkeypatch.setattr(solver, "_grid_deviation", counted)
+    exact_u = solve(ProblemSpec(6, DiracWeight(F(2, 7)))).u
+    for mode in (EXACT, FLOAT):
+        s = solve(ProblemSpec(6, DiracWeight(F(2, 7)), mode))
+        assert calls == []
+        first = s.diagnostics.pointload_candidate_deviation
+        # the exact u is sampled in both modes, not float mode's copy
+        [sampled] = calls
+        assert pp_equal(sampled, exact_u)
+        calls.clear()
+        assert s.diagnostics.pointload_candidate_deviation == first
+        assert calls == []
+        assert type(first) is float
+
+
+def test_point_mass_mu_mismatch_raises_from_solve(monkeypatch):
+    # the closed-form mu check stays eager at every order
+    from sobolev1d import closed_forms
+
+    dirac = closed_forms.dirac_mu
+    monkeypatch.setattr(closed_forms, "dirac_mu", lambda k, a: dirac(k, a) + 1)
+    for k in (1, 2, 6):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(ClosedFormMismatchError):
+                solve(ProblemSpec(k, DiracWeight(F(2, 7)), mode))
 
 
 def test_dirac_pipeline_formula_all_orders():

@@ -250,6 +250,33 @@ def test_power_moments_step_the_beta_product(k):
         assert all(type(v) is F for v in values)
 
 
+def _stepped_power_moments(alpha, k):
+    # the seed moments of x^(-alpha) by Fraction stepping: B(1-alpha, k+1)
+    # as k! / prod (i - alpha), then the ratio (n+1)/(n+2-alpha)
+    sign = F((-1) ** (k + 1))
+    denom = F(1)
+    for i in range(1, k + 2):
+        denom *= i - alpha
+    beta = F(math.factorial(k)) / denom
+    values = [sign * beta]
+    for n in range(k, 2 * k - 1):
+        beta = beta * (n + 1) / (n + 2 - alpha)
+        values.append(sign * beta)
+    return tuple(values)
+
+
+def test_power_moments_over_one_denominator_match_fraction_stepping():
+    # the integer-numerator moments equal the stepped Fractions exactly, for
+    # random alpha = p/q in [0, 1) and k <= 24
+    rng = random.Random(22301)
+    for _ in range(60):
+        q = rng.choice([1, rng.randint(2, 12), rng.randint(2, 10**9)])
+        alpha = F(rng.randrange(q), q)
+        k = rng.randint(1, 24)
+        assert moments(PowerWeight(alpha), k).values == _stepped_power_moments(alpha, k)
+        assert beta_product(alpha, k) == _stepped_power_moments(alpha, k)[0] * (-1) ** (k + 1)
+
+
 def test_moments_linear_in_weight():
     rng = random.Random(7)
     w = parse_weight("poly:1 + x^2")
