@@ -36,7 +36,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .polynomials import PiecewisePolynomial, Polynomial, pp_grid_values_exact
+from .polynomials import PiecewisePolynomial, pp_grid_values_exact
 from .scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
 from .solver import ProblemSpec, SolverError, float_mu, solve
 from .weights import (
@@ -255,9 +255,9 @@ def cmd_minimizer(args) -> int:
     n = cfg["samples"]
 
     def column(rep, eval_float):
-        # exact piecewise polynomials are evaluated at the exact rational
-        # sample points, so boundary rows print as exact zeros
-        if isinstance(rep, PiecewisePolynomial) and isinstance(rep.pieces[0], Polynomial):
+        # piecewise polynomials, exact in both modes, are evaluated at the
+        # exact rational sample points, so boundary rows print as exact zeros
+        if isinstance(rep, PiecewisePolynomial):
             return pp_grid_values_exact(rep, n - 1)
         return [eval_float(i / (n - 1)) for i in range(n)]
 

@@ -5,18 +5,20 @@ one positive denominator, in lowest terms with trailing zeros stripped: the
 fraction-free form (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 6).  The numerators are kept as the interpreter's ``marshal`` encoding
 of their tuple, written and read back in C.  The form and its encoding are
-canonical, so equality and hashing read the bytes directly, and every
-operation here runs on the decoded integers, with one gcd per result rather
-than one per coefficient: arithmetic, evaluation at rational points,
-integrals of products, root stripping and the positivity certificates (a
-Bernstein certificate with Sturm fallback for strict positivity, and Sturm
-sequences for the non-negativity of weights).  ``coeffs`` is the read-only
-coefficient view; it builds Fractions on each access.  A float coefficient
-raises :class:`ModeMismatchError` when the polynomial is built.
+canonical, so equality and hashing read the bytes directly.  Arithmetic,
+evaluation at rational points, integrals of products, root stripping and
+the Bernstein certificate of strict positivity run on the decoded integers,
+with one gcd per result rather than one per coefficient.  Sturm sequences
+(the certificate's fallback, and the non-negativity test of weights) are
+built by :func:`poly_divmod`, which divides the Fraction coefficients
+``coeffs``, the read-only coefficient view built on each access.  A float
+coefficient raises :class:`ModeMismatchError` when the polynomial is built.
 
-Floats are output values: ``to_float`` rounds an exact polynomial to a
-:class:`FloatPolynomial`, which is compared, hashed and sampled by
-``eval_float`` and :func:`pp_values_at`, and has no arithmetic.
+There is no float polynomial.  A float sampled from an exact value is its
+rounding: ``float(p(Fraction(x)))``, or :func:`pp_grid_values_exact` on a
+grid.  ``eval_float`` and :func:`pp_values_at` run Horner over rounded
+coefficients instead; they sample weights for the numerical oracles, and
+at high degree their values differ from the rounding of the exact ones.
 
 Piecewise polynomials carry strictly increasing breakpoints from 0 to 1 with
 one polynomial per interval; the constructor validates them, and rebuilds
@@ -24,8 +26,7 @@ on an existing instance's breakpoints reuse them.  Continuity is
 deliberately not an invariant: derivatives of point-mass extremizers jump.
 
 Exact values other than polynomials enter integer arithmetic through
-:func:`integer_form`, and piecewise polynomials are sampled at float points
-by :func:`pp_values_at`.
+:func:`integer_form`.
 """
 
 from __future__ import annotations
@@ -197,49 +198,12 @@ class Polynomial:
         return Fraction(value, self.den * scale)
 
     def eval_float(self, x: float) -> float:
-        return _horner_float(self.float_coeffs(), x)
-
-    def to_float(self) -> "FloatPolynomial":
-        return FloatPolynomial(self.float_coeffs())
-
-
-class FloatPolynomial:
-    """An exact polynomial's coefficients rounded to floats, ascending and
-    without trailing zeros: an output value, compared, hashed and sampled,
-    with no arithmetic."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[float]):
-        coeffs = [float(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatPolynomial is immutable")
-
-    def float_coeffs(self) -> list:
-        return list(self._coeffs)
-
-    def eval_float(self, x: float) -> float:
-        return _horner_float(self._coeffs, x)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FloatPolynomial) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self):
-        return f"FloatPolynomial({list(self._coeffs)})"
-
-
-def _horner_float(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        """Horner over the rounded coefficients, for sampling weights and a
+        power weight's u; at high degree it differs from float(p(x))."""
+        acc = 0.0
+        for c in reversed(self.float_coeffs()):
+            acc = acc * x + c
+        return acc
 
 
 def _store(p: Polynomial, nums: Sequence[int], den: int) -> None:
@@ -533,7 +497,8 @@ def is_positive_on_open(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     mid = (lo + hi) / 2
     if q(mid) * ((-1) ** m_hi) <= 0:
         return False
-    return count_roots_half_open(q, lo, hi) - (1 if q(hi) == 0 else 0) == 0
+    # q(hi) != 0 once stripped, so no root counted in (lo, hi] is at hi
+    return count_roots_half_open(q, lo, hi) == 0
 
 
 def isolate_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -675,10 +640,8 @@ class PiecewisePolynomial:
     piece.
 
     Evaluation at an interior breakpoint uses the right piece; the last
-    interval is closed at 1.  ``to_float`` gives the output copy: float
-    breakpoints, which distinct exact ones may round onto, and
-    :class:`FloatPolynomial` pieces; it is compared and sampled, and every
-    exact routine raises on it.
+    interval is closed at 1.  A solve's u is one in both output modes;
+    floats sampled from it round exact values.
     """
 
     __slots__ = ("breakpoints", "pieces")
@@ -740,7 +703,7 @@ class PiecewisePolynomial:
         return self.pieces[self.piece_index(x)](x)
 
     def eval_float(self, x: float) -> float:
-        return float(self.pieces[self.piece_index(x)].eval_float(x))
+        return self.pieces[self.piece_index(x)].eval_float(x)
 
     def map_pieces(self, f: Callable[[Polynomial], Polynomial]) -> "PiecewisePolynomial":
         """f applied to every piece."""
@@ -774,12 +737,6 @@ class PiecewisePolynomial:
 
     def square_integral01(self) -> Fraction:
         return pp_integrate_product(self, self)
-
-    def to_float(self) -> "PiecewisePolynomial":
-        pp = self._rebuild([p.to_float() for p in self.pieces])
-        # not validated again: the floats of two breakpoints may be equal
-        object.__setattr__(pp, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        return pp
 
 
 def from_polynomial(p: Polynomial) -> PiecewisePolynomial:

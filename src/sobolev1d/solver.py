@@ -25,12 +25,13 @@ energy identity integral (u^(k))^2 = mu.
 Every stage is exact rational arithmetic.  A piecewise-polynomial weight
 (point masses included) gives a piecewise-polynomial u; x^(-alpha) with
 rational alpha gives u = polynomial + c x^(2k-alpha), whose integrals are
-exact too, so no quadrature runs.  Float mode rounds mu, u and u^(k) of the
-same exact result at output.  Each solve of a weight with a known closed
-form compares mu with it exactly, and u too where the closed-form profile
-is the extremizer; a mismatch is an internal error.  A point mass at k >= 2
-is checked by its mu alone, and its series profile's deviation from u is
-computed when that diagnostic is first read.
+exact too, so no quadrature runs.  Float mode rounds mu of the same exact
+result at output and keeps u and u^(k) exact, so a float sampled from a
+piecewise u is the rounding of its exact value.  Each solve of a weight
+with a known closed form compares mu with it exactly, and u too where the
+closed-form profile is the extremizer; a mismatch is an internal error.
+A point mass at k >= 2 is checked by its mu alone, and its series
+profile's deviation from u is computed when that diagnostic is first read.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .polynomials import (
     kfold_antiderivative,
     kth_derivative,
     pp_equal,
-    pp_grid_values,
     pp_grid_values_exact,
     pp_integrate_product,
     # uncalled, but perfbench/tracing.py patches this name to time the grid scan
@@ -181,8 +181,8 @@ class ExtremalSolution:
     mu: Scalar
     lam: float
     seeds: Optional[DerivativeSeeds]
-    # PiecewisePolynomial | PolyPlusPower | HardyExtremizer; in float mode
-    # the exact result's to_float()
+    # PiecewisePolynomial | PolyPlusPower | HardyExtremizer, exact in both
+    # modes
     u: object
     u_k: object  # same family: representation of the k-th derivative
     diagnostics: SolveDiagnostics
@@ -196,15 +196,17 @@ class ExtremalSolution:
         return format_rational(self.mu) if isinstance(self.mu, Fraction) else None
 
     def eval_u(self, x: float) -> float:
+        """u(x); for a piecewise u, the rounding of the exact value."""
         u = self.u
         if isinstance(u, PiecewisePolynomial):
-            return u.eval_float(x)
+            return float(u(Fraction(x)))
         return float(u(x))
 
     def eval_u_k(self, x: float) -> float:
+        """u^(k)(x); for a piecewise u, the rounding of the exact value."""
         v = self.u_k
         if isinstance(v, PiecewisePolynomial):
-            return v.eval_float(x)
+            return float(v(Fraction(x)))
         if isinstance(v, closed_forms.HardyExtremizer):
             return v.derivative(x)
         return float(v(x))
@@ -291,10 +293,6 @@ class PolyPlusPower:
 
     def scale(self, c) -> "PolyPlusPower":
         return PolyPlusPower(self.poly.scale(c), self.term.scale(c))
-
-    def to_float(self) -> "PolyPlusPower":
-        term = PowerLawTerm(float(self.term.coefficient), float(self.term.exponent))
-        return PolyPlusPower(self.poly.to_float(), term)
 
     def power_moment(self, alpha: Fraction) -> Fraction:
         """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha).
@@ -443,22 +441,18 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
 
 
 def _round_at_output(solution: ExtremalSolution) -> ExtremalSolution:
-    """Float mode is the exact result rounded: mu to a float, u and u_k to
-    their float copies (FloatPolynomial pieces).  Exact mode returns the
-    solution unchanged."""
+    """Float mode is the exact result with mu rounded to a float; u and u_k
+    stay exact, and eval_u and eval_u_k round their values.  Exact mode
+    returns the solution unchanged."""
     if solution.spec.mode == EXACT:
         return solution
-
-    def rounded(f):
-        return f.to_float() if isinstance(f, (PiecewisePolynomial, PolyPlusPower)) else f
-
     return ExtremalSolution(
         solution.spec,
         float_mu(solution.mu),
         solution.lam,
         solution.seeds,
-        rounded(solution.u),
-        rounded(solution.u_k),
+        solution.u,
+        solution.u_k,
         solution.diagnostics,
         solution.method,
     )
@@ -537,19 +531,19 @@ def closed_form(spec: ProblemSpec) -> Optional[ExtremalSolution]:
 def _grid_deviation(
     f: PiecewisePolynomial, g: PiecewisePolynomial, n: int = 512
 ) -> Optional[float]:
-    """max |f(i/n) - g(i/n)| over 0 <= i <= n, each sample as eval_float's.
-
-    Where a coefficient overflows a float (a point mass near an end at high
-    k) the samples are the floats of the exact values instead, and where
-    those overflow too, or the maximum does, there is no deviation to report.
+    """max |f(i/n) - g(i/n)| over 0 <= i <= n, each sample the float of the
+    exact value, as ExtremalSolution.eval_u gives it.  Where a sample
+    overflows a float (a point mass near an end at high k), or the maximum
+    does, there is no deviation to report.
     """
-    for values in (pp_grid_values, pp_grid_values_exact):
-        try:
-            deviation = max(abs(a - b) for a, b in zip(values(f, n), values(g, n)))
-        except OverflowError:
-            continue
-        return deviation if math.isfinite(deviation) else None
-    return None
+    try:
+        deviation = max(
+            abs(a - b)
+            for a, b in zip(pp_grid_values_exact(f, n), pp_grid_values_exact(g, n))
+        )
+    except OverflowError:
+        return None
+    return deviation if math.isfinite(deviation) else None
 
 
 def _compare_with_closed_form(spec: ProblemSpec, solution: ExtremalSolution):

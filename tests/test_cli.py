@@ -145,6 +145,37 @@ def test_minimizer_csv_matches_fraction_evaluation(capsys):
                 assert out == "\n".join(lines) + "\n", (weight, k, n)
 
 
+# dirac:1/1000 at k = 40 is left out: its mu overflows a float, so float
+# mode exits 3 there
+@pytest.mark.parametrize(
+    "weight, k",
+    [
+        (weight, k)
+        for weight in (
+            "poly:1",
+            "poly:1 + x^2",
+            "pw:[0,1/2]=1;[1/2,1]=x",
+            "chi:1/4,3/4",
+            "dirac:1/3",
+            "dirac:1/1000",
+        )
+        for k in (1, 6, 24, 40)
+        if (weight, k) != ("dirac:1/1000", 40)
+    ],
+)
+def test_float_mode_minimizer_prints_what_exact_mode_prints(capsys, weight, k):
+    # both modes sample the same exact u at the exact points i/(n-1); Horner
+    # over rounded coefficients would lose every digit to cancellation at
+    # high k
+    argv = ["minimizer", "--k", str(k), "--weight", weight, "--samples", "101"]
+    exact = run(capsys, *argv, "--mode", "exact")
+    floaty = run(capsys, *argv, "--mode", "float")
+    assert exact[0] == 0 and floaty == exact
+    if (weight, k) == ("poly:1", 40):
+        # README's example: u(1/2) at k = 40
+        assert floaty[1].splitlines()[51].split(",")[:2] == ["0.5", "7.2031581806864855"]
+
+
 def test_verify_uniform_k2(capsys):
     code, out, _ = run(capsys, "verify", "--k", "2", "--weight", "poly:1")
     assert code == 0
@@ -416,8 +447,8 @@ _THIRD_AND_A_BIT = "6148914691236517206/18446744073709551615"
     ids=["constant-pw", "minimizer-chi"],
 )
 def test_float_mode_on_breakpoints_that_round_to_one_float(capsys, argv):
-    # the float copy of u keeps two equal float breakpoints around a piece
-    # that no float point falls in
+    # the two breakpoints round to one float; float mode keeps u exact and
+    # samples it at exact rational points, so no float breakpoint is formed
     code, out, err = run(capsys, *argv, "--k", "1", "--mode", "float")
     assert (code, err) == (0, "")
     exact_mu = solve(ProblemSpec(1, parse_weight(argv[-1]))).mu

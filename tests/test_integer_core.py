@@ -171,7 +171,6 @@ def test_equal_values_in_unreduced_forms_are_equal_and_hash_equal():
         assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
         assert not p.nums or p.nums[-1] != 0
     assert Polynomial([]) == exact_polynomial([0, 0], 7) == Polynomial([F(0)])
-    assert Polynomial([1, 2]) != Polynomial([1, 2]).to_float()
 
 
 def test_equal_numerators_encode_to_equal_bytes_and_distinct_to_distinct():

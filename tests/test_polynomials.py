@@ -5,24 +5,20 @@ from fractions import Fraction as F
 import pytest
 
 from sobolev1d.polynomials import (
-    FloatPolynomial,
     PiecewisePolynomial,
     Polynomial,
     _refinement,
     bernstein_coefficients,
     bernstein_positive,
     bridge_poly,
-    count_roots_half_open,
     derivatives_at_one,
     from_polynomial,
     integer_form,
-    integrate_product,
     is_nonnegative_on,
     is_positive_on_open,
     isolate_roots,
     kfold_antiderivative,
     kth_derivative,
-    poly_divmod,
     pp_equal,
     pp_grid_values,
     pp_grid_values_exact,
@@ -32,7 +28,6 @@ from sobolev1d.polynomials import (
     pp_positive_on_open01,
     pp_values_at,
     strip_root,
-    sturm_chain,
 )
 from sobolev1d.scalars import ModeMismatchError, coerce, parse_rational
 
@@ -108,92 +103,6 @@ def test_kfold_antiderivative_equals_successive_antiderivatives(m):
     pp = PiecewisePolynomial([F(0), F(1, 3), F(1)], [Polynomial(), Polynomial([F(2, 7), 1])])
     assert kfold_antiderivative(pp, m) == _successive_antiderivatives(pp, m)
     assert kfold_antiderivative(pp, 0) == pp
-
-
-def test_float_polynomials_are_values():
-    # to_float rounds an exact polynomial to a FloatPolynomial, a value with
-    # equality, hashing, its float coefficients and float sampling; it has
-    # no arithmetic, and no exact routine computes on it: each one raises
-    exact = _random_piecewise(random.Random(77), 3, 4)
-    pp = exact.to_float()
-    p = pp.pieces[1]
-    assert type(p) is FloatPolynomial and p == exact.pieces[1].to_float()
-    assert all(type(q) is FloatPolynomial for q in pp.pieces)
-    assert pp.breakpoints == tuple(float(b) for b in exact.breakpoints)
-    assert p.float_coeffs() == exact.pieces[1].float_coeffs()
-    assert p.float_coeffs() == [float(c) for c in exact.pieces[1].coeffs]
-    assert hash(p) == hash(exact.pieces[1].to_float()) and p != exact.pieces[1]
-    assert p != Polynomial([1]).to_float()
-    assert repr(p) == f"FloatPolynomial({p.float_coeffs()})"
-    with pytest.raises(AttributeError):
-        p._coeffs = ()
-    # trailing zeros go, so the rounding of a tiny coefficient to 0.0 too
-    tiny = Polynomial([1, F(1, 10**400)]).to_float()
-    assert tiny == Polynomial([1]).to_float() and tiny.float_coeffs() == [1.0]
-    zero = Polynomial().to_float()
-    assert zero.float_coeffs() == [] and zero.eval_float(0.5) == 0.0
-    assert pp == exact.to_float() and pp != exact
-    points = [i / 16 for i in range(17)]
-    assert pp_values_at(pp, points) == [pp.eval_float(x) for x in points]
-    assert pp_values_at(pp, points) == pp_values_at(exact, points)
-    assert p.eval_float(0.25) == exact.pieces[1].eval_float(0.25)
-    half = F(1, 2)
-    on_polynomials = {
-        "+": lambda q: q + q,
-        "+ exact": lambda q: X + q,
-        "-": lambda q: -q,
-        "- exact": lambda q: q - X,
-        "*": lambda q: q * q,
-        "* exact": lambda q: X * q,
-        "scale": lambda q: q.scale(2),
-        "compose_affine": lambda q: q.compose_affine(-1, 1),
-        "derivative": lambda q: q.derivative(),
-        "antiderivative": lambda q: q.antiderivative(),
-        "integrate": lambda q: q.integrate(0, 1),
-        "call": lambda q: q(half),
-        "kfold_antiderivative": lambda q: kfold_antiderivative(q, 3),
-        "kth_derivative": lambda q: kth_derivative(q, 2),
-        "derivatives_at_one": lambda q: derivatives_at_one(q, 2),
-        "integrate_product": lambda q: integrate_product(q, q, 0, 1),
-        "integrate_product exact": lambda q: integrate_product(X, q, 0, 1),
-        "poly_divmod": lambda q: poly_divmod(q, X),
-        "sturm_chain": lambda q: sturm_chain(q),
-        "count_roots_half_open": lambda q: count_roots_half_open(q, 0, 1),
-        "strip_root": lambda q: strip_root(q, half),
-        "is_positive_on_open": lambda q: is_positive_on_open(q, 0, 1),
-        "isolate_roots": lambda q: isolate_roots(q, 0, 1),
-        "is_nonnegative_on": lambda q: is_nonnegative_on(q, 0, 1),
-        "bernstein_coefficients": lambda q: bernstein_coefficients(q, 0, 1),
-        "from_polynomial": lambda q: from_polynomial(q),
-    }
-    on_piecewise = {
-        "call": lambda f: f(half),
-        "scale": lambda f: f.scale(2),
-        "add_polynomial": lambda f: f.add_polynomial(ONE),
-        "derivative": lambda f: f.derivative(),
-        "antiderivative": lambda f: f.antiderivative(),
-        "integrate01": lambda f: f.integrate01(),
-        "square_integral01": lambda f: f.square_integral01(),
-        "continuity_defects": lambda f: continuity_defects(f, 1),
-        "kfold_antiderivative": lambda f: kfold_antiderivative(f, 3),
-        "kth_derivative": lambda f: kth_derivative(f, 2),
-        "pp_integrate_product": lambda f: pp_integrate_product(f, f),
-        "pp_integrate_product exact": lambda f: pp_integrate_product(exact, f),
-        "pp_mul": lambda f: pp_mul(f, f),
-        "pp_mul exact": lambda f: pp_mul(exact, f),
-        "pp_positive_on_open01": lambda f: pp_positive_on_open01(f),
-        "pp_grid_values_exact": lambda f: pp_grid_values_exact(f, 8),
-    }
-    cases = [(name, op, q) for name, op in on_polynomials.items() for q in (p, zero)]
-    cases += [(name, op, pp) for name, op in on_piecewise.items()]
-    for name, op, arg in cases:
-        try:
-            op(arg)
-        except (TypeError, AttributeError):
-            continue
-        pytest.fail(f"{name} accepted a float polynomial")
-    # an exact function and its float copy are different values
-    assert not pp_equal(exact, pp)
 
 
 def test_derivatives_at_one_are_falling_factorial_sums():
@@ -305,7 +214,6 @@ def test_public_constructor_validates_breakpoints_and_modes():
         ([F(0), F(1, 2)], [one], ValueError),  # stops short of 1
         ([F(1, 4), F(1)], [one], ValueError),  # starts past 0
         ([F(0), F(1)], [one, one], ValueError),  # one breakpoint short
-        ([F(0), F(1, 2), F(1)], [one, one.to_float()], ModeMismatchError),
         ([F(0), F(1, 2), F(1)], [one, 1], ModeMismatchError),  # not a Polynomial
         ([0.0, 0.5, 1.0], [one, one], ModeMismatchError),  # float breakpoints
     ]:
@@ -400,10 +308,6 @@ def test_pp_equal_compares_functions_across_partitions():
         pieces[i] = pieces[i] + Polynomial([0, 0, 0, F(1, 10**9)])
         changed = PiecewisePolynomial(fine.breakpoints, pieces)
         assert not pp_equal(coarse, changed) and not pp_equal(changed, coarse), i
-    # float copies compare as values, and never equal an exact function
-    assert pp_equal(coarse.to_float(), fine.to_float())
-    assert not pp_equal(coarse, fine.to_float())
-    assert not pp_equal(coarse.to_float(), changed.to_float())
 
 
 def test_pp_derivative_round_trip():
@@ -632,29 +536,27 @@ def test_grid_scan_matches_per_point_evaluation():
             )
             for _ in cuts[1:]
         ]
-        exact = PiecewisePolynomial(cuts, pieces)
-        for pp in (exact, exact.to_float()):
-            # n = 24 puts grid points on all three breakpoints, 4096 on two
-            for n in (24, 96, 99, 4096):
-                expected = min(pp.eval_float(i / n) for i in range(1, n))
-                assert pp_min_on_grid(pp, n).hex() == expected.hex()
-                values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
-                assert [v.hex() for v in pp_grid_values(pp, n)] == values
+        pp = PiecewisePolynomial(cuts, pieces)
+        # n = 24 puts grid points on all three breakpoints, 4096 on two
+        for n in (24, 96, 99, 4096):
+            expected = min(pp.eval_float(i / n) for i in range(1, n))
+            assert pp_min_on_grid(pp, n).hex() == expected.hex()
+            values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
+            assert [v.hex() for v in pp_grid_values(pp, n)] == values
 
 
 def test_grid_scan_assigns_breakpoint_samples_to_the_right_piece():
     # each piece but the last falls steeply to -1 at its right end, so a
     # grid sample on or next to a breakpoint decides the minimum
-    # fl(1/5) > 1/5 and fl(1/3) < 1/3, so float breakpoints test both ways
+    # fl(1/5) > 1/5 and fl(1/3) < 1/3, so samples on them test both ways
     cuts = [F(0), F(1, 5), F(1, 3), F(3, 8), F(1, 2), F(1)]
     pieces = [Polynomial([-1 + 1000 * t, -1000]) for t in cuts[1:-1]] + [ONE]
-    exact = PiecewisePolynomial(cuts, pieces)
-    for pp in (exact, exact.to_float()):
-        for n in (24, 99, 120, 1000, 4095, 4096):
-            expected = min(pp.eval_float(i / n) for i in range(1, n))
-            assert pp_min_on_grid(pp, n).hex() == expected.hex()
-            values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
-            assert [v.hex() for v in pp_grid_values(pp, n)] == values
+    pp = PiecewisePolynomial(cuts, pieces)
+    for n in (24, 99, 120, 1000, 4095, 4096):
+        expected = min(pp.eval_float(i / n) for i in range(1, n))
+        assert pp_min_on_grid(pp, n).hex() == expected.hex()
+        values = [pp.eval_float(i / n).hex() for i in range(n + 1)]
+        assert [v.hex() for v in pp_grid_values(pp, n)] == values
 
 
 def test_exact_grid_values_match_fraction_evaluation():
@@ -678,13 +580,11 @@ def test_exact_grid_values_match_fraction_evaluation():
             assert [v.hex() for v in got] == [v.hex() for v in expected]
     zero_piece = PiecewisePolynomial([F(0), F(1, 3), F(1)], [Polynomial([]), ONE])
     assert pp_grid_values_exact(zero_piece, 6) == [0.0, 0.0] + [1.0] * 5
-    with pytest.raises(AttributeError):  # a float copy has no numerators
-        pp_grid_values_exact(pp.to_float(), 4)
 
 
 def test_pp_values_at_is_eval_float_bit_for_bit():
     # seeded points plus every breakpoint's float and both its float
-    # neighbours, so each cut is tested from both sides in both modes
+    # neighbours, so each cut is tested from both sides
     rng = random.Random(3688)
     cuts = [F(0), F(1, 5), F(1, 3), F(3, 8), F(1, 2), F(1)]
     for _ in range(3):
@@ -702,9 +602,8 @@ def test_pp_values_at_is_eval_float_bit_for_bit():
         points = sorted(
             [x for x in near if 0.0 <= x <= 1.0] + [rng.random() for _ in range(300)]
         )
-        for pp in (exact, exact.to_float()):
-            expected = [pp.eval_float(x).hex() for x in points]
-            assert [v.hex() for v in pp_values_at(pp, points)] == expected
+        expected = [exact.eval_float(x).hex() for x in points]
+        assert [v.hex() for v in pp_values_at(exact, points)] == expected
     assert pp_values_at(exact, []) == []
 
 

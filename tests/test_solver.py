@@ -480,7 +480,6 @@ def test_solves_build_and_sample_no_series_profile_past_first_order(monkeypatch)
         raise AssertionError("a solve grid-sampled a profile")
 
     monkeypatch.setattr(closed_forms, "pointload_series_profile", first_order_only)
-    monkeypatch.setattr(solver, "pp_grid_values", refuse)
     monkeypatch.setattr(solver, "pp_grid_values_exact", refuse)
     weights = ["poly:1 + x^2", "pw:[0,1/2]=1;[1/2,1]=2", "chi:1/4,3/4", "dirac:2/7", "pow:1/3"]
     solutions = []
@@ -797,10 +796,26 @@ def test_float_mode_rounds_the_exact_solution():
             floaty = solve(ProblemSpec(k, parse_weight(text), FLOAT))
             assert floaty.mu == float(exact.mu), (text, k)
             assert floaty.mu_exact is None
-            assert floaty.u == exact.u.to_float() and floaty.u_k == exact.u_k.to_float()
+            assert floaty.u == exact.u and floaty.u_k == exact.u_k
             d = floaty.diagnostics
             assert d.positivity_certified is True
             assert d.boundary_residual == 0.0 and d.normalization_residual == 0.0
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_eval_u_rounds_the_exact_value(mode):
+    # eval_u and eval_u_k of a piecewise u return the float of the exact
+    # value at the float point, at every order and in both modes
+    rng = random.Random(5050)
+    weights = ("poly:1 + x^2", "pw:[0,1/2]=1;[1/2,1]=x", "chi:1/4,3/4", "dirac:2/7")
+    for text in weights:
+        for k in (1, 6, 24, 40):
+            s = solve(ProblemSpec(k, parse_weight(text), mode))
+            assert isinstance(s.u, PiecewisePolynomial)
+            cuts = [float(t) for t in s.u.breakpoints]
+            for x in sorted(cuts + [rng.random() for _ in range(40)]):
+                assert s.eval_u(x) == float(s.u(F(x))), (text, k, x)
+                assert s.eval_u_k(x) == float(s.u_k(F(x))), (text, k, x)
 
 
 def _power_weight_mu(k, alpha):
