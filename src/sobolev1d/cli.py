@@ -25,7 +25,8 @@ bit lengths of weight rationals are capped (``weights.MAX_LITERAL_BITS``,
 (``weights.MAX_PIECES``, ``weights.MAX_WEIGHT_SIZE``).
 
 An exact mu past the float range is printed by ``constant`` with a null
-``mu_float``; ``verify`` and ``sweep``, which need its float, exit 3.
+``mu_float``, and not by ``minimizer``, which runs in both modes; ``verify``,
+``sweep`` and ``constant --mode float``, which need its float, exit 3.
 """
 
 from __future__ import annotations
@@ -198,14 +199,14 @@ def _require_format(args, expected: str):
         raise ValueError(f"{args.command} output is {expected} only")
 
 
-def _settings_and_solution(args, output_format: str):
-    """The merged settings, and the solution for args.k and args.weight, in
+def _settings_and_spec(args, output_format: str):
+    """The merged settings, and the problem for args.k and args.weight, in
     the order every single-weight command checks them.  parse_weight and
     solve are this module's globals, looked up at each call."""
     cfg = _merge_config(args)
     _require_format(args, output_format)
     rho = parse_weight(args.weight)
-    return cfg, solve(ProblemSpec(args.k, rho, _resolve_mode(cfg, rho)))
+    return cfg, ProblemSpec(args.k, rho, _resolve_mode(cfg, rho))
 
 
 def _float_mu(mu) -> float | None:
@@ -245,13 +246,15 @@ def _fmt(value: float) -> str:
 
 
 def cmd_constant(args) -> int:
-    _, solution = _settings_and_solution(args, "json")
-    _emit(json.dumps(_solution_json(solution), allow_nan=False) + "\n", args.out)
+    _, spec = _settings_and_spec(args, "json")
+    _emit(json.dumps(_solution_json(solve(spec)), allow_nan=False) + "\n", args.out)
     return 0
 
 
 def cmd_minimizer(args) -> int:
-    cfg, solution = _settings_and_solution(args, "csv")
+    cfg, spec = _settings_and_spec(args, "csv")
+    # no mu is printed and u is exact in both modes, so mu is not rounded
+    solution = solve(ProblemSpec(spec.k, spec.rho, EXACT) if spec.rho.exact_capable else spec)
     n = cfg["samples"]
 
     def column(rep, eval_float):
@@ -273,8 +276,8 @@ def cmd_minimizer(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracles
 
-    cfg, solution = _settings_and_solution(args, "json")
-    spec, rho = solution.spec, solution.spec.rho
+    cfg, spec = _settings_and_spec(args, "json")
+    solution, rho = solve(spec), spec.rho
     mu = float_mu(solution.mu)
 
     # Galerkin lower bound, an exact rational

@@ -33,11 +33,11 @@ uses ``kfold_antiderivative``, ``derivatives_at_one`` (the boundary sums at
 
 Both grid routes share one linear solver.  The clamped stencils for orders 1
 and 2 are symmetric positive definite band matrices of half-bandwidth 1 or
-2, so a banded LDL^T factorization, held in plain lists, costs O(n) time and
-memory; a sign iteration factors once and reuses the factor for every Picard
-step.  A seeded random start pattern comes from a pure-Python copy of
-numpy's default generator (PCG64 seeded through SeedSequence), so no oracle
-imports numpy.
+2, so a banded LDL^T factorization, held in plain tuples, costs O(n) time
+and memory; it is cached per (k, n), so every Picard step and every later
+run on that grid reuses it.  A seeded random start pattern comes from a
+pure-Python copy of numpy's default generator (PCG64 seeded through
+SeedSequence), so no oracle imports numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 from typing import NamedTuple, Optional, Sequence
 
@@ -227,12 +228,13 @@ class _BandedLDL(NamedTuple):
     ``l1[i] = L[i][i-1]``, ``l2[i] = L[i][i-2]`` of the unit lower factor,
     padded with two zeros; ``scale`` = h^(2k) restores the grid spacing."""
 
-    d: list
-    l1: list
-    l2: list
+    d: tuple
+    l1: tuple
+    l2: tuple
     scale: float
 
 
+@lru_cache(maxsize=8)  # at n = 100000 one factor holds about 10 MB
 def _fd_factor(k: int, n: int) -> _BandedLDL:
     """Factor (-1)^k D^(2k) with clamped closures on n interior nodes.
 
@@ -267,7 +269,7 @@ def _fd_factor(k: int, n: int) -> _BandedLDL:
         ]
     else:
         raise ValueError("finite-difference stencils cover k = 1 and 2 only")
-    return _BandedLDL(d, l1 + [0.0, 0.0], l2 + [0.0, 0.0], (1.0 / (n + 1)) ** (2 * k))
+    return _BandedLDL(tuple(d), (*l1, 0.0, 0.0), (*l2, 0.0, 0.0), (1.0 / (n + 1)) ** (2 * k))
 
 
 def _band_solve(factor: _BandedLDL, rhs: Sequence[float]) -> list:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import marshal
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial, gcd, lcm, perm
 from operator import index
 from typing import Callable, Iterable, Sequence
@@ -449,8 +450,9 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
     numerators P exactly when c is a root, and then the quotient Q is
     integral (Gauss's lemma), so synthetic division top down,
     Q[i-1] = (P[i] + s Q[i]) / t, stops at the first inexact quotient or
-    non-zero remainder P[0] + s Q[0].  As x - c = (t x - s)/t, stripping
-    m roots leaves t^m Q over p's denominator.
+    non-zero remainder P[0] + s Q[0]; at c = 1 they are the running sums
+    from the top, with no division, the last one the remainder.  As
+    x - c = (t x - s)/t, stripping m roots leaves t^m Q over p's denominator.
     """
     c = Fraction(c)
     s, t = c.numerator, c.denominator
@@ -460,21 +462,30 @@ def strip_root(p: Polynomial, c: Fraction) -> tuple[Polynomial, int]:
         m = next((i for i, v in enumerate(nums) if v), 0)
         return (_make(nums[m:], p.den), m) if m else (p, 0)
     m = 0
-    while nums:
-        quotient = [0] * (len(nums) - 1)
-        acc = nums[-1]
-        for i in range(len(nums) - 1, 0, -1):
-            q, r = divmod(acc, t) if t != 1 else (acc, 0)
-            if r:
+    if c == 1:
+        top_down = nums[::-1]
+        while top_down:
+            *quotient, remainder = accumulate(top_down)
+            if remainder:
                 break
-            quotient[i - 1] = q
-            acc = nums[i - 1] + s * q
-        else:
-            if acc == 0:
-                nums = quotient
-                m += 1
-                continue
-        break
+            top_down, m = quotient, m + 1
+        nums = top_down[::-1]
+    else:
+        while nums:
+            quotient = [0] * (len(nums) - 1)
+            acc = nums[-1]
+            for i in range(len(nums) - 1, 0, -1):
+                q, r = divmod(acc, t)
+                if r:
+                    break
+                quotient[i - 1] = q
+                acc = nums[i - 1] + s * q
+            else:
+                if acc == 0:
+                    nums = quotient
+                    m += 1
+                    continue
+            break
     if not m:
         return p, 0
     scale = t**m
@@ -799,40 +810,33 @@ def pp_equal(f: PiecewisePolynomial, g: PiecewisePolynomial) -> bool:
     return all(p == q for p, q in pairs)
 
 
-def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
+def pp_positive_on_open01(pp: PiecewisePolynomial, last: tuple | None = None) -> bool:
     """Certified u > 0 on (0, 1) for an exact piecewise polynomial.
 
     Bernstein certificate with Sturm fallback: each piece, with its endpoint
     roots divided out, is tested in Bernstein form under de Casteljau
     subdivision; a piece that exhausts the box budget is settled by
-    :func:`is_positive_on_open`.
+    :func:`is_positive_on_open`.  A root at an interior breakpoint refutes;
+    else a piece positive inside is positive there, so no value is read.
+    ``last`` may give ``strip_root(pp.pieces[-1], 1)``, already computed.
     """
-    for i, ((a, b), p) in enumerate(
-        zip(zip(pp.breakpoints, pp.breakpoints[1:]), pp.pieces)
-    ):
-        if not _piece_positive(p, a, b):
+    cuts, pieces = pp.breakpoints, pp.pieces
+    n = len(pieces)
+    for i, p in enumerate(pieces):
+        lo, hi = cuts[i], cuts[i + 1]
+        q, m_hi = last if last is not None and i == n - 1 else strip_root(p, hi)
+        q, m_lo = strip_root(q, lo)
+        if (m_lo and i > 0) or (m_hi and i < n - 1):
             return False
-        # interior breakpoints must carry strictly positive values
-        if i > 0 and p(a) <= 0:
-            return False
-        if b != 1 and p(b) <= 0:
+        # (x - hi)^m has sign (-1)^m on (lo, hi); the stripped q is non-zero at
+        # both ends, so q * (-1)^m > 0 on the open interval iff on the closed one
+        beta = bernstein_coefficients(q, lo, hi)
+        verdict = bernstein_positive([-c for c in beta] if m_hi % 2 else beta)
+        if verdict is None:
+            verdict = is_positive_on_open(p, lo, hi)
+        if not verdict:
             return False
     return True
-
-
-def _piece_positive(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
-    """Same answer as is_positive_on_open(p, lo, hi), Bernstein first."""
-    q, _ = strip_root(p, lo)
-    q, m_hi = strip_root(q, hi)
-    # (x - hi)^m has sign (-1)^m on (lo, hi); the stripped q is non-zero at
-    # both ends, so q * (-1)^m > 0 on the open interval iff on the closed one
-    beta = bernstein_coefficients(q, lo, hi)
-    if m_hi % 2:
-        beta = [-c for c in beta]
-    verdict = bernstein_positive(beta)
-    if verdict is None:
-        return is_positive_on_open(p, lo, hi)
-    return verdict
 
 
 def pp_min_on_grid(pp: PiecewisePolynomial, n: int = 4096) -> float:

@@ -49,7 +49,6 @@ from .polynomials import (
     derivatives_at_one,
     exact_polynomial,
     from_polynomial,
-    integer_form,
     kfold_antiderivative,
     kth_derivative,
     pp_equal,
@@ -58,6 +57,7 @@ from .polynomials import (
     # uncalled, but perfbench/tracing.py patches this name to time the grid scan
     pp_min_on_grid,  # noqa: F401
     pp_positive_on_open01,
+    strip_root,
 )
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, format_rational, record
 from .weights import (
@@ -135,10 +135,16 @@ class LinearSystem:
 
 @record
 class DerivativeSeeds:
-    """s[j] = u^(2k-1-j)(0) / mu for j = 0..k-1, satisfying A s = b."""
+    """s_j = u^(2k-1-j)(0) / mu = nums[j] / (den j!) for j = 0..k-1, with A s = b;
+    ``values``, the s_j as Fractions, is built only when read."""
 
     k: int
-    values: tuple
+    nums: tuple
+    den: int
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(t, self.den * factorial(j)) for j, t in enumerate(self.nums))
 
 
 @record(frozen=False)
@@ -249,25 +255,24 @@ def _check_vandermonde_structure(matrix, k: int):
 def solve_seeds(system: LinearSystem) -> DerivativeSeeds:
     """s = A^(-1) b by finite differences, for A = build_matrix(k) and an
     exact b; another matrix raises ValueError, a float b ModeMismatchError."""
-    k = system.moments.k
-    b = system.moments.values
-    if system.matrix != build_matrix(k):
+    b = system.moments
+    if system.matrix != build_matrix(b.k):
         raise ValueError("the seed system's matrix is not build_matrix(k)")
-    if not all(isinstance(v, (int, Fraction)) for v in b):
+    if not all(type(v) is int for v in (*b.nums, b.den)):
         raise ModeMismatchError("the seed system's right-hand side is not exact")
-    return DerivativeSeeds(k, tuple(_difference_solve(k, b)))
+    return DerivativeSeeds(b.k, tuple(_difference_solve(b.k, b.nums)), b.den)
 
 
-def _difference_solve(k: int, b: Sequence[Fraction]) -> list:
-    """Exact solve of sum_j (k+m)!/(k+m-j)! s_j = b_m, m = 0..k-1, in O(k^2).
+def _difference_solve(k: int, b: Sequence[int]) -> list:
+    """Integers t_j = j! D s_j for sum_j (k+m)!/(k+m-j)! s_j = b_m / D,
+    m = 0..k-1, from the integer numerators b over D, in O(k^2).
 
-    b_m = f(k+m) for f(x) = sum_j perm(x, j) s_j, and the forward difference
-    of perm(x, j) is j perm(x, j-1).  So d_i = (Delta^i b)_0 =
-    sum_{j >= i} perm(j, i) perm(k, j-i) s_j, an upper triangular system;
-    in t_j = j! s_j it reads t_i = d_i - sum_{j > i} C(k, j-i) t_j.  With b
-    over one denominator D every step is integer arithmetic.
+    f(x) = sum_j perm(x, j) D s_j has f(k+m) = b_m, and the forward
+    difference of perm(x, j) is j perm(x, j-1).  So d_i = (Delta^i b)_0 =
+    sum_{j >= i} perm(j, i) perm(k, j-i) D s_j, an upper triangular system;
+    in t_j it reads t_i = d_i - sum_{j > i} C(k, j-i) t_j, all in integers.
     """
-    d, den = integer_form(b)
+    d = list(b)
     for i in range(1, k):
         # after pass i, d[i] holds the i-th difference at 0
         for m in range(k - 1, i - 1, -1):
@@ -276,7 +281,7 @@ def _difference_solve(k: int, b: Sequence[Fraction]) -> list:
     t = [0] * k
     for i in range(k - 1, -1, -1):
         t[i] = d[i] - sum(binom[j - i] * t[j] for j in range(i + 1, k))
-    return [Fraction(t[i], den * factorial(i)) for i in range(k)]
+    return t
 
 
 @record
@@ -314,12 +319,12 @@ class PolyPlusPower:
 
 
 def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:
-    """sum_j s[j] x^(k-1-j)/(k-1-j)!, the polynomial part of u^(k)/mu, in
-    integers over one denominator: s_j/(k-1-j)! = s_j j! C(k-1, j)/(k-1)!."""
+    """sum_j s_j x^(k-1-j)/(k-1-j)!, the polynomial part of u^(k)/mu, in
+    integers over one denominator: with s_j = t_j/(D j!),
+    s_j/(k-1-j)! = t_j C(k-1, j)/(D (k-1)!)."""
     n = seeds.k - 1
-    nums, den = integer_form(seeds.values)
-    coeffs = [a * factorial(j) * comb(n, j) for j, a in enumerate(nums)]
-    return exact_polynomial(coeffs[::-1], den * factorial(n))
+    coeffs = [t * comb(n, j) for j, t in enumerate(seeds.nums)]
+    return exact_polynomial(coeffs[::-1], seeds.den * factorial(n))
 
 
 def assemble_uk(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
@@ -397,10 +402,12 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     """The exact boundary check, which raises, and the positivity
     certificate.
 
-    u^(j)(1), j < k, is read off the last piece (or the polynomial part) by
-    :func:`derivatives_at_one`, as integers over its denominator; c x^e adds
-    c e(e-1)...(e-j+1), stepped as an integer top over an integer bottom.
-    A Fraction is built only for the message.
+    u^(j)(1) = 0 for j < k exactly when (x - 1)^k divides u's last piece:
+    one :func:`strip_root` at 1 decides it and hands the certificate its
+    quotient and multiplicity.  A failed check, or u = P + c x^e, reads
+    u^(j)(1) by :func:`derivatives_at_one`, as integers over a denominator;
+    c x^e adds c e(e-1)...(e-j+1), stepped as an integer top over an integer
+    bottom.  A Fraction is built only for the message.
 
     A piecewise u is certified by :func:`pp_positive_on_open01`; u = P + c x^e
     by Boggio's theorem, as the clamped Green's function of (-1)^k d^2k/dx^2k
@@ -413,18 +420,20 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     """
     k = spec.k
     piecewise = isinstance(u, PiecewisePolynomial)
-    nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, k)
-    c, e = (Fraction(0), Fraction(0)) if piecewise else (u.term.coefficient, u.term.exponent)
-    top, bottom = c.numerator, c.denominator
-    for j, a in enumerate(nums):
-        residual = a * bottom + top * den
-        if residual:
-            value = Fraction(residual, den * bottom)
-            raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
-        top *= e.numerator - j * e.denominator
-        bottom *= e.denominator
+    last = strip_root(u.pieces[-1], 1) if piecewise else None
+    if not piecewise or last[1] < k:
+        nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, k)
+        c, e = (Fraction(0), Fraction(0)) if piecewise else (u.term.coefficient, u.term.exponent)
+        top, bottom = c.numerator, c.denominator
+        for j, a in enumerate(nums):
+            residual = a * bottom + top * den
+            if residual:
+                value = Fraction(residual, den * bottom)
+                raise BoundaryResidualError(f"u^({j})(1) = {value}, not 0")
+            top *= e.numerator - j * e.denominator
+            bottom *= e.denominator
     if piecewise:
-        certified = pp_positive_on_open01(u)
+        certified = pp_positive_on_open01(u, last)
     else:
         certified = (
             u.term.exponent == 2 * k - spec.rho.alpha
@@ -585,7 +594,7 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
         return _hardy_solution(spec)
 
     b = moments(spec.rho, spec.k)
-    if all(v == 0 for v in b.values):
+    if not any(b.nums):
         raise ZeroWeightError("weight has no mass")
     seeds = solve_seeds(LinearSystem(build_matrix(spec.k), b))
     iterated = iterated_integral(spec.rho, spec.k)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Union
 
 from .polynomials import (
@@ -203,14 +203,20 @@ Weight = Union[
 
 @record
 class MomentVector:
-    """b_m = (-1)^(k+1) * integral (1-t)^(k+m) rho(t) dt for m = 0..k-1."""
+    """b_m = (-1)^(k+1) * integral (1-t)^(k+m) rho(t) dt = nums[m] / den for
+    m = 0..k-1; ``values``, the b_m as Fractions, is built only when read."""
 
     k: int
-    values: tuple
+    nums: tuple
+    den: int
 
     def __post_init__(self):
-        if len(self.values) != self.k:
+        if len(self.nums) != self.k:
             raise ValueError("moment vector length must equal k")
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(b, self.den) for b in self.nums)
 
 
 def beta_product(alpha: Fraction, n: int) -> Fraction:
@@ -314,13 +320,14 @@ def monomial_moments(rho: Weight, lo: int, hi: int) -> tuple:
 
 
 def moments(rho: Weight, k: int) -> MomentVector:
-    """Exact shifted moments driving the right-hand side of the seed system.
+    """Exact shifted moments, in lowest terms, driving the seed system.
 
     With s = 1 - t, integral (1-t)^(k+m) rho(t) dt is the (k+m)-th monomial
     moment of the mirrored weight.  For x^(-alpha), alpha = p/q, it is
     B(1-alpha, n+1) = n! q^(n+1) / prod_{i=1..n+1} (iq - p), n = k+m: over
     D = prod_{i=1..2k} (iq - p) the numerator is n! q^(n+1) times the
-    factors i = n+2..2k, which are stepped from the top.
+    factors i = n+2..2k, which are stepped from the top.  A point mass at
+    a = s/t gives (1 - a)^(k+m) = (t - s)^(k+m) t^(k-1-m) / t^(2k-1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -329,22 +336,24 @@ def moments(rho: Weight, k: int) -> MomentVector:
             "1/x has an infinite zeroth moment; use the closed-form route"
         )
     sign = (-1) ** (k + 1)
-    values = []
     if isinstance(rho, DiracWeight):
-        for m in range(k):
-            values.append(sign * (1 - rho.a) ** (k + m))
+        s, t = rho.a.numerator, rho.a.denominator
+        nums = [sign * (t - s) ** (k + m) * t ** (k - 1 - m) for m in range(k)]
+        den = t ** (2 * k - 1)
     elif isinstance(rho, PowerWeight):
         p, q = rho.alpha.numerator, rho.alpha.denominator
         den = prod(i * q - p for i in range(1, 2 * k + 1))
+        nums = []
         tail = sign
         for n in range(2 * k - 1, k - 1, -1):
-            values.append(Fraction(factorial(n) * q ** (n + 1) * tail, den))
+            nums.append(factorial(n) * q ** (n + 1) * tail)
             tail *= (n + 1) * q - p
-        values.reverse()
+        nums.reverse()
     else:
         totals, den = _piecewise_moments(*_mirror(as_piecewise(rho)), k, 2 * k - 1)
-        values = [Fraction(sign * t, den) for t in totals]
-    return MomentVector(k, tuple(values))
+        nums = [sign * c for c in totals]
+    common = gcd(den, *nums)
+    return MomentVector(k, tuple(c // common for c in nums), den // common)
 
 
 @record

@@ -145,8 +145,8 @@ def test_minimizer_csv_matches_fraction_evaluation(capsys):
                 assert out == "\n".join(lines) + "\n", (weight, k, n)
 
 
-# dirac:1/1000 at k = 40 is left out: its mu overflows a float, so float
-# mode exits 3 there
+# dirac:1/1000 at k = 40 included: its mu overflows a float, which the
+# minimizer never prints
 @pytest.mark.parametrize(
     "weight, k",
     [
@@ -160,7 +160,6 @@ def test_minimizer_csv_matches_fraction_evaluation(capsys):
             "dirac:1/1000",
         )
         for k in (1, 6, 24, 40)
-        if (weight, k) != ("dirac:1/1000", 40)
     ],
 )
 def test_float_mode_minimizer_prints_what_exact_mode_prints(capsys, weight, k):

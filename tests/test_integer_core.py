@@ -267,10 +267,12 @@ def _reference_strip_root(values, c):
 
 
 def test_strip_root_equals_fraction_synthetic_division():
-    # c = 0 takes its own path: counting the leading zero numerators
+    # c = 0 and c = 1 take their own paths: counting the leading zero
+    # numerators, and running sums; other integers c divide by t = 1
     rng = random.Random(130004)
     for _ in range(150):
-        c = rng.choice([F(0), F(1), random_point(rng), F(rng.randint(1, LONG - 1), LONG)])
+        c = rng.choice([F(0), F(1), F(rng.choice([-2, 3])), random_point(rng),
+                        F(rng.randint(1, LONG - 1), LONG)])
         values = random_values(rng, 12)
         root_power = [F(1)]
         for _ in range(rng.randint(0, 4)):

@@ -317,9 +317,10 @@ def test_fd_factor_entries_are_the_rounded_exact_ldl():
         for n in range(1, 61):
             d, l1, l2 = _fraction_stencil_ldl(k, n)
             factor = oracles._fd_factor(k, n)
-            assert factor.d == [float(x) for x in d], (k, n)
-            assert factor.l1 == [float(x) for x in l1] + [0.0, 0.0], (k, n)
-            assert factor.l2 == [float(x) for x in l2] + [0.0, 0.0], (k, n)
+            assert factor.d == tuple(float(x) for x in d), (k, n)
+            assert factor.l1 == (*map(float, l1), 0.0, 0.0), (k, n)
+            assert factor.l2 == (*map(float, l2), 0.0, 0.0), (k, n)
+            assert oracles._fd_factor(k, n) is factor  # built once per (k, n)
 
 
 def test_sign_iteration_k2_is_accurate_on_a_fine_grid():

@@ -37,7 +37,7 @@ from sobolev1d.weights import (
 
 PW = PiecewisePolynomial([F(0), F(1, 2), F(1)], [Polynomial([1]), Polynomial([2])])
 PW_NEGATIVE = PiecewisePolynomial([F(0), F(1, 2), F(1)], [Polynomial([1]), Polynomial([-1])])
-MOMENTS = MomentVector(2, (F(1, 3), F(1, 4)))
+MOMENTS = MomentVector(2, (4, 3), 12)
 
 # class, field names in order, two unequal argument tuples, defaults
 # (field -> value), and arguments __post_init__ rejects (with the error)
@@ -51,15 +51,15 @@ CASES = [
     (DiracWeight, ("a",), (F(1, 3),), (F(1, 2),), {}, ((F(1),), WeightDomainError)),
     (PowerWeight, ("alpha",), (F(1, 2),), (F(0),), {}, ((F(1),), WeightDomainError)),
     (HardyWeight, ("order",), (1,), None, {}, ((2,), WeightDomainError)),
-    (MomentVector, ("k", "values"), (2, (F(1), F(2))), (1, (F(1),)), {},
-     ((2, (F(1),)), ValueError)),
+    (MomentVector, ("k", "nums", "den"), (2, (1, 2), 1), (1, (1,), 1), {},
+     ((2, (1,), 1), ValueError)),
     (PowerLawTerm, ("coefficient", "exponent"), (F(1, 2), F(3, 2)), (F(1), F(3, 2)), {},
      None),
     (ProblemSpec, ("k", "rho", "mode"), (2, DiracWeight(F(1, 3))), (1, DiracWeight(F(1, 3))),
      {"mode": EXACT}, ((0, DiracWeight(F(1, 3))), ValueError)),
     (LinearSystem, ("matrix", "moments"), (build_matrix(2), MOMENTS),
-     (build_matrix(2), MomentVector(2, (F(1), F(0)))), {}, None),
-    (DerivativeSeeds, ("k", "values"), (2, (F(1), F(2))), (2, (F(1), F(3))), {}, None),
+     (build_matrix(2), MomentVector(2, (1, 0), 1)), {}, None),
+    (DerivativeSeeds, ("k", "nums", "den"), (2, (1, 2), 1), (2, (1, 3), 1), {}, None),
     (SolveDiagnostics,
      ("boundary_residual", "normalization_residual", "min_interior_value",
       "positivity_certified", "closed_form_mu_checked", "pointload_candidate_deviation"),

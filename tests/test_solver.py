@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import frac_solve, random_fraction
+from test_polynomials import power, random_certificate_input, sturm_reference
 from sobolev1d.closed_forms import (
     HardyExtremizer,
     dirac_mu,
@@ -18,6 +19,7 @@ from sobolev1d.polynomials import (
     PiecewisePolynomial,
     Polynomial,
     from_polynomial,
+    integer_form,
     integrate_product,
     kth_derivative,
     pp_equal,
@@ -146,7 +148,8 @@ def test_difference_solve_matches_gaussian_elimination():
     for k in range(1, 41):
         A = build_matrix(k)
         b = [random_fraction(rng, den_max=40) for _ in range(k)]
-        s = solve_seeds(LinearSystem(A, MomentVector(k, tuple(b)))).values
+        nums, den = integer_form(b)
+        s = solve_seeds(LinearSystem(A, MomentVector(k, tuple(nums), den))).values
         assert all(type(v) is F for v in s)
         assert [sum(a * v for a, v in zip(row, s)) for row in A] == b, k
         if k <= 16:
@@ -155,15 +158,18 @@ def test_difference_solve_matches_gaussian_elimination():
 
 def test_solve_seeds_rejects_float_and_foreign_systems():
     # a float right-hand side is not exact
-    b = MomentVector(3, (0.25, -1.5, 2.0))
+    b = MomentVector(3, (0.25, -1.5, 2.0), 1)
     with pytest.raises(ModeMismatchError, match="not exact"):
         solve_seeds(LinearSystem(build_matrix(3), b))
+    # so is a float denominator
+    with pytest.raises(ModeMismatchError, match="not exact"):
+        solve_seeds(LinearSystem(build_matrix(3), MomentVector(3, (1, -6, 8), 4.0)))
     # a float copy of A(k) is A(k) entry for entry, so only b decides
     A = tuple(tuple(float(x) for x in row) for row in build_matrix(3))
     with pytest.raises(ModeMismatchError):
         solve_seeds(LinearSystem(A, b))
     # an exact matrix other than A(k) is not the seed system
-    exact = MomentVector(2, (F(1), F(1)))
+    exact = MomentVector(2, (1, 1), 1)
     for M in (((F(2), F(0)), (F(1), F(1))), build_matrix(3), ((1, 2),)):
         with pytest.raises(ValueError, match="not build_matrix"):
             solve_seeds(LinearSystem(M, exact))
@@ -247,7 +253,10 @@ def test_seed_polynomial_equals_the_fraction_sum():
     rng = random.Random(170)
     for k in (1, 2, 3, 6, 12, 24):
         values = tuple(random_fraction(rng, -9, 9, 40) for _ in range(k))
-        got = _seed_polynomial(DerivativeSeeds(k, values))
+        nums, den = integer_form(values)
+        seeds = DerivativeSeeds(k, tuple(a * math.factorial(j) for j, a in enumerate(nums)), den)
+        assert seeds.values == values
+        got = _seed_polynomial(seeds)
         expected = [F(0)] * k
         for j, s in enumerate(values):
             expected[k - 1 - j] = s / math.factorial(k - 1 - j)
@@ -646,13 +655,21 @@ def _exact_power_extremizer(k, alpha):
 
 
 def test_a_nonzero_boundary_derivative_at_one_raises():
+    # a 2-piece pw u beside the power weight's u, then a 3-piece chi and a
+    # 2-piece dirac u up to k = 24; the message names the lowest j with
+    # u^(j)(1) != 0 and its exact value
     rng = random.Random(2718)
-    for k in (1, 2, 3, 6):
-        spec = ProblemSpec(k, parse_weight("pw:[0,1/3]=1;[1/3,1]=x"))
+    cases = [("pw:[0,1/3]=1;[1/3,1]=x", 2, k) for k in (1, 2, 3, 6)]
+    cases += [(w, n, k) for w, n in (("chi:1/4,3/4", 3), ("dirac:2/7", 2)) for k in (1, 6, 24)]
+    for weight, pieces, k in cases:
+        spec = ProblemSpec(k, parse_weight(weight))
         u = solve(spec).u
-        power_spec, power_u = _exact_power_extremizer(k, "1/2")
-        _diagnostics(spec, u)
-        _diagnostics(power_spec, power_u)
+        assert len(u.pieces) == pieces
+        assert _diagnostics(spec, u).positivity_certified
+        with_power = weight.startswith("pw")
+        if with_power:
+            power_spec, power_u = _exact_power_extremizer(k, "1/2")
+            _diagnostics(power_spec, power_u)
         for j in range(k):
             # c (x - 1)^j changes u^(j)(1) by c j! and no lower derivative
             bump = Polynomial([1])
@@ -665,9 +682,87 @@ def test_a_nonzero_boundary_derivative_at_one_raises():
             bad = PiecewisePolynomial(u.breakpoints, [*u.pieces[:-1], u.pieces[-1] + bump])
             with pytest.raises(BoundaryResidualError, match=f"^{message}$"):
                 _diagnostics(spec, bad)
-            bad_power = PolyPlusPower(power_u.poly + bump, power_u.term)
-            with pytest.raises(BoundaryResidualError, match=f"^{message}$"):
-                _diagnostics(power_spec, bad_power)
+            if with_power:
+                bad_power = PolyPlusPower(power_u.poly + bump, power_u.term)
+                with pytest.raises(BoundaryResidualError, match=f"^{message}$"):
+                    _diagnostics(power_spec, bad_power)
+
+
+def test_a_root_at_one_past_order_k_passes_and_is_certified():
+    # (x - 1)^m with m > k: the boundary check passes, and the certificate
+    # takes the stripped last piece as it is, with the sign of (x - 1)^m
+    rng = random.Random(5150)
+    for k in (1, 2, 6):
+        spec = ProblemSpec(k, parse_weight("poly:1"))
+        for extra in (1, 2, 3):
+            m = k + extra
+            last = power(Polynomial([1, -1]), m).scale(rng.choice([1, -1]))
+            for cuts in ((F(0), F(1)), (F(0), F(1, 3), F(1))):
+                first = [power(Polynomial([0, 1]), k)] if len(cuts) > 2 else []
+                pp = PiecewisePolynomial(cuts, [*first, last])
+                certified = _diagnostics(spec, pp).positivity_certified
+                assert certified == sturm_reference(pp), (k, m, cuts)
+                assert certified == (last(F(1, 2)) > 0), (k, m, cuts)
+
+
+def test_certificate_after_the_boundary_check_matches_sturm():
+    # seeded pieces, some vanishing at an interior breakpoint, with a last
+    # piece that (x - 1)^k divides, through the boundary check and the
+    # certificate it hands the stripped last piece to
+    rng = random.Random(24601)
+    verdicts, vanishing = set(), 0
+    for trial in range(60):
+        k = rng.choice([1, 2, 6])
+        cuts = sorted({F(0), F(1), *(F(rng.randint(1, 15), 16) for _ in range(3))})
+        pieces = [random_certificate_input(rng)[0] for _ in cuts[1:]]
+        if len(cuts) > 2 and rng.random() < 0.5:
+            i = rng.randrange(1, len(cuts) - 1)
+            j = rng.choice([i - 1, i])  # the piece left or right of cuts[i]
+            pieces[j] = pieces[j] * power(Polynomial([-cuts[i], 1]), rng.randint(1, 2))
+            vanishing += 1
+        pieces[-1] = pieces[-1] * power(Polynomial([1, -1]), k)
+        pp = PiecewisePolynomial(cuts, pieces)
+        diags = _diagnostics(ProblemSpec(k, parse_weight("poly:1")), pp)
+        expected = sturm_reference(pp)
+        assert diags.positivity_certified == expected, (trial, pp.pieces)
+        verdicts.add(expected)
+    assert verdicts == {True, False} and vanishing >= 10
+
+
+@pytest.mark.parametrize("k", [1, 6, 24])
+@pytest.mark.parametrize(
+    "weight",
+    ["poly:1 + x^2", "pw:[0,1/3]=x^2;[1/3,2/3]=1/5;[2/3,1]=1-x", "chi:1/4,3/4", "dirac:2/7"],
+)
+def test_a_solve_divides_its_last_piece_at_one_once(monkeypatch, weight, k):
+    # the boundary check and the certificate share one strip_root at 1; the
+    # falling-factorial sums run only to word a failure, and the seeds stay
+    # integers
+    from sobolev1d import polynomials, solver
+
+    spec = ProblemSpec(k, parse_weight(weight))  # parsing strips weight roots
+    calls = {"derivatives_at_one": 0, "strip_root at 1": 0, "seeds.values": 0}
+    strip, seed_values = polynomials.strip_root, DerivativeSeeds.values
+
+    def counted_strip(p, c):
+        calls["strip_root at 1"] += c == 1
+        return strip(p, c)
+
+    def counted_derivatives(p, count):
+        calls["derivatives_at_one"] += 1
+        return polynomials.derivatives_at_one(p, count)
+
+    def counted_values(seeds):
+        calls["seeds.values"] += 1
+        return seed_values.fget(seeds)
+
+    monkeypatch.setattr(polynomials, "strip_root", counted_strip)
+    monkeypatch.setattr(solver, "strip_root", counted_strip)
+    monkeypatch.setattr(solver, "derivatives_at_one", counted_derivatives)
+    monkeypatch.setattr(DerivativeSeeds, "values", property(counted_values))
+    solution = solve(spec)
+    assert solution.diagnostics.positivity_certified
+    assert calls == {"derivatives_at_one": 0, "strip_root at 1": 1, "seeds.values": 0}
 
 
 def test_normalization_exact():
