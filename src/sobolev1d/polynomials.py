@@ -326,29 +326,21 @@ def _add_taylor_correction(nums, den, prev, a: Fraction, m: int):
     """nums/den plus the degree < m Taylor polynomial at a of prev - nums/den.
 
     With G = prev - nums/den over L of degree n and a = s/t, the integer
-    polynomial t^n L G((s + y)/t) is a Taylor shift by s; its coefficients
-    h_r below y^m give G's Taylor part as sum h_r (t x - s)^r / (t^n L),
+    polynomial t^n L G((s + y)/t) is a Taylor shift by s, of which only the
+    m passes that settle h_0..h_(m-1) run; those coefficients below y^m
+    give G's Taylor part as sum h_r (t x - s)^r / (t^n L),
     and a shift of h_0..h_(m-1) by -s gives its x^r coefficient e_r over
     t^(n-r) L.  The sum is reduced by the gcd of all its integers.
     """
-    prev_nums, prev_den = prev
-    big = lcm(den, prev_den)
-    fp, fq = big // prev_den, big // den
-    size = max(len(nums), len(prev_nums))
-    g = [0] * size
-    for i, c in enumerate(prev_nums):
-        g[i] = c * fp
-    for i, c in enumerate(nums):
-        g[i] -= c * fq
-    while g and g[-1] == 0:
-        g.pop()
+    g, big = integer_difference(prev, (nums, den))
     if not g:
         return nums, den
+    fq = big // den
     n = len(g) - 1
     s, t = a.numerator, a.denominator
     t_pow = [t**i for i in range(n + 1)]
     h = [c * t_pow[n - i] for i, c in enumerate(g)]
-    taylor_shift(h, s)
+    taylor_shift(h, s, m)
     e = h[:m]
     taylor_shift(e, -s)
     out = [c * fq * t_pow[n] for c in nums] + [0] * (len(e) - len(nums))
@@ -357,6 +349,22 @@ def _add_taylor_correction(nums, den, prev, a: Fraction, m: int):
     out_den = big * t_pow[n]
     common = gcd(out_den, *out)
     return [c // common for c in out], out_den // common
+
+
+def integer_difference(a: tuple, b: tuple) -> tuple[list[int], int]:
+    """a - b for polynomials given as (numerators, denominator), as integer
+    numerators, with no trailing zero, over the lcm of the denominators."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    big = lcm(a_den, b_den)
+    fa, fb = big // a_den, big // b_den
+    g = [0] * max(len(a_nums), len(b_nums))
+    for i, c in enumerate(a_nums):
+        g[i] = c * fa
+    for i, c in enumerate(b_nums):
+        g[i] -= c * fb
+    while g and g[-1] == 0:
+        g.pop()
+    return g, big
 
 
 def integer_form(values: Sequence) -> tuple[list[int], int]:
@@ -574,12 +582,16 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 BERNSTEIN_MAX_BOXES = 64
 
 
-def taylor_shift(c: list[int], s: int) -> None:
-    """Turn the coefficients of p(x) into those of p(x + s), in place."""
+def taylor_shift(c: list[int], s: int, settle: int | None = None) -> None:
+    """Turn the coefficients of p(x) into those of p(x + s), in place.
+
+    Pass i of the shift fixes c[i] for good, so with ``settle`` = m only
+    the first m passes run: c[:m] are those of p(x + s), the rest partial.
+    """
     if not s:
         return
     n = len(c)
-    for i in range(n - 1):
+    for i in range(n - 1 if settle is None else min(n - 1, settle)):
         for j in range(n - 2, i - 1, -1):
             c[j] += s * c[j + 1]
 
@@ -810,21 +822,22 @@ def pp_equal(f: PiecewisePolynomial, g: PiecewisePolynomial) -> bool:
     return all(p == q for p, q in pairs)
 
 
-def pp_positive_on_open01(pp: PiecewisePolynomial, last: tuple | None = None) -> bool:
-    """Certified u > 0 on (0, 1) for an exact piecewise polynomial.
+def pp_positive_on_open01(pp: PiecewisePolynomial) -> bool:
+    """Certified u > 0 on (0, 1) for an exact piecewise polynomial: the
+    maximum-principle oracle's certificate (a solve's extremizer is
+    certified by Boggio's theorem instead, in ``solver``).
 
     Bernstein certificate with Sturm fallback: each piece, with its endpoint
     roots divided out, is tested in Bernstein form under de Casteljau
     subdivision; a piece that exhausts the box budget is settled by
     :func:`is_positive_on_open`.  A root at an interior breakpoint refutes;
     else a piece positive inside is positive there, so no value is read.
-    ``last`` may give ``strip_root(pp.pieces[-1], 1)``, already computed.
     """
     cuts, pieces = pp.breakpoints, pp.pieces
     n = len(pieces)
     for i, p in enumerate(pieces):
         lo, hi = cuts[i], cuts[i + 1]
-        q, m_hi = last if last is not None and i == n - 1 else strip_root(p, hi)
+        q, m_hi = strip_root(p, hi)
         q, m_lo = strip_root(q, lo)
         if (m_lo and i > 0) or (m_hi and i < n - 1):
             return False

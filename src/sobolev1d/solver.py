@@ -20,7 +20,8 @@ functional of w; then u = mu w and Lambda = mu^(-1/2).  The normalization
 integral u rho = 1 holds by construction (normalization_residual is 0).
 mu is checked by the exact boundary check u^(j)(1) = 0, j < k, which
 raises, by the exact closed-form cross-check, and in the tests by the
-energy identity integral (u^(k))^2 = mu.
+energy identity integral (u^(k))^2 = mu.  u > 0 on (0, 1) is certified by
+Boggio's theorem, whose hypotheses are checked on u's integer numerators.
 
 Every stage is exact rational arithmetic.  A piecewise-polynomial weight
 (point masses included) gives a piecewise-polynomial u; x^(-alpha) with
@@ -49,6 +50,7 @@ from .polynomials import (
     derivatives_at_one,
     exact_polynomial,
     from_polynomial,
+    integer_difference,
     kfold_antiderivative,
     kth_derivative,
     pp_equal,
@@ -56,7 +58,9 @@ from .polynomials import (
     pp_integrate_product,
     # uncalled, but perfbench/tracing.py patches this name to time the grid scan
     pp_min_on_grid,  # noqa: F401
-    pp_positive_on_open01,
+    # uncalled (extremizers are certified by Boggio's theorem), but
+    # perfbench/tracing.py patches this name to time the certificate
+    pp_positive_on_open01,  # noqa: F401
     strip_root,
 )
 from .scalars import EXACT, FLOAT, ModeMismatchError, Scalar, format_rational, record
@@ -403,25 +407,26 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
     certificate.
 
     u^(j)(1) = 0 for j < k exactly when (x - 1)^k divides u's last piece:
-    one :func:`strip_root` at 1 decides it and hands the certificate its
-    quotient and multiplicity.  A failed check, or u = P + c x^e, reads
-    u^(j)(1) by :func:`derivatives_at_one`, as integers over a denominator;
-    c x^e adds c e(e-1)...(e-j+1), stepped as an integer top over an integer
-    bottom.  A Fraction is built only for the message.
+    one :func:`strip_root` at 1 decides it.  A failed check, or
+    u = P + c x^e, reads u^(j)(1) by :func:`derivatives_at_one`, as integers
+    over a denominator; c x^e adds c e(e-1)...(e-j+1), stepped as an
+    integer top over an integer bottom.  A Fraction is built only for the
+    message.
 
-    A piecewise u is certified by :func:`pp_positive_on_open01`; u = P + c x^e
-    by Boggio's theorem, as the clamped Green's function of (-1)^k d^2k/dx^2k
-    is positive on (0, 1)^2 (Gazzola, Grunau & Sweers, LNM 1991, section
-    2.6).  Its hypotheses are checked exactly: e = 2k - alpha makes every
-    factor of e(e-1)...(e-2k+1) positive, deg P < 2k and (-1)^k c > 0, so
-    (-1)^k u^(2k) is a positive multiple of x^(-alpha); P's coefficients
-    below x^k vanish, so u^(j)(0) = 0 for j < k (x^e adds nothing there);
-    and the boundary check gives u^(j)(1) = 0.
+    Positivity is certified by Boggio's theorem: the clamped Green's
+    function G_k of (-1)^k d^2k/dx^2k is positive on (0, 1)^2 (Gazzola,
+    Grunau & Sweers, LNM 1991, section 2.6), so u = lambda integral
+    G_k(., y) rho(y) dy > 0 for lambda > 0 and rho >= 0, rho not 0, which
+    every Weight certifies when it is built.  u is that integral when
+    u^(j)(0) = u^(j)(1) = 0 for j < k and (-1)^k u^(2k) = lambda rho,
+    checked exactly.  For u = P + c x^e: e = 2k - alpha makes every factor
+    of e(e-1)...(e-2k+1) positive, deg P < 2k and (-1)^k c > 0, and P has
+    no term below x^k (x^e adds nothing to u^(j)(0)); a piecewise u goes
+    to :func:`_boggio_piecewise`.
     """
     k = spec.k
     piecewise = isinstance(u, PiecewisePolynomial)
-    last = strip_root(u.pieces[-1], 1) if piecewise else None
-    if not piecewise or last[1] < k:
+    if not piecewise or strip_root(u.pieces[-1], 1)[1] < k:
         nums, den = derivatives_at_one(u.pieces[-1] if piecewise else u.poly, k)
         c, e = (Fraction(0), Fraction(0)) if piecewise else (u.term.coefficient, u.term.exponent)
         top, bottom = c.numerator, c.denominator
@@ -433,7 +438,7 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
             top *= e.numerator - j * e.denominator
             bottom *= e.denominator
     if piecewise:
-        certified = pp_positive_on_open01(u, last)
+        certified = _boggio_piecewise(u, spec.rho, k)
     else:
         certified = (
             u.term.exponent == 2 * k - spec.rho.alpha
@@ -442,6 +447,92 @@ def _diagnostics(spec: ProblemSpec, u) -> SolveDiagnostics:
             and (-1) ** k * u.term.coefficient > 0
         )
     return SolveDiagnostics(positivity_certified=certified)
+
+
+def _boggio_piecewise(u: PiecewisePolynomial, rho: Weight, k: int) -> bool:
+    """Boggio's hypotheses, bar the boundary check at 1, for a piecewise u
+    and a piecewise-polynomial or point-mass rho, on u's integer numerators.
+
+    (H1) u^(j)(0) = 0 for j < k: the first piece has no term below x^k.
+    (H3) u's breakpoints are rho's, and on each piece (-1)^k u^(2k) =
+    lambda rho with one lambda > 0: with u = N/D and rho = R/E there, the
+    x^j numerator of u^(2k) is N_(j+2k) (j+2k)!/j!, and these are
+    proportional to R; lambda is read off the top coefficients and compared
+    across pieces by cross-multiplication.  A piece where rho is 0, and
+    every piece for a point mass, has degree < 2k.
+    (H4) at each interior breakpoint a = s/t, (t x - s)^2k divides the jump
+    u_right - u_left, so u^(j) is continuous for j < 2k; for a point mass
+    at a the jump is c (x - a)^(2k-1) with (-1)^k c > 0, so u^(2k-1)
+    jumps by (-1)^k lambda, lambda > 0.
+    """
+    two_k, sign = 2 * k, (-1) ** k
+    if isinstance(rho, DiracWeight):
+        loads, cuts = None, (0, rho.a, 1)
+    else:
+        load = as_piecewise(rho)
+        loads, cuts = load.pieces, load.breakpoints
+    if u.breakpoints != cuts:
+        return False
+    pieces = [(p.nums, p.den) for p in u.pieces]
+    if any(pieces[0][0][:k]):
+        return False
+    if loads is None:
+        if any(len(nums) > two_k for nums, _ in pieces):
+            return False
+    else:
+        lam = None  # (P, Q) with lambda = P/Q
+        for (nums, den), load_piece in zip(pieces, loads):
+            r, top = load_piece.nums, nums[two_k:]
+            if len(top) != len(r):
+                return False
+            if not r:
+                continue
+            scaled = [c * perm(j + two_k, two_k) for j, c in enumerate(top)]
+            if any(a * r[-1] != scaled[-1] * b for a, b in zip(scaled, r)):
+                return False
+            ratio = sign * scaled[-1] * load_piece.den, den * r[-1]
+            if ratio[0] * ratio[1] <= 0 or (lam and ratio[0] * lam[1] != lam[0] * ratio[1]):
+                return False
+            lam = ratio
+        if lam is None:
+            return False
+    for a, left, right in zip(cuts[1:], pieces, pieces[1:]):
+        jump, _ = integer_difference(right, left)
+        if loads is None:
+            quotient = _power_quotient(jump, a, two_k - 1)
+            if quotient is None or len(quotient) != 1 or sign * quotient[0] <= 0:
+                return False
+        elif _power_quotient(jump, a, two_k) is None:
+            return False
+    return True
+
+
+def _power_quotient(g: list, a: Fraction, m: int) -> Optional[list]:
+    """The quotient of the integer polynomial g by (t x - s)^m, a = s/t, or
+    None when that power does not divide g.
+
+    t x - s is primitive, so a quotient is integral (Gauss's lemma): long
+    division from the top stops at the first coefficient that t^m does not
+    divide, and the remainder must vanish.  With (H3), a jump of u has a
+    quotient of degree at most deg rho, so this is O(k deg rho) products.
+    """
+    if not g:
+        return []
+    n = len(g) - 1 - m
+    if n < 0:
+        return None
+    s, t = a.numerator, a.denominator
+    divisor = [comb(m, r) * t**r * (-s) ** (m - r) for r in range(m + 1)]
+    rem = list(g)
+    quotient = [0] * (n + 1)
+    for i in range(n, -1, -1):
+        q, r = divmod(rem[i + m], divisor[-1])
+        if r:
+            return None
+        quotient[i] = q
+        for j, d in enumerate(divisor):
+            rem[i + j] -= q * d
+    return None if any(rem[:m]) else quotient
 
 
 # ---------------------------------------------------------------------------

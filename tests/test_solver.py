@@ -25,6 +25,8 @@ from sobolev1d.polynomials import (
     pp_equal,
     pp_integrate_product,
     pp_mul,
+    poly_divmod,
+    pp_positive_on_open01,
 )
 from sobolev1d.quadrature import quad_numeric
 from sobolev1d.scalars import EXACT, FLOAT, ModeMismatchError
@@ -40,6 +42,7 @@ from sobolev1d.solver import (
     _assemble_w,
     _check_vandermonde_structure,
     _diagnostics,
+    _power_quotient,
     _seed_polynomial,
     assemble_u,
     assemble_uk,
@@ -688,9 +691,9 @@ def test_a_nonzero_boundary_derivative_at_one_raises():
                     _diagnostics(power_spec, bad_power)
 
 
-def test_a_root_at_one_past_order_k_passes_and_is_certified():
-    # (x - 1)^m with m > k: the boundary check passes, and the certificate
-    # takes the stripped last piece as it is, with the sign of (x - 1)^m
+def test_a_root_at_one_past_order_k_passes_the_boundary_check():
+    # (x - 1)^m with m > k: the boundary check passes, and no
+    # BoundaryResidualError is raised
     rng = random.Random(5150)
     for k in (1, 2, 6):
         spec = ProblemSpec(k, parse_weight("poly:1"))
@@ -699,16 +702,13 @@ def test_a_root_at_one_past_order_k_passes_and_is_certified():
             last = power(Polynomial([1, -1]), m).scale(rng.choice([1, -1]))
             for cuts in ((F(0), F(1)), (F(0), F(1, 3), F(1))):
                 first = [power(Polynomial([0, 1]), k)] if len(cuts) > 2 else []
-                pp = PiecewisePolynomial(cuts, [*first, last])
-                certified = _diagnostics(spec, pp).positivity_certified
-                assert certified == sturm_reference(pp), (k, m, cuts)
-                assert certified == (last(F(1, 2)) > 0), (k, m, cuts)
+                _diagnostics(spec, PiecewisePolynomial(cuts, [*first, last]))
 
 
 def test_certificate_after_the_boundary_check_matches_sturm():
     # seeded pieces, some vanishing at an interior breakpoint, with a last
-    # piece that (x - 1)^k divides, through the boundary check and the
-    # certificate it hands the stripped last piece to
+    # piece that (x - 1)^k divides, through the maximum principle's
+    # certificate
     rng = random.Random(24601)
     verdicts, vanishing = set(), 0
     for trial in range(60):
@@ -722,9 +722,8 @@ def test_certificate_after_the_boundary_check_matches_sturm():
             vanishing += 1
         pieces[-1] = pieces[-1] * power(Polynomial([1, -1]), k)
         pp = PiecewisePolynomial(cuts, pieces)
-        diags = _diagnostics(ProblemSpec(k, parse_weight("poly:1")), pp)
         expected = sturm_reference(pp)
-        assert diags.positivity_certified == expected, (trial, pp.pieces)
+        assert pp_positive_on_open01(pp) == expected, (trial, pp.pieces)
         verdicts.add(expected)
     assert verdicts == {True, False} and vanishing >= 10
 
@@ -996,6 +995,162 @@ def test_boggio_certificate_refuses_each_broken_hypothesis():
         # (d) the sign of (-1)^k c
         assert _diagnostics(spec, u.scale(-1)).positivity_certified is False
         assert _diagnostics(spec, u.scale(F(1, 7))).positivity_certified is True
+
+
+PIECEWISE_KINDS = (
+    "poly:1 + x^2",
+    "pw:[0,1/3]=x^2;[1/3,2/3]=1/5;[2/3,1]=1-x",
+    "pw:[0,1/2]=1;[1/2,1]=2",
+    "chi:1/4,3/4",
+    "dirac:2/7",
+)
+
+
+def test_piecewise_boggio_certificate_refuses_each_broken_hypothesis():
+    # every bump carries (x - 1)^k, so each tampered u still passes the exact
+    # boundary check at 1 and only the broken hypothesis can refuse it
+    for k in (1, 2, 3, 6):
+        specs = [ProblemSpec(k, parse_weight(text)) for text in PIECEWISE_KINDS]
+        for spec in specs:
+            u = solve(spec).u
+
+            def certified(candidate, spec=spec):
+                return _diagnostics(spec, candidate).positivity_certified
+
+            def everywhere(bump, u=u):
+                return u.map_pieces(lambda p: p + bump)
+
+            assert certified(u) is True
+            for t in (F(1, 10**6), F(-1, 3)):
+                # (H1) u^(j)(0) = 0: a bump x^j (x - 1)^k of degree < 2k
+                for j in range(k):
+                    bad = everywhere(_vanishing_at_one(k, j, j + k).scale(t))
+                    assert certified(bad) is False, (spec, j, t)
+                # (H3) (-1)^k u^(2k) = lambda rho: a bump x^k (x - 1)^k of
+                # degree 2k, or higher, leaves H1 and H4 as they are
+                for degree in (2 * k, 2 * k + 1, 3 * k):
+                    bad = everywhere(_vanishing_at_one(k, k, degree).scale(t))
+                    assert certified(bad) is False, (spec, degree, t)
+                # (H4) no jump below u^(2k-1) at a breakpoint, and the point
+                # mass's jump: (x - a)^j (x - 1)^k right of a, of degree < 2k
+                cuts = u.breakpoints
+                for i in range(1, len(cuts) - 1):
+                    for j in range(k):
+                        bump = power(Polynomial([-cuts[i], 1]), j) * power(
+                            Polynomial([-1, 1]), k
+                        )
+                        pieces = [*u.pieces[:i], *(p + bump.scale(t) for p in u.pieces[i:])]
+                        bad = PiecewisePolynomial(cuts, pieces)
+                        assert certified(bad) is False, (spec, i, j, t)
+                    # a point mass's u at a breakpoint of a function weight
+                    # jumps only in u^(2k-1)
+                    if not isinstance(spec.rho, DiracWeight):
+                        green = solve(ProblemSpec(k, DiracWeight(cuts[i]))).u
+                        pieces = [
+                            p + green.pieces[green.piece_index((a + b) / 2)].scale(t)
+                            for a, b, p in zip(cuts, cuts[1:], u.pieces)
+                        ]
+                        bad = PiecewisePolynomial(cuts, pieces)
+                        assert certified(bad) is False, (spec, i, t)
+            # (H3) u's breakpoints are rho's: u split at 1/2, where it is
+            # left as it is, and lowered right of it by a multiple of
+            # (x - 1)^2k that makes it negative at 1/2
+            if len(u.pieces) == 1:
+                (p,) = u.pieces
+                drop = power(Polynomial([-1, 1]), 2 * k).scale(-2 * p(F(1, 2)) * 4**k)
+                bad = PiecewisePolynomial([F(0), F(1, 2), F(1)], [p, p + drop])
+                assert bad(F(1, 2)) < 0
+                assert certified(bad) is False, spec
+            # lambda > 0
+            assert certified(u.scale(-1)) is False
+            assert certified(u.scale(F(1, 7))) is True
+        # rho is not 0: u = 0 meets every other hypothesis for rho = 0
+        zero = Polynomial([])
+        diags = _diagnostics(ProblemSpec(k, PolyWeight(zero)), from_polynomial(zero))
+        assert diags.positivity_certified is False
+
+
+def test_power_quotient_matches_fraction_division():
+    # integer numerators g against (t x - s)^m: the quotient when the power
+    # divides g, else None, as Fraction long division decides; x^m itself
+    # is no multiple, though every coefficient below x^m vanishes
+    rng = random.Random(2525)
+    for _ in range(300):
+        a = F(rng.randint(1, 12), rng.randint(2, 13))
+        s, t = a.numerator, a.denominator
+        m = rng.randint(1, 9)
+        power_ = power(Polynomial([-s, t]), m)
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-2, 1, 5])]
+        g = list((Polynomial(q) * power_).nums)
+        if rng.random() < 0.5:
+            g[rng.randrange(len(g))] += rng.choice([-1, 1])
+        while g and g[-1] == 0:
+            g.pop()
+        quotient, remainder = poly_divmod(Polynomial(g), power_)
+        expected = list(quotient.coeffs) if remainder.is_zero() else None
+        assert _power_quotient(g, a, m) == expected, (g, a, m)
+        assert _power_quotient([0] * m + [1], a, m) is None
+
+
+def _random_piecewise_weight(rng, kind):
+    """A seeded weight of one kind, with small denominators."""
+    cuts = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
+
+    def nonnegative():
+        p = Polynomial([F(rng.randint(1, 9), rng.randint(1, 5))])
+        for _ in range(rng.randint(0, 2)):
+            p = p * Polynomial([1, F(rng.randint(-4, 9), 5)])  # 1 + c x, c > -1
+        return p.scale(rng.choice([1, F(1, 3)])) if rng.random() < 0.8 else Polynomial([])
+
+    if kind == "poly":
+        return PolyWeight(nonnegative() + Polynomial([F(1, rng.randint(1, 4))]))
+    if kind == "pw":
+        inner = sorted(rng.sample(cuts, rng.randint(1, 2)))
+        bounds = [F(0), *inner, F(1)]
+        pieces = [nonnegative() for _ in inner] + [Polynomial([1])]
+        rng.shuffle(pieces)
+        return PiecewiseWeight(PiecewisePolynomial(bounds, pieces))
+    if kind == "chi":
+        a, b = sorted(rng.sample([F(0), *cuts, F(1)], 2))
+        return IndicatorWeight(a, b)
+    return DiracWeight(rng.choice([*cuts, F(1, 5), F(2, 7)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24])
+def test_seeded_solves_are_certified_without_the_bernstein_certificate(monkeypatch, k):
+    # the solve certifies by Boggio's theorem and never calls
+    # pp_positive_on_open01, which agrees as the reference afterwards
+    from sobolev1d import polynomials, solver
+
+    calls = []
+    monkeypatch.setattr(solver, "pp_positive_on_open01", lambda *a: calls.append(a))
+    rng = random.Random(2500 + k)
+    for kind in ("poly", "pw", "chi", "dirac"):
+        for _ in range(3):
+            rho = _random_piecewise_weight(rng, kind)
+            s = solve(ProblemSpec(k, rho))
+            assert s.diagnostics.positivity_certified is True, (rho, k)
+            assert polynomials.pp_positive_on_open01(s.u) is True, (rho, k)
+    assert calls == []
+
+
+def test_every_kind_solves_without_the_bernstein_certificate(monkeypatch):
+    from sobolev1d import polynomials, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran the Bernstein certificate")
+
+    monkeypatch.setattr(polynomials, "bernstein_coefficients", refuse)
+    monkeypatch.setattr(polynomials, "pp_positive_on_open01", refuse)
+    monkeypatch.setattr(solver, "pp_positive_on_open01", refuse)
+    for k in (1, 6, 24):
+        for text in (*PIECEWISE_KINDS, "pw:[0,1/2]=1;[1/2,1]=x", "chi:0,1/2", "pow:1/3"):
+            modes = (FLOAT,) if text.startswith("pow") else (EXACT, FLOAT)
+            for mode in modes:
+                d = solve(ProblemSpec(k, parse_weight(text), mode)).diagnostics
+                assert d.positivity_certified is True, (text, k, mode)
+    hardy = solve(ProblemSpec(1, parse_weight("hardy:1")))
+    assert hardy.diagnostics.positivity_certified is True
 
 
 def test_certified_power_extremizers_are_positive_at_50_digits():

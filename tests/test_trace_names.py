@@ -33,12 +33,12 @@ def test_every_traced_name_resolves():
 
 
 def test_solve_calls_its_stages_through_module_globals(monkeypatch):
-    # every traced solver name except quad_numeric and pp_min_on_grid, which
-    # no solve calls, is reached through the module global that the tracer
-    # patches; a first-order point mass touches all of them (closed form,
-    # pp_equal)
+    # every traced solver name except quad_numeric, pp_min_on_grid and
+    # pp_positive_on_open01, which no solve calls, is reached through the
+    # module global that the tracer patches; a first-order point mass
+    # touches all of them (closed form, pp_equal)
     names = {attr for module, attr, _span in _wrapped() if module == "solver"}
-    names -= {"solve", "quad_numeric", "pp_min_on_grid"}
+    names -= {"solve", "quad_numeric", "pp_min_on_grid", "pp_positive_on_open01"}
     called = set()
 
     def spy(name, fn):
