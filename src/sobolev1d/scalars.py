@@ -23,9 +23,12 @@ class ModeMismatchError(TypeError):
 
 
 def coerce(value) -> Fraction:
-    """``value`` as an exact Fraction.  A float raises ModeMismatchError:
-    there is no safe implicit promotion of a rounded value to an exact one.
+    """``value`` as an exact Fraction; a Fraction is immutable, so it is
+    returned as it is.  A float raises ModeMismatchError: there is no safe
+    implicit promotion of a rounded value to an exact one.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ModeMismatchError(f"float value {value!r} cannot enter an exact computation")
     return Fraction(value)

@@ -332,12 +332,14 @@ def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:
 
 
 def assemble_uk(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
-    """v = u^(k)/mu: seed polynomial plus (-1)^k times the iterated integral."""
-    sign = Fraction((-1) ** spec.k)
+    """v = u^(k)/mu: seed polynomial P plus (-1)^k times the iterated
+    integral I, one pass over I's pieces: P - I at odd k, I + P at even k."""
     poly_part = _seed_polynomial(seeds)
     if isinstance(iterated, PowerLawTerm):
-        return PolyPlusPower(poly_part, iterated.scale(sign))
-    return iterated.scale(sign).add_polynomial(poly_part)
+        return PolyPlusPower(poly_part, iterated.scale((-1) ** spec.k))
+    if spec.k % 2:
+        return iterated.map_pieces(lambda p: poly_part - p)
+    return iterated.add_polynomial(poly_part)
 
 
 def sharp_constant(mu: Fraction) -> float:

@@ -77,6 +77,7 @@ class PolyWeight:
 
     def __post_init__(self):
         _require_nonnegative("polynomial", self.poly, Fraction(0), Fraction(1))
+        object.__setattr__(self, "piecewise", from_polynomial(self.poly))
 
     def format(self) -> str:
         return f"poly:{format_poly(self.poly)}"
@@ -94,6 +95,7 @@ class PiecewiseWeight:
         cuts = self.pp.breakpoints
         for a, b, p in zip(cuts, cuts[1:], self.pp.pieces):
             _require_nonnegative("piecewise", p, a, b)
+        object.__setattr__(self, "piecewise", self.pp)
 
     def format(self) -> str:
         parts = []
@@ -124,6 +126,12 @@ class IndicatorWeight:
             raise WeightDomainError(
                 f"indicator needs 0 <= a < b <= 1, got [{self.a}, {self.b}]"
             )
+        zero, cuts = Polynomial(), (Fraction(0), self.a, self.b, Fraction(1))
+        pieces = (zero, constant(self.height), zero)
+        # without the zero pieces of zero length at the ends
+        lo, hi = int(self.a == 0), 3 - (self.b == 1)
+        pp = PiecewisePolynomial(cuts[lo : hi + 1], pieces[lo:hi])
+        object.__setattr__(self, "piecewise", pp)
 
     @property
     def height(self) -> Fraction:
@@ -227,20 +235,15 @@ def beta_product(alpha: Fraction, n: int) -> Fraction:
 
 
 def as_piecewise(rho: Weight) -> PiecewisePolynomial:
-    """Piecewise-polynomial image of an ordinary-function weight."""
-    if isinstance(rho, PolyWeight):
-        return from_polynomial(rho.poly)
-    if isinstance(rho, PiecewiseWeight):
-        return rho.pp
-    if isinstance(rho, IndicatorWeight):
-        h = rho.height
-        cuts = sorted({Fraction(0), rho.a, rho.b, Fraction(1)})
-        pieces = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            inside = rho.a <= lo and hi <= rho.b
-            pieces.append(constant(h if inside else Fraction(0)))
-        return PiecewisePolynomial(cuts, pieces)
-    raise UnsupportedWeightError(f"{rho.kind} weight has no piecewise-polynomial form")
+    """Piecewise-polynomial image of an ordinary-function weight: the
+    attribute ``piecewise`` that a poly, pw or chi weight builds once in
+    __post_init__, not a field, so every stage shares one breakpoint tuple."""
+    try:
+        return rho.piecewise
+    except AttributeError:
+        raise UnsupportedWeightError(
+            f"{rho.kind} weight has no piecewise-polynomial form"
+        ) from None
 
 
 def _power_integrals(lo: Fraction, hi: Fraction, first: int, top: int) -> tuple:
@@ -501,8 +504,10 @@ def _tokenize_poly(text: str, base: int):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(text, i)
+        # a number starts where \d matches; superscript digits, which
+        # str.isdigit accepts, fall through to the error below
+        m = _NUMBER_RE.match(text, i)
+        if m:
             value = _check_literal(parse_rational(m.group()), base + i)
             tokens.append(("num", value, base + i))
             i = m.end()

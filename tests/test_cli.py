@@ -413,6 +413,13 @@ def test_exit_code_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("weight", ["poly:x²", "poly:x⁰", "pw:[0,1/2]=1;[1/2,1]=x²"])
+def test_superscript_digit_exits_2(capsys, weight):
+    code, out, err = run(capsys, "constant", "--k", "1", "--weight", weight)
+    assert (code, out) == (2, "")
+    assert "unexpected character" in err and "Traceback" not in err
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "poly:0")
     assert code == 3

@@ -154,6 +154,15 @@ def test_mode_mismatch_rejected():
     assert coerce(F(1, 3)) == F(1, 3)
 
 
+def test_coerce_passes_fractions_through():
+    third = F(1, 3)
+    assert coerce(third) is third  # Fractions are immutable: no copy
+    two = coerce(2)
+    assert two == 2 and type(two) is F
+    with pytest.raises(ModeMismatchError):
+        coerce(0.5)
+
+
 def test_zero_polynomial_canonical():
     assert Polynomial([0, 0, 0]).coeffs == ()
     assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)

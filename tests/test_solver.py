@@ -1116,6 +1116,26 @@ def _random_piecewise_weight(rng, kind):
     return DiracWeight(rng.choice([*cuts, F(1, 5), F(2, 7)]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_assemble_uk_folds_the_sign_into_its_pass(k):
+    # v = P + (-1)^k I, equal to scaling I by (-1)^k and then adding P
+    rng = random.Random(2600 + k)
+    for kind in ("poly", "pw", "chi", "dirac"):
+        for _ in range(3):
+            rho = _random_piecewise_weight(rng, kind)
+            seeds = solve_seeds(LinearSystem(build_matrix(k), moments(rho, k)))
+            iterated = iterated_integral(rho, k)
+            v = assemble_uk(ProblemSpec(k, rho), seeds, iterated)
+            expected = iterated.scale((-1) ** k).add_polynomial(_seed_polynomial(seeds))
+            assert v == expected, (rho, k)
+            assert v.breakpoints is iterated.breakpoints
+    rho = PowerWeight(F(1, 3))
+    seeds = solve_seeds(LinearSystem(build_matrix(k), moments(rho, k)))
+    iterated = iterated_integral(rho, k)
+    v = assemble_uk(ProblemSpec(k, rho, FLOAT), seeds, iterated)
+    assert v == PolyPlusPower(_seed_polynomial(seeds), iterated.scale((-1) ** k))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24])
 def test_seeded_solves_are_certified_without_the_bernstein_certificate(monkeypatch, k):
     # the solve certifies by Boggio's theorem and never calls

@@ -84,6 +84,17 @@ def test_syntax_errors_carry_positions():
         parse_weight("chi:1/4")
 
 
+@pytest.mark.parametrize(
+    "text, char",
+    [("poly:x²", "²"), ("poly:1 + x⁰", "⁰"), ("pw:[0,1/2]=1;[1/2,1]=³", "³")],
+)
+def test_superscript_digits_are_unexpected_characters(text, char):
+    # str.isdigit accepts superscripts, but no number literal starts with one
+    with pytest.raises(WeightSyntaxError, match=f"unexpected character '{char}'") as info:
+        parse_weight(text)
+    assert info.value.position == text.index(char)
+
+
 def test_weight_screen_refuses_a_dip_between_close_roots():
     # (x - 1/2)(x - 2047/4096) is -369/25600000000 at 4999/10000; both
     # weights dip below 0 between a root at the first bisection midpoint
@@ -190,6 +201,46 @@ def test_piecewise_breakpoint_invariants():
             [F(0), F(1, 2), F(1, 2), F(1)],
             [Polynomial([1]), Polynomial([1]), Polynomial([1])],
         )  # strictly increasing
+
+
+def test_each_weight_builds_its_piecewise_form_once():
+    from sobolev1d.solver import ProblemSpec, solve
+
+    for text in ("poly:1 + x^2", "pw:[0,1/2]=1;[1/2,1]=x", "chi:1/4,3/4", "chi:0,1/2"):
+        rho = parse_weight(text)
+        pp = as_piecewise(rho)
+        assert as_piecewise(rho) is pp
+        for k in (1, 2, 6):
+            # every stage of the solve works on the weight's breakpoint tuple
+            assert solve(ProblemSpec(k, rho)).u.breakpoints is pp.breakpoints
+    w = parse_weight("pw:[0,1/2]=1;[1/2,1]=x")
+    assert as_piecewise(w) is w.pp
+    for rho in (DiracWeight(F(1, 3)), PowerWeight(F(1, 2)), HardyWeight(1)):
+        with pytest.raises(UnsupportedWeightError):
+            as_piecewise(rho)
+
+
+def _indicator_by_sorted_cuts(a, b):
+    """chi_[a,b]/(b - a) on the sorted cuts {0, a, b, 1}, each piece tested
+    for lying inside [a, b]."""
+    cuts = sorted({F(0), a, b, F(1)})
+    pieces = [
+        Polynomial([1 / (b - a)] if a <= lo and hi <= b else [])
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    return PiecewisePolynomial(cuts, pieces)
+
+
+def test_indicator_form_matches_the_sorted_cut_construction():
+    rng = random.Random(2626)
+    grid = [F(i, 12) for i in range(13)]
+    cases = [(F(0), F(1)), (F(0), F(1, 3)), (F(2, 3), F(1)), (F(1, 4), F(3, 4))]
+    cases += [tuple(sorted(rng.sample(grid, 2))) for _ in range(60)]
+    ends = set()
+    for a, b in cases:
+        assert as_piecewise(IndicatorWeight(a, b)) == _indicator_by_sorted_cuts(a, b)
+        ends.add((a == 0, b == 1))
+    assert ends == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_outside_theorem_scope_flags():
