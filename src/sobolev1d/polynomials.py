@@ -131,18 +131,9 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        # content(a b) = content(a) content(b) (Gauss's lemma), and each
-        # content is prime to its own denominator, so the product's common
-        # factor with den_a den_b is gcd(den_b, a) gcd(den_a, b)
         a = self.nums
         b = a if other is self else other.nums
-        common = gcd(other.den, *a) * gcd(self.den, *b)
-        out = _convolve(a, b)
-        if common > 1:
-            out = [c // common for c in out]
-        return _make(tuple(out), self.den * other.den // common)
+        return _make(*integer_product(a, self.den, b, other.den))
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = coerce(c)
@@ -225,16 +216,21 @@ def exact_polynomial(nums: Sequence[int], den: int) -> Polynomial:
     den > 0, reduced to lowest terms: the inverse of reading ``p.nums`` and
     ``p.den``.  The numerators are stored as plain ints: ``marshal`` would
     write a bool differently from the equal int."""
-    nums = list(map(index, nums))
+    return _make(*lowest_terms(list(map(index, nums)), den))
+
+
+def lowest_terms(nums: list, den: int) -> tuple[tuple, int]:
+    """The canonical form of nums/den (integers, den > 0): trailing zeros
+    popped from nums, then the common factor divided out; zero is ((), 1)."""
     while nums and nums[-1] == 0:
         nums.pop()
     if not nums:
-        return _make((), 1)
+        return (), 1
     common = gcd(den, *nums)
     if common > 1:
         nums = [c // common for c in nums]
         den //= common
-    return _make(tuple(nums), den)
+    return tuple(nums), den
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:
@@ -246,6 +242,22 @@ def _convolve(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def integer_product(a: Sequence, a_den: int, b: Sequence, b_den: int) -> tuple[tuple, int]:
+    """The product of a/a_den and b/b_den, both canonical, in canonical form.
+
+    content(a b) = content(a) content(b) (Gauss's lemma), and each content
+    is prime to its own denominator, so the product's common factor with
+    a_den b_den is gcd(b_den, a) gcd(a_den, b).
+    """
+    if not a or not b:
+        return (), 1
+    common = gcd(b_den, *a) * gcd(a_den, *b)
+    out = _convolve(a, b)
+    if common > 1:
+        out = [c // common for c in out]
+    return tuple(out), a_den * b_den // common
 
 
 def _integer_antiderivative(nums: Sequence[int], den: int) -> tuple[list[int], int]:

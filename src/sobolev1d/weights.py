@@ -31,11 +31,14 @@ from .polynomials import (
     constant,
     exact_polynomial,
     from_polynomial,
+    integer_difference,
     integer_form,
+    integer_product,
     is_nonnegative_on,
     kfold_antiderivative,
+    lowest_terms,
 )
-from .scalars import Scalar, format_rational, parse_rational, record
+from .scalars import Scalar, format_rational, record
 
 
 class WeightSyntaxError(ValueError):
@@ -456,7 +459,12 @@ def scale_weight(rho: Weight, c: Fraction) -> Weight:
 # DSL parser
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+|/\d+)?")
+# a literal is digits, then a decimal part or a denominator; \d matches the
+# characters int() reads as digits, non-ASCII ones too, but no superscripts.
+# A token is a literal or one other character, after whitespace (str.isspace)
+_LITERAL = r"(\d+)(?:\.(\d+)|/(\d+))?"
+_TOKEN_RE = re.compile(rf"\s*({_LITERAL}|\S)")
+_PAYLOAD_RE = re.compile(rf"\s*(-?)\s*{_LITERAL}\s*")
 # cap on a DSL polynomial's degree and on any ^ exponent, checked before
 # multiplying out: poly:(1+x)^256 solves in ~0.7 s at k = 60
 MAX_DEGREE = 256
@@ -480,156 +488,153 @@ MAX_PIECES = 3
 MAX_WEIGHT_SIZE = 3 * 16 * MAX_LITERAL_BITS
 
 
-def _check_literal(value: Fraction, position: int) -> Fraction:
-    """value, if its numerator and denominator fit MAX_LITERAL_BITS."""
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if bits > MAX_LITERAL_BITS:
-        raise WeightSyntaxError(
-            f"{bits}-bit number exceeds {MAX_LITERAL_BITS} bits", position
-        )
-    return value
+def _literal(whole: str, decimals, den, position: int) -> tuple:
+    """(p, q) in lowest terms for the literal whole[.decimals] or whole/den,
+    read from its digits.  A zero q, a p or q past MAX_LITERAL_BITS, or digits
+    past the interpreter's int(str) limit are a WeightSyntaxError at position."""
+    try:
+        p, q = int(whole), int(den or 1)
+        if decimals:
+            q = 10 ** len(decimals)
+            p = p * q + int(decimals)
+    except ValueError:
+        size = f"{max(len(whole), len(decimals or den or ''))}-digit"
+    else:
+        if not q:
+            raise WeightSyntaxError("zero denominator", position)
+        common = gcd(p, q)
+        p, q = p // common, q // common
+        bits = max(p.bit_length(), q.bit_length())
+        if bits <= MAX_LITERAL_BITS:
+            return p, q
+        size = f"{bits}-bit"
+    raise WeightSyntaxError(f"{size} number exceeds {MAX_LITERAL_BITS} bits", position)
 
 
-def _poly_bits(p: Polynomial) -> tuple:
-    """Bit lengths of P's largest coefficient and of D, for p = P/D with D
-    the least common denominator."""
-    return max(map(abs, p.nums), default=0).bit_length(), p.den.bit_length()
+def _poly_bits(p) -> tuple:
+    """Bit lengths of P and D for p = P/D, a Polynomial or a (nums, den) pair."""
+    nums, den = (p.nums, p.den) if isinstance(p, Polynomial) else p
+    return max(map(abs, nums), default=0).bit_length(), den.bit_length()
 
 
-def _tokenize_poly(text: str, base: int):
+def _tokenize_poly(text: str, base: int) -> list:
+    """(kind, value, position) tokens of text, positions counted from base:
+    ("num", (p, q), ·) per literal (:func:`_literal`), one per x + - * ^ ( ),
+    and ("end", None, ·).  Any other character is an error at its position."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # a number starts where \d matches; superscript digits, which
-        # str.isdigit accepts, fall through to the error below
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            value = _check_literal(parse_rational(m.group()), base + i)
-            tokens.append(("num", value, base + i))
-            i = m.end()
-            continue
-        if ch == "x":
-            tokens.append(("x", None, base + i))
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, None, base + i))
-            i += 1
-            continue
-        raise WeightSyntaxError(f"unexpected character {ch!r}", base + i)
+    for m in _TOKEN_RE.finditer(text):
+        token, whole, decimals, den = m.groups()
+        position = base + m.start(1)
+        if whole:
+            tokens.append(("num", _literal(whole, decimals, den, position), position))
+        elif token in "x+-*^()":
+            tokens.append((token, None, position))
+        else:
+            raise WeightSyntaxError(f"unexpected character {token!r}", position)
     tokens.append(("end", None, base + len(text)))
     return tokens
 
 
 def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
-    tokens = _tokenize_poly(text, base)
-    pos = 0
+    """The polynomial in text, by recursive descent over its tokens on pairs
+    (nums, den) in a Polynomial's lowest terms; one Polynomial is built, from
+    the last.  MAX_DEGREE is checked before each * and ^, MAX_POLY_BITS after
+    each + and -, and from a bound before each * and each step of ^."""
+    tokens = _tokenize_poly(text, base)[::-1]  # the next token is last
 
-    def peek():
-        return tokens[pos]
-
-    def take(kind=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
+    def take(kind: str) -> tuple:
+        tok = tokens.pop()
+        if tok[0] != kind:
             raise WeightSyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        pos += 1
         return tok
-
-    def parse_expr() -> Polynomial:
-        if peek()[0] == "-":
-            take()
-            node = -parse_term()
-        else:
-            node = parse_term()
-        while peek()[0] in ("+", "-"):
-            op, _, position = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-            check_bits(*_poly_bits(node), position)
-        return node
 
     def check_degree(degree: int, position: int):
         if degree > MAX_DEGREE:
             raise WeightSyntaxError(f"degree {degree} exceeds {MAX_DEGREE}", position)
 
-    def check_bits(num_bits: int, den_bits: int, position: int):
-        bits = max(num_bits, den_bits)
+    def check_bits(bits: int, position: int):
         if bits > MAX_POLY_BITS:
             raise WeightSyntaxError(
                 f"coefficients of up to {bits} bits exceed {MAX_POLY_BITS}", position
             )
 
-    def multiply(p: Polynomial, q: Polynomial, position: int) -> Polynomial:
+    def multiply(p: tuple, q: tuple, position: int) -> tuple:
         # over one denominator, a product's coefficient is a sum of at most
         # m = min(deg) + 1 products, each below 2^(pn + qn): below 2^(pn + qn)
         # times m <= 2^bits(m - 1)
         (pn, pd), (qn, qd) = _poly_bits(p), _poly_bits(q)
-        terms = min(p.degree, q.degree) + 1
-        check_bits(pn + qn + (terms - 1).bit_length(), pd + qd, position)
-        return p * q
+        terms = min(len(p[0]), len(q[0]))
+        check_bits(max(pn + qn + (terms - 1).bit_length(), pd + qd), position)
+        return integer_product(*p, *q)
 
-    def parse_term() -> Polynomial:
+    def parse_expr() -> tuple:
+        negate = tokens[-1][0] == "-"
+        if negate:
+            tokens.pop()
+        nums, den = parse_term()
+        node = (tuple(-c for c in nums), den) if negate else (nums, den)
+        while tokens[-1][0] in ("+", "-"):
+            op, _, position = tokens.pop()
+            nums, den = parse_term()
+            if op == "+":
+                nums = [-c for c in nums]
+            node = lowest_terms(*integer_difference(node, (nums, den)))
+            check_bits(max(_poly_bits(node)), position)
+        return node
+
+    def parse_term() -> tuple:
         node = parse_power()
-        while peek()[0] == "*":
-            position = take()[2]
+        while tokens[-1][0] == "*":
+            position = tokens.pop()[2]
             rhs = parse_power()
-            check_degree(node.degree + rhs.degree, position)
+            check_degree(len(node[0]) + len(rhs[0]) - 2, position)
             node = multiply(node, rhs, position)
         return node
 
-    def parse_power() -> Polynomial:
+    def parse_power() -> tuple:
         node = parse_atom()
-        if peek()[0] == "^":
-            take()
-            tok = take("num")
-            exp = tok[1]
-            if exp.denominator != 1 or not 0 <= exp <= MAX_DEGREE:
-                raise WeightSyntaxError(
-                    f"exponent must be an integer in 0..{MAX_DEGREE}", tok[2]
-                )
-            check_degree(node.degree * int(exp), tok[2])
-            result = Polynomial([1])
-            for _ in range(int(exp)):
-                result = multiply(result, node, tok[2])
-            return result
-        return node
+        if tokens[-1][0] != "^":
+            return node
+        tokens.pop()
+        _, (exp, den), position = take("num")
+        if den != 1 or exp > MAX_DEGREE:
+            raise WeightSyntaxError(
+                f"exponent must be an integer in 0..{MAX_DEGREE}", position
+            )
+        check_degree((len(node[0]) - 1) * exp, position)
+        if not exp:
+            return (1,), 1
+        # the first step, 1 times node, is node: only its bound is checked
+        check_bits(max(_poly_bits(node)) + 1, position)
+        result = node
+        for _ in range(exp - 1):
+            result = multiply(result, node, position)
+        return result
 
-    def parse_atom() -> Polynomial:
-        tok = peek()
-        if tok[0] == "num":
-            take()
-            return Polynomial([tok[1]])
-        if tok[0] == "x":
-            take()
-            return Polynomial([0, 1])
-        if tok[0] == "(":
-            take()
+    def parse_atom() -> tuple:
+        kind, value, position = tokens.pop()
+        if kind == "num":
+            return ((value[0],), value[1]) if value[0] else ((), 1)
+        if kind == "x":
+            return (0, 1), 1
+        if kind == "(":
             inner = parse_expr()
             take(")")
             return inner
-        raise WeightSyntaxError(f"unexpected token {tok[0]!r}", tok[2])
+        raise WeightSyntaxError(f"unexpected token {kind!r}", position)
 
     result = parse_expr()
     take("end")
-    return result
+    return exact_polynomial(*result)
 
 
 def _parse_number_payload(payload: str, base: int) -> Fraction:
-    text = payload.strip()
-    neg = False
-    if text.startswith("-"):
-        neg = True
-        text = text[1:].strip()
-    m = _NUMBER_RE.fullmatch(text)
+    """The signed literal that is all of payload, its errors at base."""
+    m = _PAYLOAD_RE.fullmatch(payload)
     if not m:
         raise WeightSyntaxError(f"expected a number, found {payload.strip()!r}", base)
-    value = _check_literal(parse_rational(text), base)
-    return -value if neg else value
+    p, q = _literal(*m.groups()[1:], base)
+    return Fraction(-p if m[1] else p, q)
 
 
 def parse_weight(spec: str) -> Weight:
@@ -680,8 +685,8 @@ def _parse_piecewise(payload: str, base: int) -> PiecewiseWeight:
         m = _PIECE_RE.fullmatch(chunk)
         if not m:
             raise WeightSyntaxError("piece must look like [a,b]=expr", offset)
-        lo = _parse_number_payload(m.group(1), offset)
-        hi = _parse_number_payload(m.group(2), offset)
+        lo = _parse_number_payload(m.group(1), offset + m.start(1))
+        hi = _parse_number_payload(m.group(2), offset + m.start(2))
         poly = _parse_poly_expr(m.group(3), offset + m.start(3))
         if cuts:
             if lo != cuts[-1]:
@@ -717,24 +722,13 @@ def format_poly(p: Polynomial) -> str:
     """Render a polynomial so that parse(format(p)) == p."""
     if p.is_zero():
         return "0"
-    parts = []
+    text = ""
     for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = format_rational(abs(c))
-        if i == 0:
-            term = mag
-        elif i == 1:
-            term = f"{mag}*x"
-        else:
-            term = f"{mag}*x^{i}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+        if c:
+            power = "" if i == 0 else "*x" if i == 1 else f"*x^{i}"
+            text += f" {'-' if c < 0 else '+'} {format_rational(abs(c))}{power}"
+    # " + a - b*x" is written "a - b*x", and " - a + b*x" is "-a + b*x"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_weight(rho: Weight) -> str:

@@ -420,6 +420,18 @@ def test_superscript_digit_exits_2(capsys, weight):
     assert "unexpected character" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "weight, position",
+    [("poly:1/0*x", 5), ("chi:1/0,1/2", 4), ("pw:[0,1/2]=1;[1/2,1q]=x", 18), ("poly:" + "9" * 5000, 5)],
+    ids=lambda v: v[:24] if isinstance(v, str) else None,
+)
+def test_literal_errors_exit_2_at_the_literal(capsys, weight, position):
+    code, out, err = run(capsys, "constant", "--k", "1", "--weight", weight)
+    assert (code, out) == (2, "")
+    assert f"(at position {position})" in err and "Traceback" not in err
+    assert len(err) < 200  # a long literal is not repeated
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run(capsys, "constant", "--k", "1", "--weight", "poly:0")
     assert code == 3

@@ -484,3 +484,209 @@ def test_polynomial_bit_cap_covers_every_operation():
                  "poly:1/3^200 + 1/5^200 + 1/7^200 + 1/11^200"):
         with pytest.raises(WeightSyntaxError, match=f"exceed {MAX_POLY_BITS}"):
             parse_weight(text)
+
+
+# -- the evaluator's reference, and the pinned error table ------------------
+
+
+def _random_expression(rng: random.Random, depth: int) -> tuple:
+    """Seeded DSL text and its value as a Fraction coefficient list (x^i at
+    index i), evaluated here without the library."""
+    choice = rng.random() if depth else 0.0
+    if choice < 0.3:
+        kind = rng.randrange(-1, 5)
+        if kind <= 0:
+            return "x", [F(0), F(1)]
+        n = rng.randrange(1000)
+        if kind == 1:
+            text, value = str(n), F(n)
+        elif kind == 2:
+            decimals = str(rng.randrange(1000)).zfill(rng.randint(1, 3))
+            text, value = f"{n}.{decimals}", n + F(int(decimals), 10 ** len(decimals))
+        else:
+            d = rng.randint(1, 999)
+            text, value = f"{n}/{d}", F(n, d)
+        if kind == 4:  # the same literal in Arabic-Indic digits
+            text = text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        return text, [value]
+    a, pa = _random_expression(rng, depth - 1)
+    space = rng.choice(["", " ", "\t", "  "])
+    if choice < 0.38:
+        return f"({a})", pa
+    if choice < 0.46:
+        # a unary minus binds to the first term only, here all of (a)
+        return f"(-{space}({a}))", [-c for c in pa]
+    if choice < 0.58:
+        e = rng.randint(0, 3)
+        out = [F(1)]
+        for _ in range(e):
+            out = _times(out, pa)
+        return f"({a}){space}^{space}{e}", out
+    b, pb = _random_expression(rng, depth - 1)
+    op = rng.choice("+-*")
+    if op == "*":
+        return f"({a}){space}*{space}({b})", _times(pa, pb)
+    sign = 1 if op == "+" else -1
+    out = [F(0)] * max(len(pa), len(pb))
+    for i, c in enumerate(pa):
+        out[i] += c
+    for i, c in enumerate(pb):
+        out[i] += sign * c
+    return f"{a}{space}{op}{space}({b})", out
+
+
+def _times(p: list, q: list) -> list:
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_parser_matches_a_fraction_reference_evaluator():
+    from sobolev1d.weights import _parse_poly_expr
+
+    rng = random.Random(2727)
+    for _ in range(400):
+        text, value = _random_expression(rng, rng.randint(1, 5))
+        if rng.random() < 0.2:
+            text, value = f"-({text}) + 0", [-c for c in value]
+        while value and value[-1] == 0:
+            value.pop()
+        assert _parse_poly_expr(text).coeffs == tuple(value), text
+
+
+def test_format_parse_round_trip_on_seeded_weights():
+    rng = random.Random(2728)
+
+    def fraction(lo=0):
+        return F(rng.randint(lo, 40), rng.randint(1, 12))
+
+    def nonnegative_poly():
+        return Polynomial([fraction() for _ in range(rng.randint(1, 5))])
+
+    for _ in range(40):
+        a, b = sorted(rng.sample([F(i, 24) for i in range(25)], 2))
+        cuts = sorted({F(0), F(1), *rng.sample([F(i, 12) for i in range(1, 12)], rng.randint(0, 2))})
+        pieces = [nonnegative_poly() for _ in cuts[1:]]
+        for rho in (
+            PolyWeight(nonnegative_poly()),
+            PiecewiseWeight(PiecewisePolynomial(cuts, pieces)),
+            IndicatorWeight(a, b),
+            DiracWeight(F(rng.randint(1, 98), 99)),
+            PowerWeight(F(rng.randrange(97), 97)),
+        ):
+            assert parse_weight(format_weight(rho)) == rho, format_weight(rho)
+
+
+# Malformed texts, each with the exception type, message and position that
+# the parser gives: one or more rows per error branch of the tokenizer, the
+# descent, the number payloads, pw tiling and each cap.
+ERROR_TABLE = [
+    ("", WeightSyntaxError, "empty weight text (at position 0)", 0),
+    ("   ", WeightSyntaxError, "empty weight text (at position 0)", 0),
+    ("poly 1", WeightSyntaxError, "missing ':' between kind and payload (at position 6)", 6),
+    ("nope:1", WeightSyntaxError, "unknown weight kind 'nope' (at position 0)", 0),
+    ("poly:", WeightSyntaxError, "unexpected token 'end' (at position 5)", 5),
+    ("poly:   ", WeightSyntaxError, "unexpected token 'end' (at position 8)", 8),
+    ("poly:1 +", WeightSyntaxError, "unexpected token 'end' (at position 8)", 8),
+    ("poly:1 $ x", WeightSyntaxError, "unexpected character '$' (at position 7)", 7),
+    ("poly:x²", WeightSyntaxError, "unexpected character '²' (at position 6)", 6),
+    ("poly:1.", WeightSyntaxError, "unexpected character '.' (at position 6)", 6),
+    ("poly:1/x", WeightSyntaxError, "unexpected character '/' (at position 6)", 6),
+    ("poly:1/2/3", WeightSyntaxError, "unexpected character '/' (at position 8)", 8),
+    (f"poly:1 + {2**64}*x", WeightSyntaxError, "65-bit number exceeds 64 bits (at position 9)", 9),
+    ("poly:)", WeightSyntaxError, "unexpected token ')' (at position 5)", 5),
+    ("poly:(1 + x", WeightSyntaxError, "expected ')', found 'end' (at position 11)", 11),
+    ("poly:x^2^3", WeightSyntaxError, "expected 'end', found '^' (at position 8)", 8),
+    ("poly:2 x", WeightSyntaxError, "expected 'end', found 'x' (at position 7)", 7),
+    ("poly:x^x", WeightSyntaxError, "expected 'num', found 'x' (at position 7)", 7),
+    ("poly:x^", WeightSyntaxError, "expected 'num', found 'end' (at position 7)", 7),
+    ("poly:x^1/2", WeightSyntaxError, "exponent must be an integer in 0..256 (at position 7)", 7),
+    ("poly:x^0.5", WeightSyntaxError, "exponent must be an integer in 0..256 (at position 7)", 7),
+    ("poly:x^257", WeightSyntaxError, "exponent must be an integer in 0..256 (at position 7)", 7),
+    ("poly:x^200*x^100", WeightSyntaxError, "degree 300 exceeds 256 (at position 10)", 10),
+    ("poly:(x^2)^200", WeightSyntaxError, "degree 400 exceeds 256 (at position 11)", 11),
+    ("poly:--x", WeightSyntaxError, "unexpected token '-' (at position 6)", 6),
+    ("poly:1 - -x", WeightSyntaxError, "unexpected token '-' (at position 9)", 9),
+    ("poly:(16+x)^256", WeightSyntaxError,
+     "coefficients of up to 1025 bits exceed 1024 (at position 12)", 12),
+    ("poly:2^256*2^256*2^256*2^256", WeightSyntaxError,
+     "coefficients of up to 1026 bits exceed 1024 (at position 22)", 22),
+    ("poly:1/3^200 + 1/5^200 + 1/7^200 + 1/11^200", WeightSyntaxError,
+     "coefficients of up to 1343 bits exceed 1024 (at position 23)", 23),
+    # the first step of a ^ (1 times a 1024-bit node) is checked too
+    ("poly:(2^256*2^256*2^256*2^254 + 2^256*2^256*2^256*2^254)^1", WeightSyntaxError,
+     "coefficients of up to 1025 bits exceed 1024 (at position 57)", 57),
+    ("poly:(2^256*2^256*2^256*2^254)^2", WeightSyntaxError,
+     "coefficients of up to 2046 bits exceed 1024 (at position 31)", 31),
+    ("poly:x - 1", WeightDomainError, "polynomial weight is negative on [0, 1]", None),
+    ("chi:1/4", WeightSyntaxError, "indicator payload must be 'a,b' (at position 4)", 4),
+    ("chi:a,1/2", WeightSyntaxError, "expected a number, found 'a' (at position 4)", 4),
+    (f"chi:1/4, {2**64}", WeightSyntaxError, "65-bit number exceeds 64 bits (at position 8)", 8),
+    ("chi:3/4,1/4", WeightDomainError, "indicator needs 0 <= a < b <= 1, got [3/4, 1/4]", None),
+    ("dirac:", WeightSyntaxError, "expected a number, found '' (at position 6)", 6),
+    ("dirac:--1/2", WeightSyntaxError, "expected a number, found '--1/2' (at position 6)", 6),
+    ("dirac:0", WeightDomainError, "point mass must sit inside (0, 1), got 0", None),
+    (f"dirac:-1/{2**64}", WeightSyntaxError, "65-bit number exceeds 64 bits (at position 6)", 6),
+    ("pow:1/2x", WeightSyntaxError, "expected a number, found '1/2x' (at position 4)", 4),
+    ("pow:1", WeightDomainError, "power weight needs 0 <= alpha < 1, got 1", None),
+    ("hardy:1/2", WeightSyntaxError, "boundary-weight order must be an integer (at position 6)", 6),
+    ("hardy:2", WeightDomainError, "only the order-1 boundary weight 1/x is supported", None),
+    ("pw:[0,1/4]=1;[1/4,1/2]=1;[1/2,3/4]=1;[3/4,1]=1", WeightDomainError,
+     "pw weight has 4 pieces, at most 3", None),
+    ("pw:[0,1/2]1", WeightSyntaxError, "piece must look like [a,b]=expr (at position 3)", 3),
+    ("pw:[0,1/2]=1", WeightDomainError, "last piece must end at 1", None),
+    ("pw:[0,1/2]=1;[3/4,1]=1", WeightDomainError,
+     "pieces must tile [0,1]: gap between 1/2 and 3/4", None),
+    ("pw:[1/4,1]=1", WeightDomainError, "first piece must start at 0", None),
+    ("pw:[0,1/2]=1;[1/2,1/2]=1;[1/2,1]=1", WeightDomainError, "piece endpoints must increase", None),
+    ("pw:[0,1/3]=(1+x)^60;[1/3,2/3]=1;[2/3,1]=1", WeightDomainError,
+     "weight size 10431 (3 pieces x (degree 60 + 1) x 57 bits) exceeds 3072", None),
+    ("pw:[0,1/2]=1 +;[1/2,1]=1", WeightSyntaxError, "unexpected token 'end' (at position 14)", 14),
+    (f"pw:[0,1/2]=1;[1/2,1]=1/{2**64}", WeightSyntaxError,
+     "65-bit number exceeds 64 bits (at position 21)", 21),
+    ("pw:[0,1/2]=1;[1/2,1]=x-1", WeightDomainError, "piecewise weight is negative on [1/2, 1]", None),
+    # a literal's own errors, at the literal: a zero denominator,
+    ("poly:1/0*x", WeightSyntaxError, "zero denominator (at position 5)", 5),
+    ("poly:x + 3/00", WeightSyntaxError, "zero denominator (at position 9)", 9),
+    ("chi:1/0,1/2", WeightSyntaxError, "zero denominator (at position 4)", 4),
+    ("chi:1/4,3/0", WeightSyntaxError, "zero denominator (at position 8)", 8),
+    ("dirac:1/0", WeightSyntaxError, "zero denominator (at position 6)", 6),
+    ("pw:[0,1/0]=1;[1/0,1]=1", WeightSyntaxError, "zero denominator (at position 6)", 6),
+    ("pw:[0,1/2]=1;[1/2,1]=1/0", WeightSyntaxError, "zero denominator (at position 21)", 21),
+    # a malformed or capped pw breakpoint, at its field, not the piece's "[",
+    ("pw:[0,1/2]=1;[1/2,1q]=x", WeightSyntaxError,
+     "expected a number, found '1q' (at position 18)", 18),
+    (f"pw:[0,1/2]=1;[1/2,1/{2**64}]=x", WeightSyntaxError,
+     "65-bit number exceeds 64 bits (at position 18)", 18),
+    # and a run of digits past the interpreter's int(str) limit, left unread
+    ("poly:" + "9" * 5000, WeightSyntaxError, "5000-digit number exceeds 64 bits (at position 5)", 5),
+    ("poly:1 + 0." + "0" * 4400 + "1*x", WeightSyntaxError,
+     "4401-digit number exceeds 64 bits (at position 9)", 9),
+    ("chi:0,1/" + "7" * 4301, WeightSyntaxError, "4301-digit number exceeds 64 bits (at position 6)", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message, position", ERROR_TABLE, ids=[row[0][:40] for row in ERROR_TABLE]
+)
+def test_error_table(text, error, message, position):
+    with pytest.raises(ValueError) as info:
+        parse_weight(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "position", None) == position
+
+
+def test_one_polynomial_per_expression(monkeypatch):
+    from sobolev1d import polynomials
+    from sobolev1d.weights import _parse_poly_expr
+
+    stored = []
+    store = polynomials._store
+    monkeypatch.setattr(polynomials, "_store", lambda p, *rep: stored.append(rep) or store(p, *rep))
+    for text in ("4 + 1/3*x + 1*x^2", "(1 + 2*x)^3 - 1/2*x*(x - 3/4) + 0.25", "-x", "0"):
+        stored.clear()
+        p = _parse_poly_expr(text)
+        assert stored == [(p.nums, p.den)], text
