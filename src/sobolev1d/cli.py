@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 
 from .polynomials import PiecewisePolynomial, pp_grid_values_exact
-from .scalars import EXACT, FLOAT, ModeMismatchError, parse_rational
+from .scalars import EXACT, FLOAT, ModeMismatchError
 from .solver import ProblemSpec, SolverError, float_mu, solve
 from .weights import (
     DiracWeight,
@@ -48,6 +48,7 @@ from .weights import (
     UnsupportedWeightError,
     WeightDomainError,
     WeightSyntaxError,
+    _parse_number_payload,
     format_weight,
     parse_weight,
 )
@@ -352,13 +353,20 @@ def _sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fract
     return [lo + i * step for i in range(rows)]
 
 
+def _sweep_option(args, name: str) -> Fraction:
+    """--name read as a weight DSL literal, with the DSL's caps and messages."""
+    try:
+        return _parse_number_payload(getattr(args, name), 0)
+    except WeightSyntaxError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     _require_format(args, "csv")
-    start = parse_rational(args.start)
-    stop = parse_rational(args.stop)
-    step = parse_rational(args.step)
-    center = parse_rational(args.center)
+    start, stop, step, center = (
+        _sweep_option(args, name) for name in ("start", "stop", "step", "center")
+    )
     rows = []
     for value in _sweep_values(start, stop, step):
         if args.param == "dirac":

@@ -17,8 +17,11 @@ uses ``kfold_antiderivative``, ``derivatives_at_one`` (the boundary sums at
   k-fold antiderivatives of shifted Legendre polynomials, whose Gram matrix
   is diagonal (Shen's Legendre-Galerkin basis): the bound is a plain sum of
   squared loads, built from the monomial moments of rho in integer
-  arithmetic, with no factorization.  ``gram_entry`` and ``load_vector``
-  give G and r of the monomial basis exactly, as a reference for that sum.
+  arithmetic, with no factorization; its Legendre coefficients depend on k
+  and N alone, so a (k, N) table of them is built once and kept while it
+  holds at most ``MAX_TABLE_INTEGERS`` integers (a larger one is consumed
+  row by row).  ``gram_entry`` and ``load_vector`` give G and r of the
+  monomial basis exactly, as a reference for that sum.
 
 * ``sign_iteration`` -- Picard iteration on the finite-difference analogue
   of the nonlinear eigenproblem (-1)^k u^(2k) = mu rho sign(u): freeze the
@@ -162,6 +165,27 @@ def load_vector(rho: Weight, k: int, degree: int) -> list:
     ]
 
 
+# a (k, N) table is kept while it holds at most this many integers, about
+# 0.2 MB at k = 60; (6, 24) holds 475 and (60, 512) 162,621, some 84 MB
+MAX_TABLE_INTEGERS = 2048
+
+
+def _legendre_rows(k: int, N: int):
+    """Yield, for m = k..k+N, the tuple of the integers
+    c_(m,j) = (-1)^(m+j) C(m, j) C(m+j, j) j! (m+k)!/(j+k)!, j = 0..m,
+    stepped in j; they depend on k and m alone, not on the weight."""
+    for m in range(k, k + N + 1):
+        row = [(-1) ** m * perm(m + k, m)]
+        for j in range(m):
+            row.append(-row[-1] * (m - j) * (m + j + 1) // ((j + 1) * (j + k + 1)))
+        yield tuple(row)
+
+
+@lru_cache(maxsize=8)
+def _legendre_table(k: int, N: int) -> tuple:
+    return tuple(_legendre_rows(k, N))
+
+
 def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
     """Exact Lambda_n^2 for n = 0..N in the Legendre-antiderivative basis.
 
@@ -174,23 +198,21 @@ def _legendre_history(rho: Weight, k: int, N: int) -> tuple:
         r_m = integral phi_m rho
             = sum_j (-1)^(m+j) C(m, j) C(m+j, j) j!/(j+k)! M_(j+k).
 
-    With the moments over one integer denominator D, S_m = D (m+k)! r_m is
-    an integer, and P_n = D^2 ((2k+n)!)^2 Lambda_n^2 obeys the integer
-    recurrence P_n = (m+k)^2 P_(n-1) + (2m+1) S_m^2 with m = k + n.  Each
-    history entry is one correctly rounded int / int division, equal to the
-    float of the reduced Fraction; only the last value is reduced.
+    With the moments over one integer denominator D, S_m = D (m+k)! r_m =
+    sum_j c_(m,j) D M_(j+k) is an integer, with c_(m,j) from
+    :func:`_legendre_rows`, and P_n = D^2 ((2k+n)!)^2 Lambda_n^2 obeys the
+    integer recurrence P_n = (m+k)^2 P_(n-1) + (2m+1) S_m^2 with m = k + n.
+    Each history entry is one correctly rounded int / int division, equal
+    to the float of the reduced Fraction; only the last value is reduced.
     """
     a, den = monomial_moments(rho, k, 2 * k + N)  # a[j] = D M_(j+k)
+    small = (N + 1) * (2 * k + N + 2) // 2 <= MAX_TABLE_INTEGERS
+    rows = _legendre_table(k, N) if small else _legendre_rows(k, N)
     history = []
     p = 0
     scale = (den * factorial(2 * k - 1)) ** 2  # D^2 ((2k+n-1)!)^2 before step n
-    for m in range(k, k + N + 1):
-        # c = (-1)^(m+j) C(m, j) C(m+j, j) j! (m+k)!/(j+k)!, stepped in j
-        c = (-1) ** m * perm(m + k, m)
-        s = c * a[0]
-        for j in range(m):
-            c = -c * (m - j) * (m + j + 1) // ((j + 1) * (j + k + 1))
-            s += c * a[j + 1]
+    for m, row in enumerate(rows, k):
+        s = sum(map(operator.mul, row, a))
         p = p * (m + k) ** 2 + (2 * m + 1) * s * s
         scale *= (m + k) ** 2
         history.append(p / scale)

@@ -125,19 +125,6 @@ def record(cls=None, *, frozen: bool = True):
     return cls
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a decimal or rational literal into an exact Fraction.
-
-    Decimal literals are exact: ``"0.3"`` becomes 3/10, not the nearest
-    double.  Rational literals use a slash: ``"48/5"``.
-    """
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
-
-
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" rendering (plain integer when q == 1), for integers
     of any length."""

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 from typing import Union
 
 from .polynomials import (
@@ -249,6 +251,11 @@ def as_piecewise(rho: Weight) -> PiecewisePolynomial:
         ) from None
 
 
+@lru_cache(maxsize=16)
+def _lcm_upto(top: int) -> int:
+    return lcm(*range(1, top + 1))
+
+
 def _power_integrals(lo: Fraction, hi: Fraction, first: int, top: int) -> tuple:
     """Integers P and den with P[e - first] / den = integral of s^(e-1)
     over [lo, hi] = (hi^e - lo^e)/e, for e = first..top (first >= 1).
@@ -257,7 +264,7 @@ def _power_integrals(lo: Fraction, hi: Fraction, first: int, top: int) -> tuple:
     1..top, P_e = (u^e - v^e) w^(top-e) L/e over den = L w^top.
     """
     (v, u), w = integer_form((lo, hi))
-    scale = lcm(*range(1, top + 1))
+    scale = _lcm_upto(top)
     power = []
     u_e, v_e, w_e = u ** (first - 1), v ** (first - 1), w ** (top - first + 1)
     for e in range(first, top + 1):
@@ -289,7 +296,7 @@ def _piecewise_moments(breakpoints, pieces, lo: int, hi: int) -> tuple:
             # integral of x^(n+i) over [a, b] is P[n - lo + i] / den
             power, den = _power_integrals(a, b, lo + 1, hi + len(nums))
             totals = [
-                sum(c * power[n + i] for i, c in enumerate(nums))
+                sum(map(mul, nums, power[n : n + len(nums)]))
                 for n in range(hi - lo + 1)
             ]
             parts.append((totals, den * piece.den))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -326,6 +327,42 @@ def test_sweep_dirac(capsys):
         assert rows[i][1] == pytest.approx(rows[8 - i][1], rel=1e-12)
     # ascending parameter order
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+
+
+def test_sweep_options_read_decimals_and_fractions_exactly():
+    from sobolev1d.cli import _sweep_option
+
+    args = argparse.Namespace(start="0.3", stop=" 48/5 ", step="-7/21", center="1")
+    assert _sweep_option(args, "start") == F(3, 10)
+    assert _sweep_option(args, "stop") == F(48, 5)
+    assert _sweep_option(args, "step") == F(-1, 3)
+    assert _sweep_option(args, "center") == 1
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--start", "1/0", "--start: zero denominator"),
+        ("--stop", "1/00", "--stop: zero denominator"),
+        ("--start", "9" * 5000, f"--start: 5000-digit number exceeds {MAX_LITERAL_BITS} bits"),
+        ("--step", f"1/{2**MAX_LITERAL_BITS}", f"exceeds {MAX_LITERAL_BITS} bits"),
+        # read as the weight DSL reads a literal: no exponent forms
+        ("--step", "1e-1", "--step: expected a number, found '1e-1'"),
+        ("--center", "1/2/3", "--center: expected a number"),
+    ],
+    ids=["zero", "zero-00", "5000-digits", "65-bits", "exponent", "two-slashes"],
+)
+def test_sweep_number_errors_are_one_short_line(capsys, option, value, message):
+    argv = {"--start": "1/10", "--stop": "1/5", "--step": "1/10", "--center": "1/2"}
+    argv[option] = value
+    code, out, err = run(
+        capsys, "sweep", "--k", "1", "--param", "indicator",
+        *(item for pair in argv.items() for item in pair),
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert err.count("\n") == 1 and len(err) < 120, err[:200]
 
 
 def test_sweep_indicator_shrinks_to_dirac(capsys):
@@ -775,8 +812,8 @@ def test_config_file_point_counts_are_capped(tmp_path, capsys, monkeypatch):
 
 
 def test_numpy_stays_off_the_import_path():
-    # numpy is loaded only for a seeded sign-iteration start, which the CLI
-    # never asks for
+    # no library module imports numpy; the seeded sign-iteration start is a
+    # pure-Python copy of its generator
     script = textwrap.dedent(
         """
         import contextlib, io, sys

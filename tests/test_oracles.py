@@ -33,6 +33,7 @@ from sobolev1d.weights import (
     UnsupportedWeightError,
     as_piecewise,
     eval_weight,
+    monomial_moments,
     parse_weight,
 )
 
@@ -134,6 +135,72 @@ def test_galerkin_exact_matches_monomial_ldl_history():
                 assert report.history == [
                     (n, float(v)) for n, v in enumerate(reference[: N + 1])
                 ], (dsl, k, N)
+
+
+def _stepping_reference_history(rho, k, N):
+    """Lambda_n^2, n = 0..N, by the loop that stepped each Legendre
+    coefficient c_(m,j) in j inside every call."""
+    a, den = monomial_moments(rho, k, 2 * k + N)
+    history, p = [], 0
+    scale = (den * math.factorial(2 * k - 1)) ** 2
+    for m in range(k, k + N + 1):
+        c = (-1) ** m * math.perm(m + k, m)
+        s = c * a[0]
+        for j in range(m):
+            c = -c * (m - j) * (m + j + 1) // ((j + 1) * (j + k + 1))
+            s += c * a[j + 1]
+        p = p * (m + k) ** 2 + (2 * m + 1) * s * s
+        scale *= (m + k) ** 2
+        history.append(p / scale)
+    return history, F(p, scale)
+
+
+def test_galerkin_equals_the_stepping_loop_with_and_without_a_kept_table():
+    # N = 64 is above the table budget at every k here, the rest below it;
+    # descending and ascending N read tables that share a prefix
+    rng = random.Random(2828)
+    degrees = (64, 24, 12, 1, 0, 1, 12, 24, 64)
+    for k in (1, 2, 3, 6, 12, 24):
+        for dsl in _seeded_weights(rng):
+            rho = parse_weight(dsl)
+            mode = FLOAT if rho.kind in ("pow", "hardy") else EXACT
+            for N in degrees:
+                history, lam_sq = _stepping_reference_history(rho, k, N)
+                report = galerkin_lambda(ProblemSpec(k, rho, mode), GalerkinConfig(N))
+                assert report.details["lambda_sq_exact"] == lam_sq, (dsl, k, N)
+                assert report.history == list(enumerate(history)), (dsl, k, N)
+    def size(k, N):
+        return (N + 1) * (2 * k + N + 2) // 2
+
+    assert size(1, 64) > oracles.MAX_TABLE_INTEGERS >= size(24, 24)
+
+
+def test_galerkin_tables_sharing_a_prefix_agree():
+    rho = parse_weight("pw:[0,1/3]=1 + x;[1/3,1]=2")
+    long = galerkin_lambda(ProblemSpec(6, rho), GalerkinConfig(24))
+    short = galerkin_lambda(ProblemSpec(6, rho), GalerkinConfig(20))
+    assert short.history == long.history[:21]
+    assert short.details["lambda_sq_exact"] == _stepping_reference_history(rho, 6, 20)[1]
+
+
+def test_galerkin_second_call_at_an_order_builds_no_row(monkeypatch):
+    built = []
+    rows = oracles._legendre_rows
+
+    def spy(k, N):
+        for row in rows(k, N):
+            built.append(len(row))
+            yield row
+
+    monkeypatch.setattr(oracles, "_legendre_rows", spy)
+    oracles._legendre_table.cache_clear()
+    galerkin_lambda(ProblemSpec(6, parse_weight("chi:1/4,3/4")), GalerkinConfig(24))
+    assert built == list(range(7, 32))
+    built.clear()
+    report = galerkin_lambda(ProblemSpec(6, parse_weight("poly:1 + x")), GalerkinConfig(24))
+    assert built == []
+    rho = parse_weight("poly:1 + x")
+    assert report.details["lambda_sq_exact"] == _stepping_reference_history(rho, 6, 24)[1]
 
 
 def test_galerkin_exact_builds_no_gram_matrix(monkeypatch):

@@ -29,7 +29,7 @@ from sobolev1d.polynomials import (
     pp_values_at,
     strip_root,
 )
-from sobolev1d.scalars import ModeMismatchError, coerce, parse_rational
+from sobolev1d.scalars import ModeMismatchError, coerce
 
 X = Polynomial([0, 1])
 ONE = Polynomial([1])
@@ -172,11 +172,6 @@ def test_zero_polynomial_canonical():
 def test_exact_evaluation():
     p = Polynomial([F(1, 3), 0, 1])
     assert p(F(1, 2)) == F(1, 3) + F(1, 4)
-
-
-def test_parse_rational_decimals_are_exact():
-    assert parse_rational("0.3") == F(3, 10)
-    assert parse_rational("48/5") == F(48, 5)
 
 
 # -- piecewise -----------------------------------------------------------
