@@ -13,11 +13,12 @@ Those conditions form the k x k falling-factorial system
     b[m] = (-1)^(k+1) * integral (1-t)^(k+m) rho(t) dt,
 
 whose matrix depends only on k and is invertible (Vandermonde-type).  Seeds
-are stored mu-normalized (s = A^(-1) b): v = u^(k)/mu, and its k-fold
-antiderivative w = u/mu solves (-1)^k w^(2k) = rho with clamped ends, so
-k integrations by parts give 1/mu = integral v^2 = integral w rho, a linear
-functional of w; then u = mu w and Lambda = mu^(-1/2).  The normalization
-integral u rho = 1 holds by construction (normalization_residual is 0).
+are stored mu-normalized (s = A^(-1) b): w = u/mu, (-1)^k times the 2k-fold
+iterated integral of rho plus the seed polynomial's k-fold antiderivative,
+is one integer pass over rho's pieces and solves (-1)^k w^(2k) = rho with
+clamped ends, so k integrations by parts give 1/mu = integral (w^(k))^2 =
+integral w rho, a linear functional of w; then u = mu w, u^(k) is read off
+u, and Lambda = mu^(-1/2).  integral u rho = 1 holds by construction.
 mu is checked by the exact boundary check u^(j)(1) = 0, j < k, which
 raises, by the exact closed-form cross-check, and in the tests by the
 energy identity integral (u^(k))^2 = mu.  u > 0 on (0, 1) is certified by
@@ -303,6 +304,13 @@ class PolyPlusPower:
     def scale(self, c) -> "PolyPlusPower":
         return PolyPlusPower(self.poly.scale(c), self.term.scale(c))
 
+    def kth_derivative(self, k: int) -> "PolyPlusPower":
+        """p^(k) + c e(e-1)...(e-k+1) x^(e-k), with e = r/d: prod (r - id) / d^k."""
+        c, e = self.term.coefficient, self.term.exponent
+        falling = math.prod(e.numerator - i * e.denominator for i in range(k))
+        term = PowerLawTerm(c * Fraction(falling, e.denominator**k), e - k)
+        return PolyPlusPower(kth_derivative(self.poly, k), term)
+
     def power_moment(self, alpha: Fraction) -> Fraction:
         """integral of (p + c x^e) x^(-alpha) = sum a_i/(i+1-alpha) + c/(e+1-alpha).
 
@@ -331,15 +339,24 @@ def _seed_polynomial(seeds: DerivativeSeeds) -> Polynomial:
     return exact_polynomial(coeffs[::-1], seeds.den * factorial(n))
 
 
-def assemble_uk(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
-    """v = u^(k)/mu: seed polynomial P plus (-1)^k times the iterated
-    integral I, one pass over I's pieces: P - I at odd k, I + P at even k."""
-    poly_part = _seed_polynomial(seeds)
+def _signed_sum(k: int, poly_part: Polynomial, iterated):
+    """poly_part + (-1)^k iterated, one pass over the iterated integral's pieces."""
     if isinstance(iterated, PowerLawTerm):
-        return PolyPlusPower(poly_part, iterated.scale((-1) ** spec.k))
-    if spec.k % 2:
+        return PolyPlusPower(poly_part, iterated.scale((-1) ** k))
+    if k % 2:
         return iterated.map_pieces(lambda p: poly_part - p)
     return iterated.add_polynomial(poly_part)
+
+
+def assemble_uk(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
+    """v = u^(k)/mu, the seed polynomial plus (-1)^k times rho's k-fold integral."""
+    return _signed_sum(spec.k, _seed_polynomial(seeds), iterated)
+
+
+def assemble_w(spec: ProblemSpec, seeds: DerivativeSeeds, iterated):
+    """w = u/mu: the seed polynomial's k-fold antiderivative plus (-1)^k times
+    the 2k-fold iterated integral of rho, c x^(2k-alpha) for x^(-alpha)."""
+    return _signed_sum(spec.k, kfold_antiderivative(_seed_polynomial(seeds), spec.k), iterated)
 
 
 def sharp_constant(mu: Fraction) -> float:
@@ -368,20 +385,6 @@ def float_mu(mu) -> float:
             f"mu (about 10^{exponent}) overflows a float; "
             f"`constant --mode exact` prints it as mu_exact"
         ) from None
-
-
-def _assemble_w(v, k: int):
-    """w = u/mu, the k-fold antiderivative of v, in one pass: one integer
-    pass for a piecewise v or a power weight's polynomial part, and for c x^e
-    the term c/((e+1)...(e+k)) x^(e+k), the rising product in integers:
-    with e = r/d it is prod (r + id) / d^k."""
-    if isinstance(v, PolyPlusPower):
-        c, e = v.term.coefficient, v.term.exponent
-        r, d = e.numerator, e.denominator
-        rising = math.prod(r + i * d for i in range(1, k + 1))
-        term = PowerLawTerm(c * Fraction(d**k, rising), e + k)
-        return PolyPlusPower(kfold_antiderivative(v.poly, k), term)
-    return kfold_antiderivative(v, k)
 
 
 def compute_mu(w, rho: Weight) -> Fraction:
@@ -690,18 +693,17 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     if not any(b.nums):
         raise ZeroWeightError("weight has no mass")
     seeds = solve_seeds(LinearSystem(build_matrix(spec.k), b))
-    iterated = iterated_integral(spec.rho, spec.k)
-    v = assemble_uk(spec, seeds, iterated)
-    w = _assemble_w(v, spec.k)
+    w = assemble_w(spec, seeds, iterated_integral(spec.rho, 2 * spec.k))
     mu = compute_mu(w, spec.rho)
     u, diags = assemble_u(spec, seeds, mu, w)
+    u_k = u.kth_derivative(spec.k) if isinstance(u, PolyPlusPower) else kth_derivative(u, spec.k)
     solution = ExtremalSolution(
         spec=spec,
         mu=mu,
         lam=sharp_constant(mu),
         seeds=seeds,
         u=u,
-        u_k=v.scale(mu),
+        u_k=u_k,
         diagnostics=diags,
         method="pipeline",
     )

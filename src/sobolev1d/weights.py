@@ -2,12 +2,12 @@
 
 The downstream pipeline touches a weight in exactly two ways: through its
 shifted moments b_m = (-1)^(k+1) * integral of (1-t)^(k+m) rho(t) dt, and
-through the iterated integral I(x) = integral_0^x (x-t)^(k-1)/(k-1)! rho(t) dt.
+through the 2k-fold iterated integral, integral_0^x (x-t)^(2k-1)/(2k-1)! rho.
 The Galerkin oracle reads a third, the monomial moments integral x^n rho,
 as integers over one denominator.  All are exact rationals for polynomial,
 piecewise-polynomial, normalized indicator and point-mass weights.  Power weights x^(-alpha) with rational
 alpha < 1 get exact moments through the Beta product formula and the exact
-power-law iterated integral c x^(k-alpha), so they are solved exactly too;
+power-law iterated integral c x^(2k-alpha), so they are solved exactly too;
 only the pointwise values of that term are irrational.  The weight 1/x
 (supported for order 1 only) is not integrable at 0 and bypasses this
 machinery entirely; like the point mass it is flagged as sitting outside the
@@ -23,24 +23,25 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Union
 
 from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
-    constant,
     exact_polynomial,
     from_polynomial,
     integer_difference,
     integer_form,
     integer_product,
     is_nonnegative_on,
+    jump_term,
     kfold_antiderivative,
     lowest_terms,
+    trusted_piecewise,
 )
-from .scalars import Scalar, format_rational, record
+from .scalars import Scalar, coerce, format_rational, record
 
 
 class WeightSyntaxError(ValueError):
@@ -125,18 +126,17 @@ class IndicatorWeight:
     exact_capable = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not (0 <= self.a < self.b <= 1):
-            raise WeightDomainError(
-                f"indicator needs 0 <= a < b <= 1, got [{self.a}, {self.b}]"
-            )
-        zero, cuts = Polynomial(), (Fraction(0), self.a, self.b, Fraction(1))
-        pieces = (zero, constant(self.height), zero)
+        a, b = coerce(self.a), coerce(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (0 <= a < b <= 1):
+            raise WeightDomainError(f"indicator needs 0 <= a < b <= 1, got [{a}, {b}]")
+        width, zero = b - a, Polynomial()
+        pieces = (zero, exact_polynomial([width.denominator], width.numerator), zero)
+        cuts = (Fraction(0), a, b, Fraction(1))  # Fractions, in order as checked
         # without the zero pieces of zero length at the ends
-        lo, hi = int(self.a == 0), 3 - (self.b == 1)
-        pp = PiecewisePolynomial(cuts[lo : hi + 1], pieces[lo:hi])
-        object.__setattr__(self, "piecewise", pp)
+        lo, hi = int(a == 0), 3 - (b == 1)
+        object.__setattr__(self, "piecewise", trusted_piecewise(cuts[lo : hi + 1], pieces[lo:hi]))
 
     @property
     def height(self) -> Fraction:
@@ -400,18 +400,10 @@ def iterated_integral(rho: Weight, k: int):
         coeff = beta_product(rho.alpha, k - 1) / factorial(k - 1)
         return PowerLawTerm(coeff, k - rho.alpha)
     if isinstance(rho, DiracWeight):
-        # sifting: I(x) = (x - a)^(k-1)/(k-1)! for x >= a, else 0; with
-        # a = s/t the binomial expansion has the x^j numerator
-        # C(k-1, j) (-s)^(k-1-j) t^j over t^(k-1) (k-1)!
-        a, n = rho.a, k - 1
-        s, t = a.numerator, a.denominator
-        shifted = exact_polynomial(
-            [comb(n, j) * (-s) ** (n - j) * t**j for j in range(n + 1)],
-            t**n * factorial(n),
-        )
-        return PiecewisePolynomial(
-            [Fraction(0), a, Fraction(1)], [Polynomial(), shifted]
-        )
+        # sifting: I(x) = (x - a)^(k-1)/(k-1)! for x >= a, else 0, the
+        # (k-1)-fold integral of a unit step at a
+        shifted = exact_polynomial(*jump_term([1], 1, rho.a, k - 1))
+        return trusted_piecewise((Fraction(0), rho.a, Fraction(1)), (Polynomial(), shifted))
     return kfold_antiderivative(as_piecewise(rho), k)
 
 
@@ -635,11 +627,16 @@ def _parse_poly_expr(text: str, base: int = 0) -> Polynomial:
     return exact_polynomial(*result)
 
 
+def _quoted(text: str) -> str:
+    """repr(text), cut to 30 characters and the length for a longer text."""
+    return repr(text) if len(text) <= 30 else f"{text[:30]!r}... ({len(text)} characters)"
+
+
 def _parse_number_payload(payload: str, base: int) -> Fraction:
     """The signed literal that is all of payload, its errors at base."""
     m = _PAYLOAD_RE.fullmatch(payload)
     if not m:
-        raise WeightSyntaxError(f"expected a number, found {payload.strip()!r}", base)
+        raise WeightSyntaxError(f"expected a number, found {_quoted(payload.strip())}", base)
     p, q = _literal(*m.groups()[1:], base)
     return Fraction(-p if m[1] else p, q)
 
@@ -673,7 +670,7 @@ def parse_weight(spec: str) -> Weight:
         if value.denominator != 1:
             raise WeightSyntaxError("boundary-weight order must be an integer", base)
         return HardyWeight(int(value))
-    raise WeightSyntaxError(f"unknown weight kind {kind!r}", 0)
+    raise WeightSyntaxError(f"unknown weight kind {_quoted(kind)}", 0)
 
 
 _PIECE_RE = re.compile(r"\s*\[([^,\]]+),([^,\]]+)\]\s*=\s*(.+)\s*")

@@ -365,6 +365,33 @@ def test_sweep_number_errors_are_one_short_line(capsys, option, value, message):
     assert err.count("\n") == 1 and len(err) < 120, err[:200]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("constant", "--k", "1", "--weight", "dirac:" + "x" * 5000),
+            "expected a number, found '" + "x" * 30 + "'... (5000 characters) (at position 6)",
+        ),
+        (
+            ("sweep", "--k", "1", "--param", "power", "--start", "1e" * 2500, "--stop", "1/2", "--step", "1/4"),
+            "--start: expected a number, found '" + "1e" * 15 + "'... (5000 characters)",
+        ),
+        (
+            ("constant", "--k", "1", "--weight", "x" * 5000 + ":1"),
+            "unknown weight kind '" + "x" * 30 + "'... (5000 characters)",
+        ),
+    ],
+    ids=["dirac-payload", "sweep-start", "weight-kind"],
+)
+def test_a_long_malformed_value_gives_one_short_error_line(capsys, argv, message):
+    # the value is cut to its first 30 characters and its length
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert err.count("\n") == 1 and len(err) < 120, err[:200]
+
+
 def test_sweep_indicator_shrinks_to_dirac(capsys):
     code, out, _ = run(
         capsys,

@@ -30,9 +30,9 @@ from sobolev1d.solver import (
     LinearSystem,
     PolyPlusPower,
     ProblemSpec,
-    _assemble_w,
     assemble_u,
     assemble_uk,
+    assemble_w,
     build_matrix,
     compute_mu,
     solve,
@@ -345,40 +345,44 @@ WEIGHTS = [
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24])
 def test_assemble_u_equals_the_kfold_antiderivative_loop(k):
+    # solve builds u from the 2k-fold integral of rho; stepping k
+    # antiderivatives from v = u^(k)/mu, built from the k-fold integral,
+    # reaches the same u/mu, and solve's u^(k) is mu v
     for text in WEIGHTS:
         spec = ProblemSpec(k, parse_weight(text))
-        seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
-        v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+        s = solve(spec)
+        v = assemble_uk(spec, s.seeds, iterated_integral(spec.rho, k))
         anti = v
         for _ in range(k):
             anti = anti.antiderivative()
-        w = _assemble_w(v, k)
-        assert w == anti, text
-        mu = compute_mu(w, spec.rho)
+        assert s.u == anti.scale(s.mu), text
+        assert s.u_k == v.scale(s.mu), text
         # 1/mu = integral w rho, and the quadratic route agrees
-        assert 1 / mu == pp_integrate_product(v, v), text
-        u, _ = assemble_u(spec, seeds, mu, w)
-        assert u == anti.scale(mu), text
+        assert compute_mu(anti, spec.rho) == s.mu, text
+        assert 1 / s.mu == pp_integrate_product(v, v), text
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24, 40])
 def test_assemble_w_of_a_power_weight_equals_the_step_loop(k):
-    # one pass: the polynomial part's k-fold antiderivative, and c x^e
-    # becomes c/((e+1)...(e+k)) x^(e+k); the loop integrates step by step
+    # the 2k-fold integral c x^(2k-alpha) plus the seed polynomial's k-fold
+    # antiderivative, against v = u^(k)/mu integrated step by step: c x^e
+    # becomes c/((e+1)...(e+k)) x^(e+k)
     for text in ("pow:1/2", "pow:7/9", "pow:0", "pow:1/3", "pow:999/1000"):
         spec = ProblemSpec(k, parse_weight(text), FLOAT)
-        seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
-        v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
+        s = solve(spec)
+        v = assemble_uk(spec, s.seeds, iterated_integral(spec.rho, k))
         poly, c, e = v.poly, v.term.coefficient, v.term.exponent
         for _ in range(k):
             poly = poly.antiderivative()
             e += 1
             c /= e
-        w = _assemble_w(v, k)
+        w = assemble_w(spec, s.seeds, iterated_integral(spec.rho, 2 * k))
         assert w == PolyPlusPower(poly, PowerLawTerm(c, e)), text
         mu = compute_mu(w, spec.rho)
-        u, diagnostics = assemble_u(spec, seeds, mu, w)
-        assert u == w.scale(mu), text
+        assert float(mu) == s.mu, text
+        u, diagnostics = assemble_u(spec, s.seeds, mu, w)
+        assert s.u == u == w.scale(mu), text
+        assert s.u_k == v.scale(mu), text
         assert diagnostics.positivity_certified is True, text
 
 
@@ -397,8 +401,7 @@ def test_power_moment_equals_the_fraction_sum():
         for text in ("pow:1/3", "pow:999/1000", "pow:0"):
             spec = ProblemSpec(k, parse_weight(text), FLOAT)
             seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
-            v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
-            cases.append((_assemble_w(v, k), spec.rho.alpha))
+            cases.append((assemble_w(spec, seeds, iterated_integral(spec.rho, 2 * k)), spec.rho.alpha))
     for w, alpha in cases:
         c, e = w.term.coefficient, w.term.exponent
         expected = sum(a / (i + 1 - alpha) for i, a in enumerate(w.poly.coeffs))

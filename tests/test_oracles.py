@@ -633,6 +633,21 @@ def test_max_principle_solution_equals_the_successive_antiderivative_solve():
             assert report.details["solution"] == _clamped_solution_by_loop(k, as_piecewise(rho))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12, 24])
+def test_solve_w_equals_the_max_principle_clamped_solve(k):
+    # two routes to w = u/mu: solve's seed system and one 2k-fold pass over
+    # rho, and the oracle's 2k-fold pass with its own homogeneous correction
+    rng = random.Random(2929 + k)
+    loads = []
+    while len(loads) < 9:  # three of each kind
+        rho = _random_nonneg_load(rng)
+        if sum(r.kind == rho.kind for r in loads) < 3:
+            loads.append(rho)
+    for rho in loads:
+        s = solve(ProblemSpec(k, rho))
+        assert s.u.scale(1 / s.mu) == oracles._solve_clamped_bvp_exact(k, as_piecewise(rho)), rho
+
+
 def test_max_principle_grid_route():
     for k in (1, 2):
         for n in (99, 199):

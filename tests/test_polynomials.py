@@ -105,6 +105,30 @@ def test_kfold_antiderivative_equals_successive_antiderivatives(m):
     assert kfold_antiderivative(pp, 0) == pp
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 24, 60, 120])
+def test_kfold_antiderivative_jump_terms_equal_successive_antiderivatives(m):
+    # 1-3 pieces of degree <= 15 between breakpoints of up to 64 bits, with
+    # zero jumps (a piece repeated), so that each expansion of a jump term
+    # runs: degree >= m, and below it with short and long breakpoints
+    rng = random.Random(2900 + m)
+    for trial in range(10 if m <= 24 else 3):
+        bits = (64, 2, 16)[trial % 3]
+        cuts, count = set(), rng.randint(0, 2)
+        while len(cuts) < count:
+            den = rng.randint(2 ** (bits - 1) + 1, 2**bits - 1)
+            cuts.add(F(rng.randint(1, den - 1), den))
+        polys = []
+        for _ in range(len(cuts) + 1):
+            if polys and rng.random() < 0.25:
+                polys.append(polys[-1])
+                continue
+            degree = rng.choice([0, 1, 2, 6, 15])
+            top = 2**bits
+            polys.append(Polynomial([F(rng.randint(-top, top), rng.randint(1, top)) for _ in range(degree + 1)]))
+        pp = PiecewisePolynomial([F(0), *sorted(cuts), F(1)], polys)
+        assert kfold_antiderivative(pp, m) == _successive_antiderivatives(pp, m), (trial, pp)
+
+
 def test_derivatives_at_one_are_falling_factorial_sums():
     rng = random.Random(4242)
     for _ in range(20):

@@ -21,6 +21,7 @@ from sobolev1d.polynomials import (
     from_polynomial,
     integer_form,
     integrate_product,
+    kfold_antiderivative,
     kth_derivative,
     pp_equal,
     pp_integrate_product,
@@ -39,13 +40,13 @@ from sobolev1d.solver import (
     ProblemSpec,
     SingularMatrixError,
     ZeroWeightError,
-    _assemble_w,
     _check_vandermonde_structure,
     _diagnostics,
     _power_quotient,
     _seed_polynomial,
     assemble_u,
     assemble_uk,
+    assemble_w,
     build_matrix,
     closed_form,
     compute_mu,
@@ -208,11 +209,14 @@ def test_assemble_uk_dirac_step():
 
 
 def _v_and_w(spec):
-    """v = u^(k)/mu and w = u/mu, its k-fold antiderivative, stage by stage."""
+    """v = u^(k)/mu from the k-fold iterated integral of rho and w = u/mu
+    from the 2k-fold one, stage by stage; v is the k-th derivative of w."""
     k = spec.k
     seeds = solve_seeds(LinearSystem(build_matrix(k), moments(spec.rho, k)))
     v = assemble_uk(spec, seeds, iterated_integral(spec.rho, k))
-    return seeds, v, _assemble_w(v, k)
+    w = assemble_w(spec, seeds, iterated_integral(spec.rho, 2 * k))
+    assert (w.kth_derivative(k) if isinstance(w, PolyPlusPower) else kth_derivative(w, k)) == v
+    return seeds, v, w
 
 
 def test_compute_mu_uniform():
@@ -1114,6 +1118,31 @@ def _random_piecewise_weight(rng, kind):
         a, b = sorted(rng.sample([F(0), *cuts, F(1)], 2))
         return IndicatorWeight(a, b)
     return DiracWeight(rng.choice([*cuts, F(1, 5), F(2, 7)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+def test_a_solve_runs_one_piecewise_kfold_pass(monkeypatch, k):
+    # the only piecewise k-fold pass of a solve is over rho itself, at order
+    # 2k; the seed polynomial's is a plain one, and no u^(k) is integrated
+    from sobolev1d import solver, weights
+
+    calls = []
+
+    def spy(p, m):
+        calls.append((p, m))
+        return kfold_antiderivative(p, m)
+
+    monkeypatch.setattr(weights, "kfold_antiderivative", spy)
+    monkeypatch.setattr(solver, "kfold_antiderivative", spy)
+    rng = random.Random(2990 + k)
+    for kind in ("poly", "pw", "chi", "dirac"):
+        rho = _random_piecewise_weight(rng, kind)
+        calls.clear()
+        solve(ProblemSpec(k, rho))
+        piecewise = [(p, m) for p, m in calls if isinstance(p, PiecewisePolynomial)]
+        assert piecewise == ([] if kind == "dirac" else [(as_piecewise(rho), 2 * k)]), rho
+        assert all(m == k for p, m in calls if isinstance(p, Polynomial)), rho
+        assert len(calls) == len(piecewise) + 1, rho
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])

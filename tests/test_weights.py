@@ -243,6 +243,29 @@ def test_indicator_form_matches_the_sorted_cut_construction():
     assert ends == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_indicator_form_equals_the_validated_build():
+    # the form is built without the constructor's checks; on seeded ends of
+    # up to 64 bits, from the DSL and from ints, it equals the checked build
+    rng = random.Random(2727)
+    cases = [(0, 1), (0, F(1, 2)), (F(1, 2), 1)]
+    for bits in (3, 16, 64):
+        for _ in range(10):
+            den = rng.randint(2 ** (bits - 1) + 1, 2**bits - 1)
+            lo = rng.randint(0, den - 1)
+            cases.append((F(lo, den), F(rng.randint(lo + 1, den), den)))
+    for a, b in cases:
+        for rho in (IndicatorWeight(a, b), parse_weight(f"chi:{a},{b}")):
+            form = as_piecewise(rho)
+            assert form == _indicator_by_sorted_cuts(F(a), F(b)), (a, b)
+            assert form == PiecewisePolynomial(form.breakpoints, form.pieces)
+            assert all(type(c) is F for c in (rho.a, rho.b, *form.breakpoints))
+            assert rho == IndicatorWeight(F(a), F(b)) and hash(rho) == hash(IndicatorWeight(F(a), F(b)))
+    assert repr(IndicatorWeight(0, 1)) == "IndicatorWeight(a=Fraction(0, 1), b=Fraction(1, 1))"
+    for a, b in ((F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)), (-1, F(1, 2)), (0, F(3, 2))):
+        with pytest.raises(WeightDomainError, match="0 <= a < b <= 1"):
+            IndicatorWeight(a, b)
+
+
 def test_outside_theorem_scope_flags():
     assert parse_weight("dirac:1/2").outside_theorem_scope
     assert parse_weight("hardy:1").outside_theorem_scope
