@@ -338,30 +338,18 @@ def jump_term(g: list, den: int, a: Fraction, m: int) -> tuple[list[int], int]:
 
     J is the plain term of g(a + y) at y = x - a: with h the shift by s of
     g_i t^(D-i), h's plain numerators times (t x - s)^m, (D+1)(m+1) products
-    of long integers.  It is also g's plain term less its Taylor polynomial
-    of degree < m at a, m settling passes of a shift by s and one by -s of m
-    terms, m(m+D) products by s: the cheaper for D >= m or D(D+1) bits(t)
-    > 64 m (timed at m <= 120, D <= 15 and 2- to 64-bit t).
+    of long integers.
     """
     n = len(g) - 1
     s, t = a.numerator, a.denominator
     t_pow = list(accumulate([t] * (m + n), mul, initial=1))
-    out_den = den * t_pow[-1] * factorial(m + n)
-    if n >= m or n * (n + 1) * t.bit_length() > 64 * m:
-        nums = _plain_antiderivative(g, 1, m)[0]
-        h = [c * t_pow[m + n - i] for i, c in enumerate(nums)]
-        taylor_shift(h, s, m)
-        e = h[:m]
-        taylor_shift(e, -s)
-        out = [-c * t_pow[r] for r, c in enumerate(e)]
-        return out + [c * t_pow[-1] for c in nums[m:]], out_den
     h = [c * t_pow[n - i] for i, c in enumerate(g)]
     taylor_shift(h, s)
     h = _plain_antiderivative(h, 1, m)[0][m:]
     taylor_shift(h, -s)
     s_pow = list(accumulate([-s] * m, mul, initial=1))
     binomial = [comb(m, i) * t_pow[i] * s_pow[m - i] for i in range(m + 1)]
-    return _convolve(binomial, list(map(mul, h, t_pow))), out_den
+    return _convolve(binomial, list(map(mul, h, t_pow))), den * t_pow[-1] * factorial(m + n)
 
 
 def integer_difference(a: tuple, b: tuple) -> tuple[list[int], int]:
@@ -403,11 +391,14 @@ def derivatives_at_one(p: Polynomial, count: int) -> tuple[list[int], int]:
     return out, p.den
 
 
-def kth_derivative(p: Polynomial | PiecewisePolynomial, k: int):
-    """The k-th derivative of a Polynomial or PiecewisePolynomial; a
-    polynomial in one integer pass, c_i x^i -> c_i i!/(i-k)! x^(i-k)."""
+def kth_derivative(p, k: int):
+    """The k-th derivative of a Polynomial or PiecewisePolynomial, or of any
+    other value by its own ``kth_derivative`` method; a polynomial in one
+    integer pass, c_i x^i -> c_i i!/(i-k)! x^(i-k)."""
     if isinstance(p, PiecewisePolynomial):
         return p.map_pieces(lambda q: kth_derivative(q, k))
+    if not isinstance(p, Polynomial):
+        return p.kth_derivative(k)
     return exact_polynomial([c * perm(i, k) for i, c in enumerate(p.nums)][k:], p.den)
 
 
@@ -595,16 +586,12 @@ def is_nonnegative_on(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 BERNSTEIN_MAX_BOXES = 64
 
 
-def taylor_shift(c: list[int], s: int, settle: int | None = None) -> None:
-    """Turn the coefficients of p(x) into those of p(x + s), in place.
-
-    Pass i of the shift fixes c[i] for good, so with ``settle`` = m only
-    the first m passes run: c[:m] are those of p(x + s), the rest partial.
-    """
+def taylor_shift(c: list[int], s: int) -> None:
+    """Turn the coefficients of p(x) into those of p(x + s), in place."""
     if not s:
         return
     n = len(c)
-    for i in range(n - 1 if settle is None else min(n - 1, settle)):
+    for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             c[j] += s * c[j + 1]
 

@@ -696,7 +696,7 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     w = assemble_w(spec, seeds, iterated_integral(spec.rho, 2 * spec.k))
     mu = compute_mu(w, spec.rho)
     u, diags = assemble_u(spec, seeds, mu, w)
-    u_k = u.kth_derivative(spec.k) if isinstance(u, PolyPlusPower) else kth_derivative(u, spec.k)
+    u_k = kth_derivative(u, spec.k)
     solution = ExtremalSolution(
         spec=spec,
         mu=mu,

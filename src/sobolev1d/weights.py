@@ -41,7 +41,7 @@ from .polynomials import (
     lowest_terms,
     trusted_piecewise,
 )
-from .scalars import Scalar, coerce, format_rational, record
+from .scalars import Scalar, format_rational, record
 
 
 class WeightSyntaxError(ValueError):
@@ -126,7 +126,7 @@ class IndicatorWeight:
     exact_capable = True
 
     def __post_init__(self):
-        a, b = coerce(self.a), coerce(self.b)
+        a, b = Fraction(self.a), Fraction(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not (0 <= a < b <= 1):

@@ -108,8 +108,8 @@ def test_kfold_antiderivative_equals_successive_antiderivatives(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 24, 60, 120])
 def test_kfold_antiderivative_jump_terms_equal_successive_antiderivatives(m):
     # 1-3 pieces of degree <= 15 between breakpoints of up to 64 bits, with
-    # zero jumps (a piece repeated), so that each expansion of a jump term
-    # runs: degree >= m, and below it with short and long breakpoints
+    # zero jumps (a piece repeated): jumps of degree above m and below it,
+    # with short and long breakpoints
     rng = random.Random(2900 + m)
     for trial in range(10 if m <= 24 else 3):
         bits = (64, 2, 16)[trial % 3]

@@ -266,6 +266,22 @@ def test_indicator_form_equals_the_validated_build():
             IndicatorWeight(a, b)
 
 
+def test_weight_records_store_each_number_as_its_exact_fraction():
+    # one rule for every weight record and for scale_weight: a number goes
+    # through Fraction(), so an int or a float is kept as its exact value
+    one = PolyWeight(Polynomial([1]))
+    for value in (0.5, 0.1, F(1, 3)):
+        exact = F(value)
+        for rho in (DiracWeight(value), PowerWeight(value), IndicatorWeight(0, value), IndicatorWeight(value, 1)):
+            numbers = [getattr(rho, name) for name in ("a", "b", "alpha") if hasattr(rho, name)]
+            assert all(type(c) is F for c in numbers), rho
+            assert exact in numbers, rho
+        assert as_piecewise(IndicatorWeight(0, value)) == as_piecewise(IndicatorWeight(F(0), exact))
+        assert scale_weight(one, value) == scale_weight(one, exact)
+    assert DiracWeight(0.1).a == F(3602879701896397, 36028797018963968)  # the float's own value
+    assert IndicatorWeight(0.25, 0.75) == IndicatorWeight(F(1, 4), F(3, 4))
+
+
 def test_outside_theorem_scope_flags():
     assert parse_weight("dirac:1/2").outside_theorem_scope
     assert parse_weight("hardy:1").outside_theorem_scope
